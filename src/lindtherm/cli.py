@@ -28,6 +28,7 @@ from .gkls import (
     LindbladTerm,
     evolve,
     evolve_driven,
+    modulated_family,
 )
 from .engine import power_report
 from .models.chem import (
@@ -79,6 +80,8 @@ def _number(node, path: str, minimum=None, strict_min=None) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
     x = float(node)
+    if not np.isfinite(x):
+        _fail(path, f"must be finite, got {x}")
     if minimum is not None and x < minimum:
         _fail(path, f"must be >= {minimum}, got {x}")
     if strict_min is not None and x <= strict_min:
@@ -311,14 +314,12 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     times = _grid(config["grid"], "grid")
     if "drive" in config:
         m, g, om = _drive(config["drive"], "drive", gen.dim)
-        family = GeneratorFamily(
-            lambda xi: GklsGenerator(gen.hamiltonian + xi * m, gen.terms), m, g, om
-        )
-        traj = evolve_driven(family, rho0, times)
+        family = modulated_family(gen, m, g, om)
+        traj = evolve_driven(family, rho0, times, tol=tol)
     else:
         m = np.zeros((gen.dim, gen.dim), dtype=complex)
         family = GeneratorFamily(lambda xi: gen, m, 0.0, 1.0)
-        traj = evolve(gen, rho0, times)
+        traj = evolve(gen, rho0, times, tol=tol)
     samples = law_residuals(traj, family, baths, tol)
     labels = [b.bath_label for b in baths]
     header = ["t", "U", "P"] + [f"J_{l}" for l in labels] + [
@@ -423,9 +424,7 @@ def _run_engine_power(config: dict, out_dir: Path, seed: int, tol: Tolerances):
                 {"scenario", "model", "drive"})
     gen, _ = _model(config["model"], "model")
     m, g, om = _drive(config["drive"], "drive", gen.dim)
-    family = GeneratorFamily(
-        lambda xi: GklsGenerator(gen.hamiltonian + xi * m, gen.terms), m, g, om
-    )
+    family = modulated_family(gen, m, g, om)
     beta = None
     if "beta" in config:
         beta = _number(config["beta"], "beta")

@@ -94,13 +94,16 @@ def stationary_derivative(
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
 
-    if stationary_map is None:
-        def stat(xi: float) -> np.ndarray:
-            return stationary_state(family.generator_of(xi), tol).matrix
-    else:
-        def stat(xi: float) -> np.ndarray:
+    xis = (0.0, delta, -delta)
+    gens = {xi: family.generator_of(xi) for xi in xis}
+    supers = {xi: schrodinger_super(gen) for xi, gen in gens.items()}
+
+    def stat(xi: float) -> np.ndarray:
+        if stationary_map is not None:
             out = stationary_map(xi)
             return out.matrix if hasattr(out, "matrix") else as_operator(out)
+        gen = gens[xi] if xi in gens else family.generator_of(xi)
+        return stationary_state(gen, tol, superop=supers.get(xi)).matrix
 
     rho_0 = stat(0.0)
     rho_p = stat(delta)
@@ -110,9 +113,7 @@ def stationary_derivative(
     prime_half = (stat(half) - stat(-half)) / (2.0 * half)
     gap = float(np.linalg.norm(prime - prime_half))
 
-    s_p = schrodinger_super(family.generator_of(delta))
-    s_m = schrodinger_super(family.generator_of(-delta))
-    s_0 = schrodinger_super(family.generator_of(0.0))
+    s_0, s_p, s_m = (supers[xi] for xi in xis)
     l_prime = (s_p - s_m) / (2.0 * delta)
     residual = float(np.linalg.norm(l_prime @ vec(rho_0) + s_0 @ vec(prime)))
     if stationary_map is None and residual > tol.identity_residual:

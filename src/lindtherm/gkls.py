@@ -1,22 +1,25 @@
 """GKLS generator assembly, stationary states, propagation, detailed balance.
 
-The generator acts on states as
+A generator with Hamiltonian H and jump terms (rate_j, V_j) acts on states as
 
-    L(rho) = -i[H, rho] + (1/2) sum_j ( [V_j rho, V_j+] + [V_j, rho V_j+] )
+    L(rho) = G rho + rho G+ + sum_j rate_j V_j rho V_j+,
+    G = -iH - K/2,  K = sum_j rate_j V_j+ V_j,
 
 and on observables as its Hilbert-Schmidt adjoint
 
-    L*(X) = i[H, X] + (1/2) sum_j ( V_j+ [X, V_j] + [V_j+, X] V_j ).
+    L*(X) = G+ X + X G + sum_j rate_j V_j+ X V_j.
 
-Rates are carried separately on each term and absorbed as V <- sqrt(rate) V
-at assembly time.  Superoperators are dense matrices on column-stacked
-operators; see operators.py for the vectorization convention.
+On column-stacked operators (see operators.py for the convention) the
+matrix of L is I (x) G + conj(G) (x) I + sum_j rate_j conj(V_j) (x) V_j, and
+the matrix of L* is its conjugate transpose.  Both direct actions and the
+per-bath heat currents evaluate the same kernel a X + X a+ + sum v X v+.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,12 +37,12 @@ from .errors import (
 from .operators import (
     DensityMatrix,
     as_operator,
+    choi_matrix,
     dag,
     hermiticity_defect,
     hermitize,
     left_mul,
     right_mul,
-    sandwich_mul,
     unvec,
     vec,
 )
@@ -52,8 +55,6 @@ __all__ = [
     "Trajectory",
     "DetailedBalanceReport",
     "hamiltonian_super",
-    "dissipator_super",
-    "heisenberg_dissipator_super",
     "schrodinger_super",
     "heisenberg_super",
     "apply_schrodinger",
@@ -84,8 +85,8 @@ class LindbladTerm:
     def __post_init__(self):
         object.__setattr__(self, "jump", as_operator(self.jump, "jump operator"))
         object.__setattr__(self, "rate", float(self.rate))
-        if self.rate < 0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
 
     @property
     def scaled_jump(self) -> np.ndarray:
@@ -94,7 +95,10 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class GklsGenerator:
-    """Hamiltonian plus a tuple of LindbladTerm channels."""
+    """Hamiltonian plus a tuple of LindbladTerm channels.
+
+    The d x d matrices K_b (per bath) and G are computed on first use and kept.
+    """
 
     hamiltonian: np.ndarray
     terms: tuple
@@ -124,11 +128,23 @@ class GklsGenerator:
         return self.hamiltonian.shape[0]
 
     def bath_labels(self) -> tuple:
-        seen = []
+        return tuple(self._baths)
+
+    @cached_property
+    def _baths(self) -> dict:
+        """{bath label: (K_b, terms)}, K_b = sum of rate V+ V over the bath's terms."""
+        groups = {}
         for term in self.terms:
-            if term.bath_label not in seen:
-                seen.append(term.bath_label)
-        return tuple(seen)
+            groups.setdefault(term.bath_label, []).append(term)
+        return {
+            label: (sum(t.rate * (dag(t.jump) @ t.jump) for t in ts), tuple(ts))
+            for label, ts in groups.items()
+        }
+
+    @cached_property
+    def _g(self) -> np.ndarray:
+        """G = -iH - K/2, so that L(X) = G X + X G+ + sum rate V X V+."""
+        return -1j * self.hamiltonian - 0.5 * sum(k for k, _ in self._baths.values())
 
 
 @dataclass(frozen=True)
@@ -221,66 +237,47 @@ def hamiltonian_super(h: np.ndarray) -> np.ndarray:
     return -1j * (left_mul(h) - right_mul(h))
 
 
-def dissipator_super(terms, dim: int) -> np.ndarray:
-    """Schrodinger-picture dissipator matrix for the given terms."""
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for term in terms:
-        v = term.scaled_jump
-        if v.shape != (dim, dim):
-            raise ShapeError(f"jump shape {v.shape} does not match dim {dim}")
-        vdv = dag(v) @ v
-        s += sandwich_mul(v, dag(v)) - 0.5 * (left_mul(vdv) + right_mul(vdv))
-    return s
-
-
-def heisenberg_dissipator_super(terms, dim: int) -> np.ndarray:
-    """Heisenberg-picture dissipator matrix (adjoint of dissipator_super)."""
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for term in terms:
-        v = term.scaled_jump
-        if v.shape != (dim, dim):
-            raise ShapeError(f"jump shape {v.shape} does not match dim {dim}")
-        vdv = dag(v) @ v
-        s += sandwich_mul(dag(v), v) - 0.5 * (left_mul(vdv) + right_mul(vdv))
-    return s
-
-
 def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
-    """Full generator matrix acting on vectorized states."""
-    return hamiltonian_super(gen.hamiltonian) + dissipator_super(gen.terms, gen.dim)
+    """Full generator matrix acting on vectorized states.
+
+    The jump part sum_j rate_j conj(V_j) (x) V_j is one GEMM W^T conj(W), with
+    row j of W = vec(sqrt(rate_j) V_j), put in place by the Choi reshuffle
+    (a self-inverse index permutation).
+    """
+    g = gen._g
+    s = left_mul(g)
+    s += right_mul(dag(g))
+    if gen.terms:
+        w = np.stack([vec(term.scaled_jump) for term in gen.terms])
+        s += choi_matrix(w.T @ w.conj())
+    return s
 
 
 def heisenberg_super(gen: GklsGenerator) -> np.ndarray:
     """Full adjoint generator matrix acting on vectorized observables."""
-    return -hamiltonian_super(gen.hamiltonian) + heisenberg_dissipator_super(
-        gen.terms, gen.dim
-    )
+    return dag(schrodinger_super(gen))
+
+
+def _gkls_action(a: np.ndarray, x: np.ndarray, terms, adjoint: bool = False) -> np.ndarray:
+    """a X + X a+ + sum_j rate_j v_j X v_j+, with v_j = V_j (V_j+ if adjoint).
+
+    Loops over the terms so that every temporary stays d x d.
+    """
+    out = a @ x + x @ dag(a)
+    for term in terms:
+        v = dag(term.jump) if adjoint else term.jump
+        out += term.rate * (v @ x @ dag(v))
+    return out
 
 
 def apply_schrodinger(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
     """L(X) by direct matrix products (no superoperator assembly)."""
-    x = as_operator(x)
-    h = gen.hamiltonian
-    out = -1j * (h @ x - x @ h)
-    for term in gen.terms:
-        v = term.scaled_jump
-        vd = dag(v)
-        vdv = vd @ v
-        out += v @ x @ vd - 0.5 * (vdv @ x + x @ vdv)
-    return out
+    return _gkls_action(gen._g, as_operator(x), gen.terms)
 
 
 def apply_heisenberg(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
     """L*(X) by direct matrix products."""
-    x = as_operator(x)
-    h = gen.hamiltonian
-    out = 1j * (h @ x - x @ h)
-    for term in gen.terms:
-        v = term.scaled_jump
-        vd = dag(v)
-        vdv = vd @ v
-        out += vd @ x @ v - 0.5 * (vdv @ x + x @ vdv)
-    return out
+    return _gkls_action(dag(gen._g), as_operator(x), gen.terms, adjoint=True)
 
 
 # --- thermal building blocks -------------------------------------------------
@@ -523,41 +520,54 @@ def _validated_state(m: np.ndarray, step: int, tol: Tolerances) -> DensityMatrix
         raise NumericalDrift(f"state invariant violated at step {step}: {exc}") from exc
 
 
-def evolve(gen: GklsGenerator, rho0: DensityMatrix, times) -> Trajectory:
-    """Propagate a state by exponentials of the static generator.
+def _propagate(rho0: DensityMatrix, t: np.ndarray, xis, superop_of, tol: Tolerances) -> tuple:
+    """States of a piecewise-constant flow; step i applies expm(superop_of(xis[i-1]) dt_i).
 
-    One exponential is computed per distinct step size (grids from linspace
-    reuse a single propagator); every state is re-validated, and a violation
-    raises NumericalDrift carrying the step index.
+    One exponential is built per distinct (xi, dt) pair, and every state is
+    validated against ``tol``.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ShapeError("times must be a strictly increasing 1-d grid")
-    s = schrodinger_super(gen)
     props = {}
     states = [rho0]
     v = vec(rho0.matrix)
     for i in range(1, t.size):
         dt = t[i] - t[i - 1]
-        key = round(float(dt), 15)
+        key = (round(float(xis[i - 1]), 15), round(float(dt), 15))
         if key not in props:
-            props[key] = expm(s * dt)
+            props[key] = expm(superop_of(xis[i - 1]) * dt)
         v = props[key] @ v
-        states.append(_validated_state(unvec(v), i, DEFAULT))
-    return Trajectory(t, tuple(states))
+        states.append(_validated_state(unvec(v), i, tol))
+    return tuple(states)
+
+
+def evolve(
+    gen: GklsGenerator, rho0: DensityMatrix, times, tol: Tolerances = DEFAULT
+) -> Trajectory:
+    """Propagate a state by exponentials of the static generator.
+
+    One exponential is computed per distinct step size (grids from linspace
+    reuse a single propagator); every state is re-validated against ``tol``,
+    and a violation raises NumericalDrift carrying the step index.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
+        raise ShapeError("times must be a strictly increasing 1-d grid")
+    s = schrodinger_super(gen)
+    return Trajectory(t, _propagate(rho0, t, np.zeros(t.size - 1), lambda xi: s, tol))
 
 
 def _max_rate(gen: GklsGenerator) -> float:
     return max((term.rate for term in gen.terms), default=0.0)
 
 
-def evolve_driven(family: GeneratorFamily, rho0: DensityMatrix, times) -> Trajectory:
+def evolve_driven(
+    family: GeneratorFamily, rho0: DensityMatrix, times, tol: Tolerances = DEFAULT
+) -> Trajectory:
     """Piecewise-frozen propagation of the driven family.
 
     On each step the generator is frozen at the midpoint drive value
     xi(t_mid) and exponentiated.  The step size must satisfy
     dt <= min(0.05/Omega, 0.1/max rate) for the freeze to be a faithful
-    quasi-static approximation.
+    quasi-static approximation.  States are validated as in ``evolve``.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
@@ -573,20 +583,11 @@ def evolve_driven(family: GeneratorFamily, rho0: DensityMatrix, times) -> Trajec
             f"max step {dt_max:.3e} exceeds the freeze bound {bound:.3e} "
             f"(Omega = {family.frequency}, max rate = {mr})"
         )
-    props = {}
-    states = [rho0]
-    mids = np.empty(t.size - 1)
-    v = vec(rho0.matrix)
-    for i in range(1, t.size):
-        dt = t[i] - t[i - 1]
-        xi = family.xi(0.5 * (t[i] + t[i - 1]))
-        mids[i - 1] = xi
-        key = (round(float(xi), 15), round(float(dt), 15))
-        if key not in props:
-            props[key] = expm(schrodinger_super(family.generator_of(xi)) * dt)
-        v = props[key] @ v
-        states.append(_validated_state(unvec(v), i, DEFAULT))
-    return Trajectory(t, tuple(states), xi_midpoints=mids)
+    mids = family.xi(0.5 * (t[1:] + t[:-1]))
+    states = _propagate(
+        rho0, t, mids, lambda xi: schrodinger_super(family.generator_of(xi)), tol
+    )
+    return Trajectory(t, states, xi_midpoints=mids)
 
 
 # --- detailed balance --------------------------------------------------------
@@ -660,7 +661,7 @@ def detailed_balance_report(
     t_inv = np.kron(root_inv.T, np.eye(gen.dim))
 
     ham_star = -hamiltonian_super(gen.hamiltonian)
-    dis_star = heisenberg_dissipator_super(gen.terms, gen.dim)
+    dis_star = heisenberg_super(gen) - ham_star
     ham_gns = t_mat @ ham_star @ t_inv
     dis_gns = t_mat @ dis_star @ t_inv
 

@@ -29,6 +29,7 @@ from .gkls import (
     GeneratorFamily,
     GklsGenerator,
     Trajectory,
+    _gkls_action,
     apply_schrodinger,
     stationary_state,
 )
@@ -129,20 +130,14 @@ def heat_currents(
     if len(set(labels)) != len(labels):
         dup = sorted({l for l in labels if labels.count(l) > 1})
         raise IncompleteAssignment(f"bath labels claimed more than once: {dup}")
-    term_labels = {term.bath_label for term in gen.terms}
-    missing = sorted(term_labels - set(labels))
+    missing = sorted(set(gen.bath_labels()) - set(labels))
     if missing:
         raise IncompleteAssignment(f"generator terms with unassigned labels: {missing}")
     per_bath = {}
     for bath in baths:
-        flow = np.zeros_like(r)
-        for term in gen.terms:
-            if term.bath_label != bath.bath_label:
-                continue
-            v = term.scaled_jump
-            vd = dag(v)
-            vdv = vd @ v
-            flow += v @ r @ vd - 0.5 * (vdv @ r + r @ vdv)
+        # L_b(rho) = -(K_b rho + rho K_b)/2 + sum over bath b of rate V rho V+
+        k, terms = gen._baths.get(bath.bath_label, (np.zeros_like(r), ()))
+        flow = _gkls_action(-0.5 * k, r, terms)
         per_bath[bath.bath_label] = float(np.trace(h @ flow).real)
     total = float(sum(per_bath.values()))
     return HeatCurrentReport(per_bath=per_bath, total=total)

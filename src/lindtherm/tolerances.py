@@ -19,10 +19,11 @@ class Tolerances:
     Attributes
     ----------
     hermiticity:
-        Max allowed ||X - X^dag||_F for matrices required to be hermitian
-        (states, observables).
+        Max allowed entrywise max|X - X^dag| for matrices required to be
+        hermitian (states, observables).
     hamiltonian_hermiticity:
-        Tighter bound applied to Hamiltonians at construction.
+        Tighter bound, same entrywise measure, applied to Hamiltonians at
+        construction.
     trace:
         Max allowed |tr(rho) - 1|.
     positivity:
@@ -42,7 +43,7 @@ class Tolerances:
     detailed_balance:
         Bound on the three detailed-balance residuals for a "passed" report.
     eigenoperator:
-        Bound on ||[H, A] - omega A||_F / ||A||_F in eigenoperator checks.
+        Bound on ||[H, A] + omega A||_F / ||A||_F in eigenoperator checks.
     """
 
     hermiticity: float = 1e-10

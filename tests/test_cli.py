@@ -251,6 +251,21 @@ def test_malformed_override(tmp_path, capsys):
     assert "--override" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["rate", "beta", "t_max"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, field, value):
+    config = _evolve_config()
+    if field == "rate":
+        config["model"]["terms"][0]["rate"] = value
+    elif field == "beta":
+        config["model"]["baths"][0]["beta"] = value
+    else:
+        config["grid"]["t_max"] = value
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "scenario": "chem-engine",

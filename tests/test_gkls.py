@@ -7,11 +7,13 @@ from scipy.linalg import expm
 from lindtherm import (
     DensityMatrix,
     GeneratorFamily,
+    DEFAULT,
     GklsGenerator,
     LindbladTerm,
     NonUniqueStationary,
     NotAnEigenoperator,
     NotStationary,
+    NumericalDrift,
     ShapeError,
     SingularWeight,
     StepTooLarge,
@@ -28,14 +30,19 @@ from lindtherm import (
     gibbs_state,
     heisenberg_super,
     hermitize,
+    left_mul,
     modulated_family,
     restrict_generator,
+    right_mul,
+    sandwich_mul,
     schrodinger_super,
     stationary_state,
     thermal_pair,
     trace_distance,
     trace_preservation_defect,
     unitality_defect,
+    unvec,
+    vec,
     weighted_inner_product,
 )
 
@@ -46,8 +53,9 @@ from conftest import random_state, random_thermal_model, triangle_generator, uni
 
 def test_lindblad_term_validation():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        LindbladTerm(a, -0.5)
+    for rate in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            LindbladTerm(a, rate)
     with pytest.raises(ShapeError):
         LindbladTerm(np.ones((2, 3)), 1.0)
     t = LindbladTerm(a, 4.0, "b")
@@ -68,6 +76,37 @@ def test_bath_labels_collected():
 
 
 # --- superoperator structure --------------------------------------------------
+
+def _two_bath_model(rng, dim):
+    """Davies terms of two baths at different temperatures, plus a zero-rate term."""
+    evals = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, dim - 1))])
+    h = np.diag(evals).astype(complex)
+    terms = [LindbladTerm(rng.standard_normal((dim, dim)), 0.0, "cold")]
+    for label, beta in (("cold", 1.3), ("hot", 0.2)):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        terms += davies_terms(h, (x + dag(x)) / 2.0, beta, 0.7, label)
+    return GklsGenerator(h, tuple(terms))
+
+
+def _termwise_super(gen):
+    """Reference assembly: three krons per term, straight from the GKLS form."""
+    h = gen.hamiltonian
+    s = -1j * (left_mul(h) - right_mul(h))
+    for term in gen.terms:
+        v = term.scaled_jump
+        vdv = dag(v) @ v
+        s = s + sandwich_mul(v, dag(v)) - 0.5 * (left_mul(vdv) + right_mul(vdv))
+    return s
+
+
+def test_schrodinger_super_matches_termwise_reference():
+    rng = np.random.default_rng(20)
+    for dim in (2, 3, 5):
+        gen = _two_bath_model(rng, dim)
+        assert np.allclose(schrodinger_super(gen), _termwise_super(gen), rtol=0, atol=1e-12)
+    bare = GklsGenerator(np.diag([0.0, 0.4, 1.1]), ())
+    assert np.allclose(schrodinger_super(bare), _termwise_super(bare), rtol=0, atol=1e-14)
+
 
 def test_picture_duality():
     """The Heisenberg matrix is the conjugate transpose of the Schrodinger one."""
@@ -107,9 +146,10 @@ def test_apply_matches_superoperator():
     gen, _ = random_thermal_model(rng, 3)
     rho = random_state(rng, 3)
     s = schrodinger_super(gen)
-    from lindtherm import unvec, vec
-
     assert np.allclose(apply_schrodinger(gen, rho), unvec(s @ vec(rho)), atol=1e-12)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    ls = heisenberg_super(gen)
+    assert np.allclose(apply_heisenberg(gen, x), unvec(ls @ vec(x)), atol=1e-12)
 
 
 # --- closed-form dynamics ------------------------------------------------------
@@ -145,6 +185,21 @@ def test_evolve_rejects_bad_grid():
         evolve(gen, rho, [0.0, 0.5, 0.5])
     with pytest.raises(ShapeError):
         evolve(gen, rho, [[0.0, 1.0]])
+
+
+def test_evolve_state_checks_use_given_tolerances():
+    loose = DEFAULT.with_(positivity=1e-3)
+    rho0 = DensityMatrix(np.diag([1.0005, -0.0005]), loose)
+    gen = GklsGenerator(np.diag([0.0, 1.0]), ())
+    with pytest.raises(NumericalDrift, match="step 1"):
+        evolve(gen, rho0, [0.0, 1.0])
+    traj = evolve(gen, rho0, [0.0, 1.0], tol=loose)
+    assert abs(traj.states[1].matrix[1, 1] + 0.0005) < 1e-15
+    fam = modulated_family(gen, np.diag([0.0, 0.25]), amplitude=0.3, frequency=2.0)
+    times = np.linspace(0.0, 0.05, 3)
+    with pytest.raises(NumericalDrift, match="step 1"):
+        evolve_driven(fam, rho0, times)
+    assert len(evolve_driven(fam, rho0, times, tol=loose)) == 3
 
 
 # --- thermal structure ----------------------------------------------------------

@@ -24,9 +24,12 @@ from lindtherm import (
     law_residuals,
     passive_state,
     relative_entropy,
+    schrodinger_super,
     stationary_state,
     thermal_family,
     thermal_pair,
+    unvec,
+    vec,
     von_neumann_entropy,
 )
 from lindtherm.models.chem import coherent_state
@@ -70,6 +73,19 @@ def test_heat_currents_split_by_bath():
     rep = heat_currents(gen, baths, rho)
     assert set(rep.per_bath) == {"cold", "hot"}
     assert abs(sum(rep.per_bath.values()) - rep.total) < 1e-12
+
+
+def test_heat_currents_match_per_bath_superoperator():
+    # J_b = tr(H L_b rho), with L_b assembled from bath b's terms alone
+    gen, baths = triangle_generator()
+    rho = random_state(np.random.default_rng(32), 3)
+    rep = heat_currents(gen, baths, rho)
+    h = gen.hamiltonian
+    for bath in baths:
+        own = tuple(t for t in gen.terms if t.bath_label == bath.bath_label)
+        l_b = schrodinger_super(GklsGenerator(np.zeros_like(h), own))
+        expected = np.trace(h @ unvec(l_b @ vec(rho))).real
+        assert abs(rep.per_bath[bath.bath_label] - expected) < 1e-13
 
 
 def test_heat_currents_incomplete_assignment():
