@@ -115,7 +115,14 @@ def _real_matrix(node, path: str) -> np.ndarray:
         for j, x in enumerate(row):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 _fail(f"{path}[{i}][{j}]", f"expected a number, got {x!r}")
-    return np.array(node, dtype=float)
+    return _finite_matrix(np.array(node, dtype=float), path)
+
+
+def _finite_matrix(out: np.ndarray, path: str) -> np.ndarray:
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        _fail(f"{path}[{i}][{j}]", f"must be finite, got {out[i, j]}")
+    return out
 
 
 def _complex_entry(node, path: str) -> complex:
@@ -140,7 +147,7 @@ def _complex_matrix(node, path: str) -> np.ndarray:
             _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
         for j, x in enumerate(row):
             out[i, j] = _complex_entry(x, f"{path}[{i}][{j}]")
-    return out
+    return _finite_matrix(out, path)
 
 
 def _number_list(node, path: str) -> list:
@@ -284,7 +291,7 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(out_dir: Path, scenario: str, config: dict, outputs, extras):
+def _write_manifest(out_dir: Path, scenario: str, config: dict, outputs, extras) -> dict:
     manifest = {
         "config": config,
         "scenario": scenario,
@@ -293,9 +300,8 @@ def _write_manifest(out_dir: Path, scenario: str, config: dict, outputs, extras)
     }
     if extras:
         manifest["extras"] = extras
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    return manifest
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -307,8 +313,11 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     gen, baths = _model(config["model"], "model")
     if not baths:
         _fail("model.baths", "evolve needs at least one bath assignment")
+    initial = _complex_matrix(config["initial"], "initial")
+    if initial.shape != (gen.dim, gen.dim):
+        _fail("initial", f"shape {initial.shape} does not match model dim {gen.dim}")
     try:
-        rho0 = DensityMatrix(_complex_matrix(config["initial"], "initial"), tol)
+        rho0 = DensityMatrix(initial, tol)
     except LindthermError as exc:
         _fail("initial", str(exc))
     times = _grid(config["grid"], "grid")
@@ -359,6 +368,8 @@ def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
                 {"scenario", "chem", "initial_alpha", "grid"})
     spec = _chem_spec(config["chem"], "chem")
     alpha0 = _complex_entry(config["initial_alpha"], "initial_alpha")
+    if not np.isfinite(alpha0):
+        _fail("initial_alpha", f"must be finite, got {alpha0}")
     times = _grid(config["grid"], "grid")
     overflow = _string(config.get("overflow", "truncate"), "overflow",
                        {"raise", "truncate"})
@@ -478,8 +489,7 @@ def run_scenario(config: dict, out_dir, seed_override: int = None) -> dict:
     seed = config.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("seed", f"expected an integer, got {seed!r}")
+    seed = _integer(seed, "seed", minimum=0)
     tol = _tolerances(config.get("tolerances"), "tolerances")
     resolved = dict(config)
     resolved["seed"] = seed
@@ -487,9 +497,7 @@ def run_scenario(config: dict, out_dir, seed_override: int = None) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs, extras = _RUNNERS[scenario](resolved, out, seed, tol)
-    _write_manifest(out, scenario, resolved, outputs, extras)
-    manifest_path = out / "manifest.json"
-    return json.loads(manifest_path.read_text())
+    return _write_manifest(out, scenario, resolved, outputs, extras)
 
 
 def main(argv=None) -> int:

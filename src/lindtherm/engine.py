@@ -11,6 +11,10 @@ the second being the high-frequency limit of the first.  Both consume the
 stationary-derivative operator rho_bar'[0], computed here by symmetric
 finite differences of the stationary state with a consistency check on the
 first-order stationarity identity L'[0] rho_bar[0] + L[0] rho_bar'[0] = 0.
+Each stationary state is one bordered LU solve (gkls.stationary_state).  As
+R L* = (Omega^2/2) [(L* + i Omega)^(-1) + (L* - i Omega)^(-1)] and L* preserves
+hermiticity, one LU solve of (L* + i Omega) y = M gives the resolvent form as
+-(g^2/2) Omega^2 Re tr(rho_bar'[0] y).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import (
 from .gkls import (
     GeneratorFamily,
     GklsGenerator,
+    _solve,
     apply_heisenberg,
     detailed_balance_report,
     gibbs_state,
@@ -68,12 +73,6 @@ class StationaryDerivative:
     richardson_gap: float
 
 
-def _default_delta(family: GeneratorFamily) -> float:
-    h0 = family.generator_of(0.0).hamiltonian
-    scale = float(np.linalg.norm(h0, 2))
-    return 1e-4 * max(1.0, scale)
-
-
 def stationary_derivative(
     family: GeneratorFamily,
     delta: float = None,
@@ -89,19 +88,18 @@ def stationary_derivative(
     stationarity may be restricted.
     """
     if delta is None:
-        delta = _default_delta(family)
+        delta = 1e-4 * max(1.0, float(np.linalg.norm(family.base.hamiltonian, 2)))
     delta = float(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
 
     xis = (0.0, delta, -delta)
-    gens = {xi: family.generator_of(xi) for xi in xis}
+    gens = {xi: family.generator_of(xi) if xi else family.base for xi in xis}
     supers = {xi: schrodinger_super(gen) for xi, gen in gens.items()}
 
     def stat(xi: float) -> np.ndarray:
         if stationary_map is not None:
-            out = stationary_map(xi)
-            return out.matrix if hasattr(out, "matrix") else as_operator(out)
+            return as_operator(stationary_map(xi))
         gen = gens[xi] if xi in gens else family.generator_of(xi)
         return stationary_state(gen, tol, superop=supers.get(xi)).matrix
 
@@ -132,8 +130,7 @@ def stationary_derivative(
 
 
 def _fast_value(family: GeneratorFamily, sd: StationaryDerivative) -> float:
-    gen0 = family.generator_of(0.0)
-    lm = apply_heisenberg(gen0, family.drive_observable)
+    lm = apply_heisenberg(family.base, family.drive_observable)
     g = family.amplitude
     return -0.5 * g * g * float(np.trace(sd.rho_prime @ lm).real)
 
@@ -143,19 +140,13 @@ def _resolvent_value(
     sd: StationaryDerivative,
     tol: Tolerances,
 ) -> float:
-    gen0 = family.generator_of(0.0)
-    ls = heisenberg_super(gen0)
-    om2 = family.frequency ** 2
-    a = om2 * np.eye(ls.shape[0]) + ls @ ls
-    cond = float(np.linalg.cond(a))
-    if cond > tol.resolvent_condition:
-        raise ResolventSingular(
-            f"resolvent system condition number {cond:.3e} exceeds "
-            f"{tol.resolvent_condition:.1e}; L* has spectrum near +/- i Omega"
-        )
-    y = np.linalg.solve(a, ls @ vec(family.drive_observable))
+    ls = heisenberg_super(family.base)
+    om = family.frequency
+    ls[np.diag_indices_from(ls)] += 1j * om
+    y = _solve(ls, vec(family.drive_observable), np.sqrt(tol.resolvent_condition),
+               ResolventSingular, "resolvent system L* + i Omega")
     g = family.amplitude
-    return -0.5 * g * g * float(np.trace(sd.rho_prime @ unvec(om2 * y)).real)
+    return -0.5 * g * g * om * om * float(np.trace(sd.rho_prime @ unvec(y)).real)
 
 
 def average_power_fast(
@@ -248,7 +239,7 @@ def power_report(
     single = None
     if beta is not None:
         single = equilibrium_power_bound(
-            family.generator_of(0.0),
+            family.base,
             family.drive_observable,
             beta,
             family.amplitude,

@@ -18,11 +18,11 @@ per-bath heat currents evaluate the same kernel a X + X a+ + sum v X v+.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from .errors import (
     NonUniqueStationary,
@@ -84,6 +84,8 @@ class LindbladTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "jump", as_operator(self.jump, "jump operator"))
+        if not np.isfinite(self.jump).all():
+            raise ValueError("jump operator has non-finite entries")
         object.__setattr__(self, "rate", float(self.rate))
         if not (np.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
@@ -105,6 +107,8 @@ class GklsGenerator:
 
     def __post_init__(self):
         h = as_operator(self.hamiltonian, "hamiltonian")
+        if not np.isfinite(h).all():
+            raise ShapeError("hamiltonian has non-finite entries")
         defect = hermiticity_defect(h)
         if defect > DEFAULT.hamiltonian_hermiticity:
             raise ShapeError(
@@ -151,7 +155,8 @@ class GklsGenerator:
 class GeneratorFamily:
     """A xi-parametrized generator with a sinusoidal drive xi(t) = g sin(Omega t).
 
-    ``generator_of`` maps the drive coordinate xi to a GklsGenerator.  The
+    ``generator_of`` maps the drive coordinate xi to a GklsGenerator, and
+    ``base`` holds its value at xi = 0, evaluated once at construction.  The
     drive observable M is the operator conjugate to xi; the perturbative
     power formulas assume [H0, M] = 0, which is checked with a warning
     rather than enforced.
@@ -161,6 +166,7 @@ class GeneratorFamily:
     drive_observable: np.ndarray
     amplitude: float
     frequency: float
+    base: GklsGenerator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_operator(self.drive_observable, "drive observable")
@@ -175,7 +181,8 @@ class GeneratorFamily:
         object.__setattr__(self, "frequency", float(self.frequency))
         if self.frequency <= 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
-        h0 = self.generator_of(0.0).hamiltonian
+        object.__setattr__(self, "base", self.generator_of(0.0))
+        h0 = self.base.hamiltonian
         comm = h0 @ m - m @ h0
         if np.linalg.norm(comm) > 1e-10:
             warnings.warn(
@@ -188,9 +195,6 @@ class GeneratorFamily:
     def xi(self, t: float) -> float:
         """Drive coordinate at time t."""
         return self.amplitude * np.sin(self.frequency * t)
-
-    def hamiltonian_at(self, xi: float) -> np.ndarray:
-        return self.generator_of(xi).hamiltonian
 
 
 @dataclass(frozen=True)
@@ -423,38 +427,45 @@ def modulated_family(
 
 # --- stationary states -------------------------------------------------------
 
+def _solve(a: np.ndarray, b: np.ndarray, limit: float, error, what: str) -> np.ndarray:
+    """x with a x = b by one LU factorization.
+
+    Raises ``error`` when a is exactly singular or its one-norm reciprocal
+    condition estimate (LAPACK ?gecon) is below 1/limit; NaN fails too.
+    """
+    lu, piv, info = lapack.zgetrf(a)
+    rcond = lapack.zgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
+    if not rcond * limit >= 1:
+        raise error(f"{what}: reciprocal condition estimate {rcond:.3e} below {1 / limit:.1e}")
+    return lapack.zgetrs(lu, piv, b)[0]
+
+
 def stationary_state(
     gen: GklsGenerator,
     tol: Tolerances = DEFAULT,
     superop: np.ndarray = None,
 ) -> DensityMatrix:
-    """Unique kernel state of the generator via full eigendecomposition.
+    """Unique stationary state by one bordered linear solve.
 
-    The kernel is detected at a relative eigenvalue cut; anything but a
-    one-dimensional kernel raises NonUniqueStationary.  The kernel vector is
-    trace-normalized, hermitized, and validated as a state.
+    Trace preservation makes row 0 of the generator matrix L redundant, so
+    it is replaced by the trace functional scaled by ||L||_1 and the system
+    is solved against ||L||_1 e_0.  A kernel of dimension other than one
+    makes that system singular: its reciprocal condition estimate below
+    tol.kernel_cut raises NonUniqueStationary.  The solution is hermitized,
+    checked against ||L rho||_F <= tol.stationarity and validated as a state.
     """
     s = schrodinger_super(gen) if superop is None else np.asarray(superop, dtype=complex)
-    vals, vecs = np.linalg.eig(s)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if scale == 0.0:
-        raise NonUniqueStationary("zero generator: every state is stationary")
-    cut = tol.kernel_cut * scale
-    kernel = np.flatnonzero(np.abs(vals) <= cut)
-    if kernel.size > 1:
-        raise NonUniqueStationary(
-            f"kernel dimension {kernel.size} at relative cut {tol.kernel_cut:.1e}"
-        )
-    idx = int(kernel[0]) if kernel.size == 1 else int(np.argmin(np.abs(vals)))
-    rho = unvec(vecs[:, idx])
-    tr = complex(np.trace(rho))
-    if abs(tr) < 1e-12 * np.linalg.norm(rho):
-        raise NonUniqueStationary("kernel vector is traceless; stationary structure is degenerate")
-    rho = hermitize(rho / tr)
+    scale = float(np.linalg.norm(s, 1))
+    a = np.vstack([scale * vec(np.eye(gen.dim)), s[1:]])
+    b = np.zeros(s.shape[0], dtype=complex)
+    b[0] = scale
+    x = _solve(a, b, 1.0 / tol.kernel_cut, NonUniqueStationary, "bordered stationary system")
+    rho = hermitize(unvec(x))
     resid = float(np.linalg.norm(s @ vec(rho)))
-    if resid > tol.stationarity * max(1.0, scale):
+    if resid > tol.stationarity:
         raise NotStationary(
-            f"kernel candidate has generator-image norm {resid:.3e}"
+            f"stationary candidate has generator-image norm {resid:.3e} "
+            f"(tolerance {tol.stationarity:.1e})"
         )
     lo = float(np.linalg.eigvalsh(rho)[0])
     if lo < -1e-8:
@@ -520,12 +531,14 @@ def _validated_state(m: np.ndarray, step: int, tol: Tolerances) -> DensityMatrix
         raise NumericalDrift(f"state invariant violated at step {step}: {exc}") from exc
 
 
-def _propagate(rho0: DensityMatrix, t: np.ndarray, xis, superop_of, tol: Tolerances) -> tuple:
+def _propagate(rho0: DensityMatrix, dim: int, t, xis, superop_of, tol: Tolerances) -> tuple:
     """States of a piecewise-constant flow; step i applies expm(superop_of(xis[i-1]) dt_i).
 
     One exponential is built per distinct (xi, dt) pair, and every state is
     validated against ``tol``.
     """
+    if rho0.dim != dim:
+        raise ShapeError(f"initial state has dimension {rho0.dim}, the generator {dim}")
     props = {}
     states = [rho0]
     v = vec(rho0.matrix)
@@ -552,11 +565,7 @@ def evolve(
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ShapeError("times must be a strictly increasing 1-d grid")
     s = schrodinger_super(gen)
-    return Trajectory(t, _propagate(rho0, t, np.zeros(t.size - 1), lambda xi: s, tol))
-
-
-def _max_rate(gen: GklsGenerator) -> float:
-    return max((term.rate for term in gen.terms), default=0.0)
+    return Trajectory(t, _propagate(rho0, gen.dim, t, np.zeros(t.size - 1), lambda xi: s, tol))
 
 
 def evolve_driven(
@@ -572,9 +581,8 @@ def evolve_driven(
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
         raise ShapeError("times must be a strictly increasing grid with >= 2 points")
-    gen0 = family.generator_of(0.0)
     bound = 0.05 / family.frequency
-    mr = _max_rate(gen0)
+    mr = max((term.rate for term in family.base.terms), default=0.0)
     if mr > 0:
         bound = min(bound, 0.1 / mr)
     dt_max = float(np.max(np.diff(t)))
@@ -585,7 +593,7 @@ def evolve_driven(
         )
     mids = family.xi(0.5 * (t[1:] + t[:-1]))
     states = _propagate(
-        rho0, t, mids, lambda xi: schrodinger_super(family.generator_of(xi)), tol
+        rho0, family.base.dim, t, mids, lambda xi: schrodinger_super(family.generator_of(xi)), tol
     )
     return Trajectory(t, states, xi_midpoints=mids)
 

@@ -84,9 +84,12 @@ class ChemSpec:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise InvalidDimension(f"dim must be an integer >= 2, got {self.dim!r}")
+        if not np.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         for name in ("gamma_up", "gamma_down", "decoherence"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.chemistry is not None:
             if self.gamma_down <= 0:
                 raise DetailedBalanceViolation(
@@ -522,6 +525,9 @@ def gillespie_ensemble(
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
     if n0 < 0:
         raise ValueError(f"n0 must be >= 0, got {n0}")
+    for rate in (gamma_up, gamma_down):
+        if not (np.isfinite(rate) and rate >= 0):
+            raise ValueError(f"rates must be finite and nonnegative, got {rate}")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ShapeError("times must be a strictly increasing 1-d grid")

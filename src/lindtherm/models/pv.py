@@ -289,7 +289,7 @@ def pv_power_current(spec: PvSpec, voltage: float = None) -> float:
     voltage for degenerate gaps.
     """
     family = build_pv_family(spec)
-    gen0 = family.generator_of(0.0)
+    gen0 = family.base
     n_c = family.drive_observable
     rho = pv_grand_canonical(spec, 0.0, voltage).matrix
     n_c0 = float(np.trace(n_c @ rho).real)
@@ -321,7 +321,7 @@ def pv_power_fast_ansatz(spec: PvSpec, voltage: float = None) -> float:
     is what pv_power_current isolates.
     """
     family = build_pv_family(spec)
-    gen0 = family.generator_of(0.0)
+    gen0 = family.base
     lm = apply_heisenberg(gen0, family.drive_observable)
     prime = pv_ansatz_derivative(spec, voltage)
     g = spec.amplitude
@@ -350,7 +350,7 @@ def sector_stationary_state(
     """Unique stationary state of the generator within one charge sector,
     embedded back into the full space."""
     family = build_pv_family(spec)
-    gen0 = family.generator_of(0.0)
+    gen0 = family.base
     idx = sector_indices(spec, n_electrons)
     sub = restrict_generator(gen0, idx)
     rho_sub = stationary_state(sub, tol)

@@ -29,17 +29,17 @@ class Tolerances:
     positivity:
         Magnitude of the most negative eigenvalue tolerated in a state.
     stationarity:
-        Max allowed ||L(rho)||_F / scale for a state accepted as stationary.
+        Max allowed absolute ||L(rho)||_F for a state accepted as stationary.
     kernel_cut:
-        Relative eigenvalue magnitude below which a superoperator eigenvalue
-        counts as zero when detecting the stationary subspace.
+        Floor on the reciprocal condition estimate of the bordered stationary
+        system; below it the stationary state counts as not unique.
     identity_residual:
         Bound on the first-order stationarity identity residual.
     log_floor:
         State eigenvalues below this are treated as outside the support.
     resolvent_condition:
-        Condition-number ceiling before the resolvent solve is declared
-        singular.
+        Ceiling on cond(L* + i Omega)^2, from a one-norm estimate, before the
+        resolvent solve is declared singular.
     detailed_balance:
         Bound on the three detailed-balance residuals for a "passed" report.
     eigenoperator:

@@ -41,6 +41,10 @@ def test_spec_validation():
         ChemSpec(1.0, 0.5, 0.25, dim=1)
     with pytest.raises(ValueError):
         ChemSpec(1.0, -0.5, 0.25)
+    for args in ((np.nan, 0.5, 0.25), (np.inf, 0.5, 0.25), (1.0, np.inf, 0.25),
+                 (1.0, 0.5, np.nan)):
+        with pytest.raises(ValueError):
+            ChemSpec(*args)
 
 
 def test_chemistry_constrains_rates():
@@ -273,6 +277,12 @@ def test_gillespie_deterministic_given_seed():
     assert np.array_equal(a.extinction_fraction, b.extinction_fraction)
     c = gillespie_ensemble(2, 0.4, 0.3, t, trajectories=300, seed=8)
     assert not np.array_equal(a.mean, c.mean)
+
+
+@pytest.mark.parametrize("rates", [(np.nan, 0.25), (0.5, np.inf), (-0.1, 0.25)])
+def test_gillespie_rejects_bad_rates(rates):
+    with pytest.raises(ValueError):
+        gillespie_ensemble(2, *rates, np.linspace(0.0, 1.0, 5), trajectories=3, seed=1)
 
 
 def test_gillespie_zero_rates_constant():

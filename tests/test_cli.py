@@ -183,6 +183,11 @@ def test_manifest_replay_reproduces_outputs(tmp_path):
     assert manifest["config"]["seed"] == 9
 
 
+def test_run_scenario_returns_the_written_manifest(tmp_path):
+    manifest = run_scenario(_replicator_config(), tmp_path / "out")
+    assert manifest == json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
 def test_seed_flag_changes_monte_carlo(tmp_path):
     cfg = _write(tmp_path, "cfg.json", _replicator_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -252,18 +257,53 @@ def test_malformed_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("field", ["rate", "beta", "t_max"])
+@pytest.mark.parametrize("field", ["rate", "beta", "t_max", "hamiltonian", "jump"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, field, value):
     config = _evolve_config()
     if field == "rate":
         config["model"]["terms"][0]["rate"] = value
     elif field == "beta":
         config["model"]["baths"][0]["beta"] = value
+    elif field == "hamiltonian":
+        config["model"]["hamiltonian"][1][1] = value
+    elif field == "jump":
+        config["model"]["terms"][1]["jump"][1][0] = [0.0, value]
     else:
         config["grid"]["t_max"] = value
     cfg = _write(tmp_path, "cfg.json", config)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    if field == "hamiltonian":
+        assert "model.hamiltonian[1][1]" in err
+    elif field == "jump":
+        assert "model.terms[1].jump[1][0]" in err
+
+
+def test_non_finite_initial_alpha_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {
+        "scenario": "chem-engine",
+        "chem": {"omega": 1.0, "gamma_up": 0.5, "gamma_down": 0.25, "dim": 12},
+        "initial_alpha": [1.0, float("nan")],
+        "grid": {"t_max": 1.0, "steps": 2},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "initial_alpha: must be finite" in capsys.readouterr().err
+
+
+def test_initial_state_of_wrong_shape_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", _evolve_config(initial=np.eye(3).tolist()))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "initial: shape (3, 3)" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", _replicator_config(seed=-3))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    cfg = _write(tmp_path, "ok.json", _replicator_config())
+    assert main(["run", cfg, "--out", str(tmp_path / "o"), "--seed", "-3"]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

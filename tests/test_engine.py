@@ -14,11 +14,14 @@ from lindtherm import (
     average_power_resolvent,
     equilibrium_power_bound,
     gibbs_state,
+    heisenberg_super,
     modulated_family,
     power_report,
     stationary_derivative,
     thermal_family,
     thermal_pair,
+    unvec,
+    vec,
 )
 
 from conftest import random_thermal_model, unit
@@ -153,6 +156,35 @@ def test_power_report_with_beta_fills_bound():
     assert abs(rep.p_bar_resolvent) < 1e-12
 
 
+def _squared_system_power(fam):
+    """Reference: Omega^2 (Omega^2 + L*^2)^(-1) L* M by one dense solve."""
+    sd = stationary_derivative(fam)
+    ls = heisenberg_super(fam.base)
+    om2 = fam.frequency ** 2
+    y = np.linalg.solve(om2 * np.eye(ls.shape[0]) + ls @ ls, ls @ vec(fam.drive_observable))
+    return -0.5 * fam.amplitude ** 2 * float(np.trace(sd.rho_prime @ unvec(om2 * y)).real)
+
+
+@pytest.mark.parametrize("frequency", [600.0, 1.0 + 1e-3, 1.5 - 5e-4])
+def test_resolvent_power_matches_squared_system(frequency):
+    # 1 and 1.5 are Bohr frequencies of the triangle engine
+    fam = triangle_engine(frequency=frequency)
+    ref = _squared_system_power(fam)
+    assert average_power_resolvent(fam) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_power_report_builds_base_generator_once():
+    fam = triangle_engine()
+    calls = []
+
+    def counted(xi):
+        calls.append(xi)
+        return fam.generator_of(xi)
+
+    power_report(GeneratorFamily(counted, fam.drive_observable, fam.amplitude, fam.frequency))
+    assert calls.count(0.0) == 1
+
+
 def test_resolvent_singular_without_dissipation():
     h = np.diag([0.0, 1.0]).astype(complex)
     gen = GklsGenerator(h, ())
@@ -163,6 +195,20 @@ def test_resolvent_singular_without_dissipation():
     with pytest.raises((ResolventSingular, Exception)):
         # either the resolvent check or the singular stationary solve trips
         average_power_resolvent(fam)
+
+
+def test_resolvent_singular_near_resonance():
+    # Omega on the Bohr line: cond(L* + i Omega) ~ 1/damping, checked against
+    # sqrt(resolvent_condition) = 1e6
+    h = np.diag([0.0, 1.0]).astype(complex)
+    for damping, singular in ((1e-4, False), (1e-7, True)):
+        gen = GklsGenerator(h, tuple(thermal_pair(unit(0, 1, 2), damping, 1.0, 1.0)))
+        fam = modulated_family(gen, np.diag([0.0, 0.3]), 0.4, 1.0)
+        if singular:
+            with pytest.raises(ResolventSingular):
+                average_power_resolvent(fam)
+        else:
+            assert np.isfinite(average_power_resolvent(fam))
 
 
 def test_stationary_map_override_skips_identity_gate():

@@ -56,6 +56,9 @@ def test_lindblad_term_validation():
     for rate in (-0.5, np.nan, np.inf):
         with pytest.raises(ValueError):
             LindbladTerm(a, rate)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            LindbladTerm(np.array([[0.0, 1.0], [bad, 0.0]]), 1.0)
     with pytest.raises(ShapeError):
         LindbladTerm(np.ones((2, 3)), 1.0)
     t = LindbladTerm(a, 4.0, "b")
@@ -68,6 +71,9 @@ def test_generator_requires_hermitian_hamiltonian():
         GklsGenerator(np.array([[0.0, 1.0], [0.0, 1.0]]), (LindbladTerm(a, 1.0),))
     with pytest.raises(ShapeError):
         GklsGenerator(np.diag([0.0, 1.0]), (LindbladTerm(np.eye(3), 1.0),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeError):
+            GklsGenerator(np.diag([0.0, bad]), (LindbladTerm(a, 1.0),))
 
 
 def test_bath_labels_collected():
@@ -285,6 +291,41 @@ def test_stationary_state_nonunique_raises():
         stationary_state(gen)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e3])
+def test_stationary_state_kernel_cut_sweep(scale):
+    # a pair on {1,2} at relative rate eps joins level 2 to the {0,1} pair;
+    # the whole generator is scaled, so the relative cut sees one system
+    h = np.diag([0.0, 1.0, 5.0]).astype(complex)
+    for eps, unique in ((1e-10, False), (1e-9, False), (3e-9, False),
+                        (1e-7, True), (1e-6, True)):
+        terms = (thermal_pair(unit(0, 1, 3), 0.8, 1.0, 1.0)
+                 + thermal_pair(unit(1, 2, 3), 0.8 * eps, 4.0, 1.0))
+        gen = GklsGenerator(
+            scale * h, tuple(LindbladTerm(t.jump, scale * t.rate) for t in terms)
+        )
+        if unique:
+            rho = stationary_state(gen).matrix
+            assert np.linalg.norm(apply_schrodinger(gen, rho)) <= DEFAULT.stationarity
+        else:
+            with pytest.raises(NonUniqueStationary):
+                stationary_state(gen)
+
+
+def _eig_kernel_state(gen):
+    """Reference: eigenvector of the least-modulus eigenvalue, trace-normalized."""
+    vals, vecs = np.linalg.eig(schrodinger_super(gen))
+    rho = unvec(vecs[:, np.argmin(np.abs(vals))])
+    return hermitize(rho / np.trace(rho))
+
+
+def test_stationary_state_matches_eig_kernel():
+    rng = np.random.default_rng(29)
+    for dim in (2, 3, 5):
+        gen = _two_bath_model(rng, dim)
+        ref = _eig_kernel_state(gen)
+        assert np.allclose(stationary_state(gen).matrix, ref, rtol=0, atol=1e-12)
+
+
 def test_restrict_and_embed():
     h = np.diag([0.0, 1.0, 5.0]).astype(complex)
     terms = thermal_pair(unit(0, 1, 3), 0.8, 1.0, 1.0)
@@ -323,6 +364,15 @@ def test_driven_zero_amplitude_matches_static():
     b = evolve(fam.generator_of(0.0), rho0, times)
     for sa, sb in zip(a.states, b.states):
         assert trace_distance(sa, sb) < 1e-13
+
+
+def test_evolve_rejects_initial_state_of_wrong_dimension():
+    fam = _driven_family()
+    times = np.linspace(0.0, 0.02, 3)
+    with pytest.raises(ShapeError):
+        evolve(fam.base, basis_state(3, 0), times)
+    with pytest.raises(ShapeError):
+        evolve_driven(fam, basis_state(3, 0), times)
 
 
 def test_driven_records_midpoints_and_guards_step():
