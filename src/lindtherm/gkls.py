@@ -452,7 +452,8 @@ def stationary_state(
     is solved against ||L||_1 e_0.  A kernel of dimension other than one
     makes that system singular: its reciprocal condition estimate below
     tol.kernel_cut raises NonUniqueStationary.  The solution is hermitized,
-    checked against ||L rho||_F <= tol.stationarity and validated as a state.
+    checked against ||L rho||_F <= tol.stationarity and validated as a state
+    with positivity 1e-8.
     """
     s = schrodinger_super(gen) if superop is None else np.asarray(superop, dtype=complex)
     scale = float(np.linalg.norm(s, 1))
@@ -467,10 +468,7 @@ def stationary_state(
             f"stationary candidate has generator-image norm {resid:.3e} "
             f"(tolerance {tol.stationarity:.1e})"
         )
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -1e-8:
-        raise NotAState(f"stationary candidate minimum eigenvalue {lo:.3e}")
-    return DensityMatrix(rho, tol.with_(positivity=max(tol.positivity, 1e-8)))
+    return DensityMatrix(rho, tol.with_(positivity=1e-8))
 
 
 def restrict_generator(gen: GklsGenerator, indices) -> GklsGenerator:

@@ -203,15 +203,25 @@ def _to_bands(rho: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diagonal(rho, offset=k) for k in range(d)])
 
 
-def _from_bands(v: np.ndarray, d: int) -> np.ndarray:
+def _band_layout(d: int):
+    """Flat indices of band storage in a d x d matrix: (upper, lower).
+
+    Entry i of the band vector holds rho[n, n + k] (flat index ``upper[i]``);
+    its mirror rho[n + k, n] sits at ``lower[i]``.
+    """
     off = _band_offsets(d)
+    k = np.repeat(np.arange(d), d - np.arange(d))
+    n = np.arange(off[-1]) - off[k]
+    upper = n * (d + 1) + k
+    return upper, upper + k * (d - 1)
+
+
+def _from_bands(v: np.ndarray, layout, d: int) -> np.ndarray:
+    upper, lower = layout
     rho = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        band = v[off[k]: off[k + 1]]
-        n = np.arange(d - k)
-        rho[n, n + k] = band
-        if k > 0:
-            rho[n + k, n] = band.conj()
+    flat = rho.reshape(-1)
+    flat[lower] = v.conj()
+    flat[upper] = v  # last, so the diagonal keeps the unconjugated band
     return rho
 
 
@@ -343,6 +353,7 @@ def evolve_oscillator(
         )
 
     state_tol = tol.with_(positivity=max(tol.positivity, 1e-8))
+    layout = _band_layout(d)
     ladder = np.sqrt(np.arange(1.0, d))
     states = []
     energies = np.empty(last)
@@ -351,7 +362,7 @@ def evolve_oscillator(
         band0 = samples[i, off[0]: off[1]].real
         energies[i] = spec.omega * float(np.dot(n_idx, band0))
         amps[i] = complex(np.dot(ladder, band1[i].conj()))
-        states.append(DensityMatrix(_from_bands(samples[i], d), state_tol))
+        states.append(DensityMatrix(_from_bands(samples[i], layout, d), state_tol))
     return ChemTrajectory(
         times=t[:last],
         states=tuple(states),

@@ -14,6 +14,7 @@ Conventions fixed here and used by every other module:
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidDimension, NotAState, ShapeError
 from .tolerances import DEFAULT, Tolerances
@@ -200,15 +201,22 @@ def fermion_modes(n_modes: int) -> list[np.ndarray]:
 class DensityMatrix:
     """Validated immutable density matrix.
 
-    Checks trace, hermiticity and numerical positivity at construction
-    against the given tolerances, stores the hermitized matrix, and freezes
-    the buffer. The raw array is available as ``.matrix``.
+    Checks finiteness, trace, hermiticity and numerical positivity at
+    construction against the given tolerances, stores the hermitized matrix,
+    and freezes the buffer. The raw array is available as ``.matrix``.
+
+    Positivity is certified by a Cholesky factorization of
+    rho + positivity * I; only when that factorization fails does the
+    smallest eigenvalue decide (it raises below -positivity).  Rounding in
+    the factorization moves the acceptance boundary by O(d eps ||rho||).
     """
 
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT):
         m = as_operator(matrix, "density matrix")
+        if not np.isfinite(m).all():
+            raise NotAState("density matrix has non-finite entries")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol.trace:
             raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -216,9 +224,14 @@ class DensityMatrix:
         if defect > tol.hermiticity:
             raise NotAState(f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}")
         h = hermitize(m)
-        lo = float(np.linalg.eigvalsh(h)[0])
-        if lo < -tol.positivity:
-            raise NotAState(f"minimum eigenvalue {lo:.3e} below -{tol.positivity:.1e}")
+        # h is exactly hermitian, so the transposed view of the shifted copy
+        # (Fortran order, factored in place) has the same spectrum.
+        shifted = h.copy()
+        shifted.reshape(-1)[:: h.shape[0] + 1] += tol.positivity
+        if lapack.zpotrf(shifted.T, overwrite_a=True, clean=False)[1] != 0:
+            lo = float(np.linalg.eigvalsh(h)[0])
+            if lo < -tol.positivity:
+                raise NotAState(f"minimum eigenvalue {lo:.3e} below -{tol.positivity:.1e}")
         h.setflags(write=False)
         self._matrix = h
 

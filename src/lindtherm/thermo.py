@@ -324,12 +324,6 @@ def law_residuals(
 
 # --- passivity ---------------------------------------------------------------
 
-def _passive_matrix(rho: np.ndarray, hamiltonian: np.ndarray) -> np.ndarray:
-    evals_h, vecs_h = np.linalg.eigh(hermitize(hamiltonian))
-    p = np.sort(np.linalg.eigvalsh(hermitize(rho)))[::-1]
-    return (vecs_h * p) @ dag(vecs_h)
-
-
 def passive_state(rho, hamiltonian: np.ndarray) -> DensityMatrix:
     """State with rho's spectrum arranged to be passive for the Hamiltonian.
 
@@ -341,18 +335,26 @@ def passive_state(rho, hamiltonian: np.ndarray) -> DensityMatrix:
     h = as_operator(hamiltonian, "hamiltonian")
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
-    return DensityMatrix(_passive_matrix(r, h))
+    vecs_h = np.linalg.eigh(hermitize(h))[1]
+    p = np.linalg.eigvalsh(hermitize(r))[::-1]
+    return DensityMatrix((vecs_h * p) @ dag(vecs_h))
 
 
 def ergotropy(rho, hamiltonian: np.ndarray) -> float:
-    """Maximal cyclic-unitary work W = tr(rho H) - tr(passive H).
+    """Maximal cyclic-unitary work W = tr(rho H) - sum_i r_i eps_i.
 
-    The sorted spectral pairing makes the raw value nonnegative up to
-    rounding (trace inequality); negative dust is clamped to zero.
+    r_1 >= r_2 >= ... is the spectrum of rho and eps_1 <= eps_2 <= ... that
+    of H, so the sum is the energy of the passive state; only the two
+    spectra and an elementwise tr(rho H) are computed.  The sorted pairing
+    makes the raw value nonnegative up to rounding (trace inequality);
+    negative dust is clamped to zero.
     """
     r = _state_matrix(rho)
     h = as_operator(hamiltonian, "hamiltonian")
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
-    w = float(np.trace((r - _passive_matrix(r, h)) @ h).real)
+    energy = float(np.sum(r * h.T).real)
+    populations = np.linalg.eigvalsh(hermitize(r))[::-1]
+    levels = np.linalg.eigvalsh(hermitize(h))
+    w = energy - float(np.dot(populations, levels))
     return max(w, 0.0)

@@ -27,7 +27,9 @@ class Tolerances:
     trace:
         Max allowed |tr(rho) - 1|.
     positivity:
-        Magnitude of the most negative eigenvalue tolerated in a state.
+        Magnitude of the most negative eigenvalue tolerated in a state.  It
+        is certified by a Cholesky factorization of rho + positivity * I;
+        eigvalsh decides only when that factorization fails.
     stationarity:
         Max allowed absolute ||L(rho)||_F for a state accepted as stationary.
     kernel_cut:

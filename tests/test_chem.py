@@ -20,6 +20,9 @@ from lindtherm.models.chem import (
     BirthDeathState,
     ChemSpec,
     Chemistry,
+    _band_layout,
+    _band_offsets,
+    _from_bands,
     analytic_amplitude,
     analytic_energy,
     birth_death_evolve,
@@ -139,6 +142,23 @@ def test_band_evolver_matches_superoperator(decoherence):
         for i, sd in enumerate(traj_dense.states):
             e = float(np.dot(n, np.diag(sd.matrix).real))
             assert abs(traj_band.energies[i] - e) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 7, 60])
+def test_from_bands_matches_per_band_loop(dim):
+    rng = np.random.default_rng(dim)
+    size = dim * (dim + 1) // 2
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    off = _band_offsets(dim)
+    ref = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        band = v[off[k]: off[k + 1]]
+        n = np.arange(dim - k)
+        ref[n, n + k] = band
+        if k > 0:
+            ref[n + k, n] = band.conj()
+    got = _from_bands(v, _band_layout(dim), dim)
+    assert np.array_equal(got.view(float), ref.view(float))
 
 
 def test_band_evolver_non_uniform_grid():

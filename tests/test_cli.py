@@ -318,6 +318,31 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert "TruncationOverflow" in capsys.readouterr().err
 
 
+def test_overflowing_evolve_grid_exits_three(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", _evolve_config(grid={"t_max": 1e300, "steps": 50}))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "NumericalDrift" in err and "non-finite" in err
+
+
+def test_overflowing_pv_sweep_exits_three(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {
+        "scenario": "pv-sweep",
+        "pv": {
+            "conduction_energies": [1.0],
+            "valence_energies": [0.0],
+            "beta": 2.0,
+            "beta1": 0.6931471805599453,
+            "inter_rates": [[4.0]],
+        },
+        "sweep": {"v_min": 0.1, "v_max": 1e308, "points": 5},
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "non-finite" in err
+
+
 def test_engine_power_out_of_equilibrium_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "scenario": "engine-power",

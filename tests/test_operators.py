@@ -7,6 +7,7 @@ from lindtherm import (
     DensityMatrix,
     NotAState,
     ShapeError,
+    Tolerances,
     as_operator,
     basis_state,
     choi_matrix,
@@ -26,6 +27,8 @@ from lindtherm import (
     unvec,
     vec,
 )
+
+from lindtherm.models.chem import coherent_state
 
 from conftest import random_state
 
@@ -171,6 +174,74 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not hermitian
     with pytest.raises(ShapeError):
         DensityMatrix(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(entry, value):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[entry] = value
+    with pytest.raises(NotAState, match="non-finite"):
+        DensityMatrix(m)
+
+
+def test_density_matrix_rejects_all_nan_and_nan_coherent_state():
+    with pytest.raises(NotAState, match="non-finite"):
+        DensityMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(NotAState, match="non-finite"), np.errstate(invalid="ignore"):
+        coherent_state(np.nan, 12)
+
+
+def _eigvalsh_counter(monkeypatch):
+    """Count calls of np.linalg.eigvalsh while the test runs."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("positivity", [1e-9, 1e-8])
+@pytest.mark.parametrize("dim", [2, 40, 600])
+def test_density_matrix_positivity_boundary_sweep(monkeypatch, dim, positivity):
+    # States whose smallest eigenvalue sits just inside or just outside
+    # -positivity: the decision must match the spectrum exactly, and an
+    # accepted state must be certified without computing the spectrum.
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.linalg.qr(x)[0]
+    rest = rng.uniform(0.5, 1.5, dim - 1)
+    tol = Tolerances().with_(positivity=positivity)
+    for factor in (0.9, 0.99, 1.01, 1.1):
+        low = -positivity * factor
+        vals = np.concatenate([[low], (1.0 - low) * rest / rest.sum()])
+        m = (u * vals) @ u.conj().T
+        lo = np.linalg.eigvalsh(hermitize(m))[0]
+        assert (lo < -positivity) == (factor > 1.0)
+        calls = _eigvalsh_counter(monkeypatch)
+        if lo < -positivity:
+            with pytest.raises(NotAState, match="minimum eigenvalue"):
+                DensityMatrix(m, tol)
+            assert len(calls) == 1
+        else:
+            DensityMatrix(m, tol)
+            assert calls == []
+        monkeypatch.undo()
+
+
+def test_pure_state_passes_through_the_spectral_fallback(monkeypatch):
+    # positivity 0 leaves a rank-1 projector singular, so the factorization
+    # fails and the (exactly zero) smallest eigenvalue decides.
+    m = np.zeros((600, 600), dtype=complex)
+    m[17, 17] = 1.0
+    calls = _eigvalsh_counter(monkeypatch)
+    rho = DensityMatrix(m, Tolerances().with_(positivity=0.0))
+    assert calls == [(600, 600)]
+    assert np.array_equal(rho.matrix, m)
 
 
 def test_density_matrix_is_defensive_copy():

@@ -19,6 +19,7 @@ from lindtherm import (
     evolve_driven,
     gibbs_state,
     heat_currents,
+    hermitize,
     internal_energy,
     instantaneous_power,
     law_residuals,
@@ -232,6 +233,23 @@ def test_passive_floor_is_unitarily_invariant():
     assert abs(floor_a - floor_b) < 1e-12
     gap = internal_energy(rotated, h) - internal_energy(rho, h)
     assert abs(ergotropy(rotated, h) - ergotropy(rho, h) - gap) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [2, 5, 30, (0.0, 1.0, 1.0, 1.0, 2.5, 2.5)])
+def test_ergotropy_matches_passive_state_energy(levels):
+    # random non-diagonal Hamiltonians; the last one is degenerate
+    rng = np.random.default_rng(35)
+    if isinstance(levels, int):
+        levels = rng.uniform(-2.0, 3.0, levels)
+    d = len(levels)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    h = hermitize((u * np.asarray(levels)) @ u.conj().T)
+    for _ in range(3):
+        rho = random_state(rng, d)
+        e = internal_energy(rho, h)
+        ref = e - internal_energy(passive_state(rho, h), h)
+        assert abs(ergotropy(rho, h) - ref) <= 1e-12 * (1.0 + abs(e))
+        assert ref > 1e-3  # random states are far from passive
 
 
 def test_ergotropy_coherent_state():
