@@ -76,16 +76,14 @@ class StationaryDerivative:
 def stationary_derivative(
     family: GeneratorFamily,
     delta: float = None,
-    stationary_map=None,
     tol: Tolerances = DEFAULT,
 ) -> StationaryDerivative:
     """Symmetric finite-difference derivative of the stationary state at xi=0.
 
-    ``stationary_map`` (xi -> state matrix) overrides the kernel solve for
-    models whose stationary structure needs outside knowledge (conserved
-    charges, ansatz families); with a map supplied, the identity residual
-    is still reported but no longer raises, since the map's notion of
-    stationarity may be restricted.
+    Each stationary state is one bordered solve (``stationary_state``) at
+    xi in {0, +-delta, +-delta/2}.  The difference quotients at delta and
+    delta/2 give the Richardson gap; an identity residual above
+    tol.identity_residual raises IdentityViolation.
     """
     if delta is None:
         delta = 1e-4 * max(1.0, float(np.linalg.norm(family.base.hamiltonian, 2)))
@@ -98,8 +96,6 @@ def stationary_derivative(
     supers = {xi: schrodinger_super(gen) for xi, gen in gens.items()}
 
     def stat(xi: float) -> np.ndarray:
-        if stationary_map is not None:
-            return as_operator(stationary_map(xi))
         gen = gens[xi] if xi in gens else family.generator_of(xi)
         return stationary_state(gen, tol, superop=supers.get(xi)).matrix
 
@@ -114,7 +110,7 @@ def stationary_derivative(
     s_0, s_p, s_m = (supers[xi] for xi in xis)
     l_prime = (s_p - s_m) / (2.0 * delta)
     residual = float(np.linalg.norm(l_prime @ vec(rho_0) + s_0 @ vec(prime)))
-    if stationary_map is None and residual > tol.identity_residual:
+    if residual > tol.identity_residual:
         raise IdentityViolation(
             f"first-order stationarity identity residual {residual:.3e} exceeds "
             f"{tol.identity_residual:.1e}; delta may be too large or the family "
@@ -152,22 +148,20 @@ def _resolvent_value(
 def average_power_fast(
     family: GeneratorFamily,
     delta: float = None,
-    stationary_map=None,
     tol: Tolerances = DEFAULT,
 ) -> float:
     """High-frequency average power -(g^2/2) tr(rho_bar' L* M)."""
-    sd = stationary_derivative(family, delta, stationary_map, tol)
+    sd = stationary_derivative(family, delta, tol)
     return _fast_value(family, sd)
 
 
 def average_power_resolvent(
     family: GeneratorFamily,
     delta: float = None,
-    stationary_map=None,
     tol: Tolerances = DEFAULT,
 ) -> float:
     """Average power with the full frequency-dependent resolvent factor."""
-    sd = stationary_derivative(family, delta, stationary_map, tol)
+    sd = stationary_derivative(family, delta, tol)
     return _resolvent_value(family, sd, tol)
 
 
@@ -229,11 +223,10 @@ def power_report(
     family: GeneratorFamily,
     beta: float = None,
     delta: float = None,
-    stationary_map=None,
     tol: Tolerances = DEFAULT,
 ) -> PowerReport:
     """Evaluate both power formulas off one shared stationary derivative."""
-    sd = stationary_derivative(family, delta, stationary_map, tol)
+    sd = stationary_derivative(family, delta, tol)
     fast = _fast_value(family, sd)
     resolvent = _resolvent_value(family, sd, tol)
     single = None

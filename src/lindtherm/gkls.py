@@ -206,11 +206,7 @@ class Trajectory:
     xi_midpoints: np.ndarray = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ShapeError("times must be a nonempty 1-d grid")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise ShapeError("times must be strictly increasing")
+        t = _time_grid(self.times)
         object.__setattr__(self, "times", t)
         states = tuple(self.states)
         if len(states) != t.size:
@@ -338,7 +334,8 @@ def davies_terms(
     """Thermal jump terms from the Bohr decomposition of a coupling operator.
 
     The coupling A is split into eigenoperators A_w of the Hamiltonian, one
-    per distinct positive Bohr gap w (gaps closer than freq_tol are merged);
+    per distinct positive Bohr gap w: sorted gaps whose neighbours lie within
+    freq_tol form one group, valued at its first gap in row-major order;
     each contributes a Gibbs-ratio pair (A_w, rate), (A_w+, rate e^{-beta w}).
     The zero-frequency block enters once with its identity component removed
     (that component is dynamically inert).  The Gibbs state of H is exactly
@@ -351,28 +348,23 @@ def davies_terms(
     vals, vecs = np.linalg.eigh(hermitize(h))
     at = dag(vecs) @ a @ vecs
     d = h.shape[0]
-    gaps = {}
-    for i in range(d):
-        for j in range(d):
-            w = vals[j] - vals[i]
-            if at[i, j] == 0:
-                continue
-            for key in gaps:
-                if abs(key - w) <= freq_tol:
-                    w = key
-                    break
-            block = gaps.setdefault(w, np.zeros((d, d), dtype=complex))
-            block[i, j] = at[i, j]
+    rows, cols = np.nonzero(at)  # row-major order
+    if not rows.size:
+        return []
+    gaps = vals[cols] - vals[rows]
+    order = np.argsort(gaps, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(gaps[order]) > freq_tol) + 1)
     terms = []
-    for w in sorted(gaps):
+    for group in groups:
+        w = gaps[group.min()]  # the group's first gap in row-major order
+        block = np.zeros((d, d), dtype=complex)
+        block[rows[group], cols[group]] = at[rows[group], cols[group]]
         if abs(w) <= freq_tol:
-            block = gaps[w]
-            block = block - (np.trace(block) / d) * np.eye(d)
+            block -= (np.trace(block) / d) * np.eye(d)
             if np.linalg.norm(block) > 1e-12:
-                a0 = vecs @ block @ dag(vecs)
-                terms.append(LindbladTerm(a0, base_rate, bath_label))
+                terms.append(LindbladTerm(vecs @ block @ dag(vecs), base_rate, bath_label))
         elif w > 0:
-            aw = vecs @ gaps[w] @ dag(vecs)
+            aw = vecs @ block @ dag(vecs)
             terms.extend(
                 thermal_pair(aw, base_rate, w, beta, bath_label, hamiltonian=h)
             )
@@ -522,32 +514,48 @@ def embed_state(rho_sub: np.ndarray, indices, dim: int) -> np.ndarray:
 
 # --- propagation -------------------------------------------------------------
 
-def _validated_state(m: np.ndarray, step: int, tol: Tolerances) -> DensityMatrix:
-    try:
-        return DensityMatrix(m, tol)
-    except NotAState as exc:
-        raise NumericalDrift(f"state invariant violated at step {step}: {exc}") from exc
+def _time_grid(times, points: int = 1) -> np.ndarray:
+    """``times`` as a float array: finite, 1-d, strictly increasing, >= ``points`` long."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < points or not np.isfinite(t).all() or np.any(np.diff(t) <= 0):
+        raise ShapeError(
+            f"times must be a finite, strictly increasing 1-d grid of at least {points} points"
+        )
+    return t
 
 
-def _propagate(rho0: DensityMatrix, dim: int, t, xis, superop_of, tol: Tolerances) -> tuple:
-    """States of a piecewise-constant flow; step i applies expm(superop_of(xis[i-1]) dt_i).
+def _propagate(v0: np.ndarray, t: np.ndarray, keys, matrix_of, accept) -> list:
+    """[accept(v_i, i) for i = 1 .. len(t) - 1] along a piecewise-constant linear flow.
 
-    One exponential is built per distinct (xi, dt) pair, and every state is
-    validated against ``tol``.
+    Step i maps v_{i-1} to v_i = expm(matrix_of(keys[i-1]) dt_i) v_{i-1}; one
+    exponential is built per distinct (key, dt) pair.  ``accept`` checks the
+    vector (raising to stop the flow) and returns what the caller keeps.
     """
-    if rho0.dim != dim:
-        raise ShapeError(f"initial state has dimension {rho0.dim}, the generator {dim}")
     props = {}
-    states = [rho0]
-    v = vec(rho0.matrix)
+    out = []
+    v = v0
     for i in range(1, t.size):
         dt = t[i] - t[i - 1]
-        key = (round(float(xis[i - 1]), 15), round(float(dt), 15))
+        key = (round(float(keys[i - 1]), 15), round(float(dt), 15))
         if key not in props:
-            props[key] = expm(superop_of(xis[i - 1]) * dt)
+            props[key] = expm(matrix_of(keys[i - 1]) * dt)
         v = props[key] @ v
-        states.append(_validated_state(unvec(v), i, tol))
-    return tuple(states)
+        out.append(accept(v, i))
+    return out
+
+
+def _state_flow(rho0: DensityMatrix, dim: int, t, keys, superop_of, tol: Tolerances) -> tuple:
+    """States of a piecewise-constant GKLS flow, each validated against ``tol``."""
+    if rho0.dim != dim:
+        raise ShapeError(f"initial state has dimension {rho0.dim}, the generator {dim}")
+
+    def accept(v, i):
+        try:
+            return DensityMatrix(unvec(v), tol)
+        except NotAState as exc:
+            raise NumericalDrift(f"state invariant violated at step {i}: {exc}") from exc
+
+    return (rho0, *_propagate(vec(rho0.matrix), t, keys, superop_of, accept))
 
 
 def evolve(
@@ -559,11 +567,9 @@ def evolve(
     reuse a single propagator); every state is re-validated against ``tol``,
     and a violation raises NumericalDrift carrying the step index.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ShapeError("times must be a strictly increasing 1-d grid")
+    t = _time_grid(times)
     s = schrodinger_super(gen)
-    return Trajectory(t, _propagate(rho0, gen.dim, t, np.zeros(t.size - 1), lambda xi: s, tol))
+    return Trajectory(t, _state_flow(rho0, gen.dim, t, np.zeros(t.size - 1), lambda xi: s, tol))
 
 
 def evolve_driven(
@@ -576,9 +582,7 @@ def evolve_driven(
     dt <= min(0.05/Omega, 0.1/max rate) for the freeze to be a faithful
     quasi-static approximation.  States are validated as in ``evolve``.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ShapeError("times must be a strictly increasing grid with >= 2 points")
+    t = _time_grid(times, points=2)
     bound = 0.05 / family.frequency
     mr = max((term.rate for term in family.base.terms), default=0.0)
     if mr > 0:
@@ -590,7 +594,7 @@ def evolve_driven(
             f"(Omega = {family.frequency}, max rate = {mr})"
         )
     mids = family.xi(0.5 * (t[1:] + t[:-1]))
-    states = _propagate(
+    states = _state_flow(
         rho0, family.base.dim, t, mids, lambda xi: schrodinger_super(family.generator_of(xi)), tol
     )
     return Trajectory(t, states, xi_midpoints=mids)
@@ -602,7 +606,7 @@ def weighted_inner_product(x, y, rho_bar, tol: Tolerances = DEFAULT) -> complex:
     """Stationary-state-weighted scalar product tr(rho_bar X+ Y)."""
     x = as_operator(x, "x")
     y = as_operator(y, "y")
-    w = rho_bar.matrix if isinstance(rho_bar, DensityMatrix) else as_operator(rho_bar)
+    w = as_operator(rho_bar, "weight")
     if x.shape != y.shape or x.shape != w.shape:
         raise ShapeError("operands and weight must share one shape")
     lo = float(np.linalg.eigvalsh(hermitize(w))[0])
@@ -638,7 +642,6 @@ class DetailedBalanceReport:
 def detailed_balance_report(
     gen: GklsGenerator,
     rho_bar: DensityMatrix,
-    tolerance: float = None,
     tol: Tolerances = DEFAULT,
 ) -> DetailedBalanceReport:
     """Diagnose quantum detailed balance of ``gen`` at the stationary state.
@@ -649,7 +652,7 @@ def detailed_balance_report(
     the rho_bar-weighted scalar product, where hermiticity statements
     become plain matrix symmetry.
     """
-    w = rho_bar.matrix if isinstance(rho_bar, DensityMatrix) else as_operator(rho_bar)
+    w = as_operator(rho_bar, "reference state")
     resid = float(np.linalg.norm(apply_schrodinger(gen, w)))
     if resid > tol.stationarity:
         raise NotStationary(
@@ -678,5 +681,5 @@ def detailed_balance_report(
         dissipative_hermiticity_defect=r_d,
         hamiltonian_antihermiticity_defect=r_h,
         commutator_norm=r_c,
-        tolerance=tol.detailed_balance if tolerance is None else float(tolerance),
+        tolerance=tol.detailed_balance,
     )

@@ -22,7 +22,6 @@ from math import lgamma
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from ..errors import (
@@ -32,8 +31,8 @@ from ..errors import (
     ShapeError,
     TruncationOverflow,
 )
-from ..gkls import GklsGenerator, LindbladTerm
-from ..operators import DensityMatrix, as_operator, fock_annihilation, hermitize
+from ..gkls import GklsGenerator, LindbladTerm, _propagate, _time_grid
+from ..operators import DensityMatrix, as_operator, fock_annihilation
 from ..tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -158,49 +157,9 @@ def coherent_state(alpha: complex, dim: int) -> DensityMatrix:
 
 # --- banded propagation ------------------------------------------------------
 
-def _band_arrays(spec: ChemSpec, k: int):
-    """Tridiagonal pieces (diag, upper, lower) of band k's real dynamics.
-
-    The rigid rotation i*omega*k*I is factored out by the caller as a scalar
-    phase, so the matrix here is real: decay/pump balance on the diagonal,
-    gain from the level above (decay) on the upper diagonal, gain from below
-    (pump) on the lower one.  The top level uses w = 0 because the truncated
-    a a+ has no state to pump into.
-    """
-    d = spec.dim
-    gu, gd, gam = spec.gamma_up, spec.gamma_down, spec.decoherence
-    length = d - k
-    n = np.arange(length)
-    m = n + k
-    w = np.arange(1.0, d + 1.0)
-    w[d - 1] = 0.0
-    diag = -0.5 * gd * (n + m) - 0.5 * gu * (w[n] + w[m]) - gam * k * k
-    if length > 1:
-        upper = gd * np.sqrt((n[:-1] + 1.0) * (m[:-1] + 1.0))
-        lower = gu * np.sqrt(n[1:] * m[1:])
-    else:
-        upper = lower = np.zeros(0)
-    return diag, upper, lower
-
-
-def _band_growth_bound(diag, upper, lower) -> float:
-    """Gershgorin bound on max Re spec of the band matrix (its log growth rate)."""
-    r = diag.copy()
-    if upper.size:
-        s = 0.5 * (upper + lower)
-        r[:-1] += s
-        r[1:] += s
-    return float(r.max())
-
-
 def _band_offsets(d: int) -> np.ndarray:
     lengths = d - np.arange(d)
     return np.concatenate([[0], np.cumsum(lengths)])
-
-
-def _to_bands(rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    return np.concatenate([np.diagonal(rho, offset=k) for k in range(d)])
 
 
 def _band_layout(d: int):
@@ -251,11 +210,19 @@ def evolve_oscillator(
 ) -> ChemTrajectory:
     """Propagate the oscillator on its independent density-matrix bands.
 
-    Bands never mix, so bands whose initial weight cannot reach the output
-    precision even after worst-case growth over the grid span are frozen at
-    zero instead of propagated; exactly-zero bands (diagonal states, Fock
-    states) cost nothing.  The rigid phase of each band is applied
-    analytically, leaving real sparse dynamics for the integrator.
+    All bands live in one vector (entry i holds rho[n, n + k], band by band,
+    see ``_band_layout``) under one real tridiagonal matrix: decay/pump
+    balance on the diagonal, gain from the level above (decay, gamma_down s)
+    on the upper diagonal and from the level below (pump, gamma_up s) on the
+    lower one, s = sqrt((n + 1)(m + 1)) with m = n + k, and s = 0 at the end
+    of each band, so bands never mix.  The top level uses w = 0 on the
+    diagonal because the truncated a a+ has no state to pump into.  The rigid
+    rotation i omega k of band k is applied afterwards as a phase.
+
+    Bands whose initial weight cannot reach the output precision even after
+    their Gershgorin growth bound over the grid span are frozen at zero
+    instead of propagated; exactly-zero bands (diagonal states, Fock states)
+    cost nothing.
 
     The simulation is trusted only while the top Fock level holds less
     than ``guard`` population; beyond that the truncation is biasing the
@@ -264,48 +231,37 @@ def evolve_oscillator(
     """
     if on_overflow not in ("raise", "truncate"):
         raise ValueError(f"on_overflow must be 'raise' or 'truncate', got {on_overflow!r}")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ShapeError("times must be a strictly increasing 1-d grid")
-    rho0 = initial.matrix if isinstance(initial, DensityMatrix) else as_operator(initial)
+    t = _time_grid(times)
+    rho0 = as_operator(initial, "initial state")
     d = spec.dim
     if rho0.shape != (d, d):
         raise ShapeError(f"initial state shape {rho0.shape} does not match dim {d}")
+    gu, gd = spec.gamma_up, spec.gamma_down
 
     off = _band_offsets(d)
-    v0 = _to_bands(rho0)
+    layout = _band_layout(d)
+    n, k = np.divmod(layout[0], d + 1)  # flat index of rho[n, n + k] is n (d + 1) + k
+    m = n + k
+    w = np.arange(1.0, d + 1.0)
+    w[d - 1] = 0.0
+    diag = -0.5 * gd * (n + m) - 0.5 * gu * (w[n] + w[m]) - spec.decoherence * k * k
+    s = np.sqrt((n + 1.0) * (m + 1.0))
+    s[off[1:] - 1] = 0.0
+
+    v0 = rho0.reshape(-1)[layout[0]]
     span = float(t[-1] - t[0])
     floor = 1e-15 * max(float(np.linalg.norm(v0)), 1e-300)
-    kept, rows_, cols_, data_, coff = [], [], [], [], [0]
-    for k in range(d):
-        seg = v0[off[k]: off[k + 1]]
-        nrm = float(np.linalg.norm(seg))
-        if nrm == 0.0:
-            continue
-        diag, upper, lower = _band_arrays(spec, k)
-        mu = max(_band_growth_bound(diag, upper, lower), 0.0)
-        if nrm * np.exp(min(mu * span, 700.0)) < floor:
-            continue
-        base = coff[-1]
-        idx = base + np.arange(diag.size)
-        rows_.append(idx)
-        cols_.append(idx)
-        data_.append(diag)
-        if upper.size:
-            rows_.append(idx[:-1])
-            cols_.append(idx[1:])
-            data_.append(upper)
-            rows_.append(idx[1:])
-            cols_.append(idx[:-1])
-            data_.append(lower)
-        kept.append(k)
-        coff.append(base + diag.size)
-    size = coff[-1]
-    gen = sp.csr_matrix(
-        (np.concatenate(data_), (np.concatenate(rows_), np.concatenate(cols_))),
-        shape=(size, size),
-    )
-    v0c = np.concatenate([v0[off[k]: off[k + 1]] for k in kept])
+    # Gershgorin bound on each band's log growth rate: the row's diagonal
+    # plus the mean of the couplings into and out of it
+    row_bound = diag + 0.5 * (gd * s + gu * s)
+    row_bound[1:] += 0.5 * (gd * s[:-1] + gu * s[:-1])
+    mu = np.maximum(np.maximum.reduceat(row_bound, off[:-1]), 0.0)
+    weight = np.sqrt(np.add.reduceat(np.abs(v0) ** 2, off[:-1]))
+    kept = (weight != 0.0) & ~(weight * np.exp(np.minimum(mu * span, 700.0)) < floor)
+    mask = kept[k]
+    sm = s[mask][:-1]
+    gen = sp.diags([gu * sm, diag[mask], gd * sm], [-1, 0, 1], format="csr")
+    v0c = v0[mask]
     if v0c.size and not np.abs(v0c.imag).max():
         v0c = np.ascontiguousarray(v0c.real)  # real bands halve the matvec cost
 
@@ -325,44 +281,40 @@ def evolve_oscillator(
                 steps.append(v)
             compact = np.array(steps)
 
-    samples = np.zeros((t.size, off[-1]), dtype=complex)
+    # kept bands sit in band order, so band 0, if kept, opens the compact
+    # vector and band 1 follows it
     rel_t = t - t[0]
-    for j, k in enumerate(kept):
-        block = compact[:, coff[j]: coff[j + 1]]
-        if k and spec.omega != 0.0:
-            block = block * np.exp(1j * spec.omega * k * rel_t)[:, np.newaxis]
-        samples[:, off[k]: off[k + 1]] = block
-    n_idx = np.arange(d)
-    top = samples[:, off[0] + d - 1].real
-    band1 = samples[:, off[1]: off[2]]
-
-    last = t.size
-    for i in range(t.size):
-        if top[i] > guard:
-            if on_overflow == "raise":
-                raise TruncationOverflow(
-                    f"top-level population {top[i]:.3e} exceeds guard {guard:.1e} "
-                    f"at t = {t[i]:.6g}"
-                )
-            last = i
-            break
+    pops = compact[:, :d].real if kept[0] else np.zeros((t.size, d))
+    top = pops[:, d - 1].copy()  # a view would keep all of compact alive
+    bad = np.flatnonzero(top > guard)
+    last = int(bad[0]) if bad.size else t.size
+    if last < t.size and on_overflow == "raise":
+        raise TruncationOverflow(
+            f"top-level population {top[last]:.3e} exceeds guard {guard:.1e} "
+            f"at t = {t[last]:.6g}"
+        )
     if last == 0:
         raise TruncationOverflow(
             f"initial state already has top-level population {top[0]:.3e} "
             f"above guard {guard:.1e}"
         )
 
+    energies = spec.omega * (pops[:last] @ np.arange(d))
+    amps = np.zeros(last, dtype=complex)
+    if kept[1]:
+        start = d if kept[0] else 0
+        band1 = compact[:last, start: start + d - 1]
+        band1 = band1 * np.exp(1j * spec.omega * rel_t[:last])[:, np.newaxis]
+        amps = band1.conj() @ np.sqrt(np.arange(1.0, d))
+
     state_tol = tol.with_(positivity=max(tol.positivity, 1e-8))
-    layout = _band_layout(d)
-    ladder = np.sqrt(np.arange(1.0, d))
+    kept_layout = (layout[0][mask], layout[1][mask])
+    kc = k[mask]
     states = []
-    energies = np.empty(last)
-    amps = np.empty(last, dtype=complex)
     for i in range(last):
-        band0 = samples[i, off[0]: off[1]].real
-        energies[i] = spec.omega * float(np.dot(n_idx, band0))
-        amps[i] = complex(np.dot(ladder, band1[i].conj()))
-        states.append(DensityMatrix(_from_bands(samples[i], layout, d), state_tol))
+        phase = np.exp(1j * spec.omega * np.arange(d) * rel_t[i])
+        rho = _from_bands(compact[i] * phase[kc], kept_layout, d)
+        states.append(DensityMatrix(rho, state_tol))
     return ChemTrajectory(
         times=t[:last],
         states=tuple(states),
@@ -433,8 +385,8 @@ class BirthDeathState:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ShapeError("probs must be a nonempty 1-d vector")
-        if float(p.min()) < -1e-12:
-            raise ValueError(f"negative probability {float(p.min()):.3e}")
+        if not (np.isfinite(p).all() and float(p.min()) >= -1e-12):
+            raise ValueError(f"probabilities must be finite and >= 0, min {float(p.min()):.3e}")
         drift = abs(float(p.sum()) - 1.0)
         if drift > self.trace_slack:
             raise ValueError(
@@ -479,32 +431,25 @@ def birth_death_evolve(
     exactly as written, including the truncation-edge probability leak; the
     run aborts with TruncationOverflow once the top level exceeds the guard.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ShapeError("times must be a strictly increasing 1-d grid")
+    t = _time_grid(times)
     mat = _birth_death_matrix(p0.n_max, gamma_up, gamma_down)
-    span = float(t[-1] - t[0]) if t.size > 1 else 0.0
+    span = float(t[-1] - t[0])
     slack = max(1e-10, 2.0 * gamma_up * (p0.n_max + 1.0) * guard * span)
-    out = [BirthDeathState(p0.probs, float(t[0]), slack)]
-    if out[0].probs[-1] > guard:
+    first = BirthDeathState(p0.probs, float(t[0]), slack)
+    if first.probs[-1] > guard:
         raise TruncationOverflow(
-            f"top-level probability {out[0].probs[-1]:.3e} above guard at start"
+            f"top-level probability {first.probs[-1]:.3e} above guard at start"
         )
-    props = {}
-    p = p0.probs.copy()
-    for i in range(1, t.size):
-        dt = float(t[i] - t[i - 1])
-        key = round(dt, 15)
-        if key not in props:
-            props[key] = expm(mat * dt)
-        p = props[key] @ p
+
+    def accept(p, i):
         if p[-1] > guard:
             raise TruncationOverflow(
                 f"top-level probability {p[-1]:.3e} exceeds guard {guard:.1e} "
                 f"at t = {t[i]:.6g}"
             )
-        out.append(BirthDeathState(p, float(t[i]), slack))
-    return out
+        return BirthDeathState(p, float(t[i]), slack)
+
+    return [first, *_propagate(p0.probs, t, np.zeros(t.size - 1), lambda _: mat, accept)]
 
 
 @dataclass(frozen=True)
@@ -539,9 +484,7 @@ def gillespie_ensemble(
     for rate in (gamma_up, gamma_down):
         if not (np.isfinite(rate) and rate >= 0):
             raise ValueError(f"rates must be finite and nonnegative, got {rate}")
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ShapeError("times must be a strictly increasing 1-d grid")
+    t = _time_grid(times)
     n_samp = t.size
     total = np.zeros(n_samp)
     total_sq = np.zeros(n_samp)

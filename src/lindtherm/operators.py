@@ -220,10 +220,11 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol.trace:
             raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        defect = hermiticity_defect(m)
+        adj = m.conj().T.copy()  # contiguous, so both passes below read it row by row
+        defect = float(np.max(np.abs(m - adj)))
         if defect > tol.hermiticity:
             raise NotAState(f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}")
-        h = hermitize(m)
+        h = 0.5 * (m + adj)
         # h is exactly hermitian, so the transposed view of the shifted copy
         # (Fortran order, factored in place) has the same spectrum.
         shifted = h.copy()

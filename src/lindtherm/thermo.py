@@ -83,13 +83,9 @@ class ThermoSample:
     second_law_residual: float
 
 
-def _state_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else as_operator(rho, "state")
-
-
 def internal_energy(rho, hamiltonian: np.ndarray) -> float:
     """U = tr(rho H)."""
-    r = _state_matrix(rho)
+    r = as_operator(rho, "state")
     h = as_operator(hamiltonian, "hamiltonian")
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
@@ -103,7 +99,7 @@ def internal_energy(rho, hamiltonian: np.ndarray) -> float:
 
 def instantaneous_power(rho, dh_dt: np.ndarray) -> float:
     """P = -tr(rho dH/dt), positive when the system does work on the drive."""
-    r = _state_matrix(rho)
+    r = as_operator(rho, "state")
     d = as_operator(dh_dt, "dH/dt")
     if r.shape != d.shape:
         raise ShapeError(f"state shape {r.shape} does not match dH/dt {d.shape}")
@@ -124,7 +120,7 @@ def heat_currents(
     BathAssignment; anything uncovered or doubly covered raises
     IncompleteAssignment.
     """
-    r = _state_matrix(rho)
+    r = as_operator(rho, "state")
     h = gen.hamiltonian if hamiltonian is None else as_operator(hamiltonian)
     labels = [b.bath_label for b in baths]
     if len(set(labels)) != len(labels):
@@ -171,8 +167,8 @@ def entropy_production(
     for any GKLS generator; a violation beyond -1e-10 means the inputs
     broke a precondition and raises.
     """
-    r = _state_matrix(rho)
-    rb = _state_matrix(rho_bar)
+    r = as_operator(rho, "state")
+    rb = as_operator(rho_bar, "state")
     resid = float(np.linalg.norm(apply_schrodinger(gen, rb)))
     if resid > tol.stationarity:
         raise NotStationary(
@@ -193,7 +189,7 @@ def entropy_production(
 
 def von_neumann_entropy(rho) -> float:
     """S = -tr(rho ln rho), with 0 ln 0 = 0 on the kernel."""
-    r = _state_matrix(rho)
+    r = as_operator(rho, "state")
     vals = np.linalg.eigvalsh(hermitize(r))
     pos = vals[vals > DEFAULT.log_floor]
     s = -float(np.sum(pos * np.log(pos)))
@@ -206,8 +202,8 @@ def relative_entropy(rho1, rho2, tol: Tolerances = DEFAULT) -> float:
     Requires support(rho1) inside support(rho2): weight of rho1 on the
     numerical kernel of rho2 above 1e-12 raises SupportError.
     """
-    r1 = _state_matrix(rho1)
-    r2 = _state_matrix(rho2)
+    r1 = as_operator(rho1, "state")
+    r2 = as_operator(rho2, "state")
     if r1.shape != r2.shape:
         raise ShapeError(f"states differ in shape: {r1.shape} vs {r2.shape}")
     vals1 = np.linalg.eigvalsh(hermitize(r1))
@@ -331,7 +327,7 @@ def passive_state(rho, hamiltonian: np.ndarray) -> DensityMatrix:
     the Hamiltonian eigenbasis (eigh order; degenerate energies are filled
     in that stable order, which leaves the energy unchanged).
     """
-    r = _state_matrix(rho)
+    r = as_operator(rho, "state")
     h = as_operator(hamiltonian, "hamiltonian")
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
@@ -349,7 +345,7 @@ def ergotropy(rho, hamiltonian: np.ndarray) -> float:
     makes the raw value nonnegative up to rounding (trace inequality);
     negative dust is clamped to zero.
     """
-    r = _state_matrix(rho)
+    r = as_operator(rho, "state")
     h = as_operator(hamiltonian, "hamiltonian")
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")

@@ -9,6 +9,7 @@ from lindtherm import (
     NotAmplifying,
     ShapeError,
     TruncationOverflow,
+    apply_schrodinger,
     basis_state,
     dag,
     ergotropy,
@@ -172,6 +173,75 @@ def test_band_evolver_non_uniform_grid():
         assert trace_distance(sa, sb) < 1e-12
 
 
+
+def _with_coherence(populations, eps, n, k):
+    """Raw matrix diag(populations) + eps (|n><n+k| + |n+k><n|)."""
+    rho = np.diag(populations).astype(complex)
+    rho[n, n + k] = rho[n + k, n] = eps
+    return rho
+
+
+def test_negligible_band_is_frozen_at_zero():
+    spec = ChemSpec(1.0, 0.5, 0.25, dim=20)
+    traj = evolve_oscillator(
+        spec, _with_coherence(np.eye(20)[2], 1e-30, 0, 3), np.linspace(0.0, 0.5, 5)
+    )
+    for st in traj.states:
+        assert np.all(np.diagonal(st.matrix, 3) == 0.0)
+
+
+@pytest.mark.parametrize("case", [
+    # (gamma_up, gamma_down, {level: population}, eps, n): the coherence sits
+    # at the first (n = 0) or the last (n = 16) entry of band 3; pure decay
+    # keeps the second case's top-level population under the guard
+    (0.5, 0.25, {0: 0.25, 2: 0.5, 3: 0.25}, 1e-3, 0),
+    (0.0, 0.5, {16: 1.0 - 5e-9, 19: 5e-9}, 1e-5, 16),
+], ids=["first-entry", "last-entry"])
+def test_weak_coherence_band_matches_dense_evolution(case):
+    gu, gd, levels, eps, n = case
+    spec = ChemSpec(1.0, gu, gd, decoherence=0.2, dim=20)
+    pops = np.zeros(20)
+    pops[list(levels)] = list(levels.values())
+    rho0 = DensityMatrix(_with_coherence(pops, eps, n, 3))
+    times = np.linspace(0.0, 0.5, 5)
+    band = evolve_oscillator(spec, rho0, times)
+    dense = evolve(build_chem_generator(spec), rho0, times)
+    for sb, sd in zip(band.states, dense.states):
+        assert trace_distance(sb, sd) < 1e-12
+    assert np.all(np.abs(np.diagonal(band.states[-1].matrix, 3)) > 0.0)
+
+
+def test_band_freeze_counts_worst_case_growth():
+    # The evolver freezes band k when |band_k(0)| exp(mu_k span) < 1e-15 ||v0||,
+    # mu_k the Gershgorin bound of the symmetric part of the band's real
+    # dynamics, read here off the generator's action on matrix units.  Band 3
+    # starts just below that floor but its bound reaches it, so it must be
+    # propagated; band 5 stays below even after its bound, so it stays zero.
+    dim, span = 45, 1.0
+    spec = ChemSpec(1.0, 1.0, 0.0, dim=dim)
+    gen = build_chem_generator(spec)
+
+    def growth(k):
+        n = np.arange(dim - k)
+        cols = []
+        for j in n:
+            unit = np.zeros((dim, dim))
+            unit[j, j + k] = 1.0
+            cols.append(apply_schrodinger(gen, unit)[n, n + k].real)
+        sym = 0.5 * (np.array(cols) + np.array(cols).T)
+        radius = np.abs(sym).sum(axis=1) - np.abs(np.diag(sym))
+        return np.exp(max(float(np.max(np.diag(sym) + radius)), 0.0) * span)
+
+    g3, g5 = growth(3), growth(5)
+    assert g3 > 1.2 and g5 > 1.2
+    rho0 = _with_coherence(np.eye(dim)[0], 0.5e-15 * (1.0 + 1.0 / g3), 0, 3)
+    rho0[0, 5] = rho0[5, 0] = 0.5e-15 / g5
+    traj = evolve_oscillator(spec, rho0, np.linspace(0.0, span, 3))
+    assert np.all(np.diagonal(traj.states[-1].matrix, 3) != 0.0)
+    for st in traj.states:
+        assert np.all(np.diagonal(st.matrix, 5) == 0.0)
+
+
 def test_amplitude_tracks_closed_form():
     spec = ChemSpec(1.0, 0.5, 0.25, dim=60)
     times = np.linspace(0.0, 2.0, 21)
@@ -245,6 +315,9 @@ def test_birth_death_state_validation():
         BirthDeathState(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         BirthDeathState(np.array([1.1, -0.1]))
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError):
+            BirthDeathState(np.array(bad), trace_slack=np.inf)
     with pytest.raises(ShapeError):
         BirthDeathState(np.ones((2, 2)) / 4.0)
     st = BirthDeathState(np.array([0.25, 0.75]))

@@ -209,15 +209,3 @@ def test_resolvent_singular_near_resonance():
                 average_power_resolvent(fam)
         else:
             assert np.isfinite(average_power_resolvent(fam))
-
-
-def test_stationary_map_override_skips_identity_gate():
-    # a supplied stationary map is trusted: the residual is reported, not
-    # enforced
-    fam = triangle_engine()
-    from lindtherm import stationary_state
-
-    sd = stationary_derivative(
-        fam, stationary_map=lambda xi: stationary_state(fam.generator_of(xi))
-    )
-    assert sd.identity_residual < 1e-8

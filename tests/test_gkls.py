@@ -264,6 +264,57 @@ def test_davies_groups_degenerate_gaps():
     assert gaps <= {-2.0, -1.0, 0.0, 1.0, 2.0}
 
 
+
+def _davies_terms_by_scan(h, coupling, beta, base_rate, freq_tol=1e-9):
+    """Reference grouping: each gap, in row-major (i, j) order, joins the first
+    group already opened within freq_tol of it, else opens its own."""
+    h = np.asarray(h, dtype=complex)
+    vals, vecs = np.linalg.eigh(hermitize(h))
+    at = dag(vecs) @ coupling @ vecs
+    d = h.shape[0]
+    gaps = {}
+    for i in range(d):
+        for j in range(d):
+            w = vals[j] - vals[i]
+            if at[i, j] == 0:
+                continue
+            for key in gaps:
+                if abs(key - w) <= freq_tol:
+                    w = key
+                    break
+            gaps.setdefault(w, np.zeros((d, d), dtype=complex))[i, j] = at[i, j]
+    terms = []
+    for w in sorted(gaps):
+        if abs(w) <= freq_tol:
+            block = gaps[w] - (np.trace(gaps[w]) / d) * np.eye(d)
+            if np.linalg.norm(block) > 1e-12:
+                terms.append(LindbladTerm(vecs @ block @ dag(vecs), base_rate))
+        elif w > 0:
+            aw = vecs @ gaps[w] @ dag(vecs)
+            terms.extend(thermal_pair(aw, base_rate, w, beta, hamiltonian=h))
+    return terms
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8, 12, 6])
+def test_davies_gap_grouping_matches_scan(dim):
+    rng = np.random.default_rng(40 + dim)
+    if dim == 6:
+        # equally spaced levels in a random basis: the degenerate gaps differ
+        # only by rounding and must group within freq_tol
+        q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        h = hermitize(q @ np.diag(np.arange(6.0)) @ dag(q))
+    else:
+        h = np.diag(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, dim - 1))]))
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    coupling = (x + x.conj().T) / 2.0
+    got = davies_terms(h, coupling, 0.7, base_rate=0.5)
+    ref = _davies_terms_by_scan(h, coupling, 0.7, 0.5)
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.rate == b.rate
+        assert a.jump.tobytes() == b.jump.tobytes()
+    assert davies_terms(h, np.zeros((dim, dim)), 0.7) == []
+
 # --- stationary states -----------------------------------------------------------
 
 def test_stationary_state_triangle():
