@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, LindthermError
+from .errors import ConfigError, LindthermError, NumericalDrift
 from .gkls import (
     GeneratorFamily,
     GklsGenerator,
@@ -285,6 +285,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    values = np.array(rows, dtype=float)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise NumericalDrift(
+            f"{path.name}: column {header[j]} has non-finite value {values[i, j]} in row {i}"
+        )
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))

@@ -9,10 +9,15 @@ amplitude grow exponentially; the decoherence-dominated diagonal dynamics
 is the classical birth-death replicator.
 
 The number-conserving structure makes every diagonal rho_{n, n+k} of the
-density matrix evolve independently as a tridiagonal system ("band"), so
-propagation cost is O(dim^2) per time instead of O(dim^6) for a dense
-superoperator exponential.  That is what makes the amplification window
-(mean occupations of a few hundred) reachable.
+density matrix evolve independently as a tridiagonal system ("band").  All
+bands share one real tridiagonal operator A of size O(dim^2), propagated by
+shift-and-invert Krylov: I - gamma A is factored once, one Arnoldi basis of
+its inverse serves every sample time, and the basis grows only until its
+error estimate is below the output precision.  The cost is O(dim^2) per
+basis vector, independent of the norm of A (which grows with the Fock
+cutoff), instead of O(dim^6) for a dense superoperator exponential.  That is
+what makes the amplification window (mean occupations of a few hundred)
+reachable.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import lapack
 
 from ..errors import (
     DetailedBalanceViolation,
     InvalidDimension,
     NotAmplifying,
+    NotAState,
+    NumericalDrift,
     ShapeError,
     TruncationOverflow,
 )
@@ -184,6 +190,114 @@ def _from_bands(v: np.ndarray, layout, d: int) -> np.ndarray:
     return rho
 
 
+_KRYLOV_STEP = 10  # basis vectors added between two error estimates
+_KRYLOV_CAP = 400  # basis size at which the propagation gives up
+_KRYLOV_TOL = 1e-14  # error estimate allowed, relative to each sample's norm
+
+
+def expm_multiply(sub, diag, sup, v0, tau) -> np.ndarray:
+    """Rows exp(tau_i A) v0 for the real tridiagonal A and offsets tau, tau[0] = 0.
+
+    A has ``diag`` on its diagonal, ``sub`` below it and ``sup`` above it.
+    Shift-and-invert Krylov (Moret & Novati, BIT 44, 595 (2004); van den
+    Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 1438 (2006)): I - gamma A,
+    gamma = tau[-1] / 20, is factored once (LAPACK dgttrf), and one
+    orthonormal Arnoldi basis V_m of its inverse started at v0, with
+    Hessenberg matrix H_m, gives every sample as
+
+        |v0| V_m expm(tau_i (I - H_m^-1) / gamma) e_1.
+
+    The basis grows by _KRYLOV_STEP vectors at a time.  Its error estimate is
+    how far each sample moved since the previous size; the basis stops
+    growing once that is below _KRYLOV_TOL of the sample's norm at every
+    sample, or once it spans the whole space.  A basis that reaches
+    _KRYLOV_CAP vectors first, a singular or non-finite I - gamma A, and a
+    non-finite result raise NumericalDrift.  A is real, so the real and
+    imaginary parts of a complex v0 run as two separate bases.  Row 0 is v0
+    itself.
+    """
+    is_complex = np.iscomplexobj(v0) and v0.imag.any()
+    out = np.empty((tau.size, v0.size), dtype=complex if is_complex else float)
+    out[0] = v0 if is_complex else v0.real
+    if tau.size == 1:
+        return out
+    gamma = tau[-1] / 20.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = (-gamma * sub, 1.0 - gamma * diag, -gamma * sup)
+    if not all(np.isfinite(x).all() for x in shifted):
+        raise NumericalDrift(
+            f"band generator times the grid span {tau[-1]:.3g} is not finite"
+        )
+    *factors, info = lapack.dgttrf(*shifted)
+    if info != 0:
+        raise NumericalDrift("band generator: I - gamma A is singular")
+    norms = _krylov_samples(factors, gamma, v0.real, tau, np.zeros(tau.size), out.real)
+    if is_complex:
+        _krylov_samples(factors, gamma, v0.imag, tau, norms, out.imag)
+    return out
+
+
+def _krylov_samples(factors, gamma, b, tau, scale, out) -> np.ndarray:
+    """Write exp(tau_i A) b into out[1:] (see ``expm_multiply``).
+
+    ``scale`` holds the per-sample norms of the parts already propagated, so
+    the error estimate is relative to the whole sample; returns them with
+    this part's norms added.
+    """
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        out[1:] = 0.0
+        return scale
+    size = b.size
+    cap = min(_KRYLOV_CAP, size)
+    basis = np.empty((cap + 1, size))
+    hess = np.zeros((cap + 1, cap))
+    basis[0] = b / beta
+    e1 = np.zeros(cap)
+    e1[0] = 1.0
+    m, prev = 0, None
+    # a non-finite entry anywhere reaches the small exponential, checked there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            for j in range(m, min(m + _KRYLOV_STEP, cap)):
+                w = lapack.dgttrs(*factors, basis[j])[0]
+                for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+                    c = basis[: j + 1] @ w
+                    w -= c @ basis[: j + 1]
+                    hess[: j + 1, j] += c
+                hess[j + 1, j] = h = np.linalg.norm(w)
+                m = j + 1
+                if h == 0.0:
+                    break
+                basis[m] = w / h
+            try:
+                small = (np.eye(m) - np.linalg.inv(hess[:m, :m])) / gamma
+            except np.linalg.LinAlgError:
+                raise NumericalDrift("band propagation: Krylov projection is singular") from None
+            if not np.isfinite(small).all():
+                raise NumericalDrift("band propagation: Krylov projection is not finite")
+            u = np.array([e1[:m], *_propagate(
+                e1[:m], tau, np.zeros(tau.size - 1), lambda _: small, lambda x, i: x)])
+            if not np.isfinite(u).all():
+                raise NumericalDrift("band propagation overflowed: non-finite samples")
+            norms = np.hypot(scale, beta * np.linalg.norm(u, axis=1))
+            if hess[m, m - 1] == 0.0 or m == size:
+                break  # the basis spans an invariant subspace: no truncation error
+            if prev is not None:
+                change = u.copy()
+                change[:, : prev.shape[1]] -= prev
+                if np.all(beta * np.linalg.norm(change, axis=1) <= _KRYLOV_TOL * norms):
+                    break
+            if m == cap:
+                raise NumericalDrift(
+                    f"band propagation: Krylov error estimate above {_KRYLOV_TOL:.0e} "
+                    f"after {cap} basis vectors"
+                )
+            prev = u
+    out[1:] = beta * (u[1:] @ basis[:m])
+    return norms
+
+
 @dataclass(frozen=True)
 class ChemTrajectory:
     """Sampled oscillator evolution with cheap observables alongside states.
@@ -224,6 +338,14 @@ def evolve_oscillator(
     instead of propagated; exactly-zero bands (diagonal states, Fock states)
     cost nothing.
 
+    The kept bands are propagated by ``expm_multiply`` for any grid, uniform
+    or not: one factorization of I - gamma A (gamma = span / 20) and one
+    Krylov basis of its inverse give every sample.  The basis grows ten
+    vectors at a time until the change of every sample since the previous
+    size is below 1e-14 of its norm.  A basis that reaches 400 vectors first,
+    or a non-finite result (an overflowing span or rate), raises
+    NumericalDrift, as does a propagated state that fails the state checks.
+
     The simulation is trusted only while the top Fock level holds less
     than ``guard`` population; beyond that the truncation is biasing the
     dynamics.  on_overflow = "raise" raises TruncationOverflow at the first
@@ -260,30 +382,11 @@ def evolve_oscillator(
     kept = (weight != 0.0) & ~(weight * np.exp(np.minimum(mu * span, 700.0)) < floor)
     mask = kept[k]
     sm = s[mask][:-1]
-    gen = sp.diags([gu * sm, diag[mask], gd * sm], [-1, 0, 1], format="csr")
-    v0c = v0[mask]
-    if v0c.size and not np.abs(v0c.imag).max():
-        v0c = np.ascontiguousarray(v0c.real)  # real bands halve the matvec cost
-
-    if t.size == 1:
-        compact = v0c[np.newaxis, :]
-    else:
-        dt = np.diff(t)
-        if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-            compact = expm_multiply(
-                gen, v0c, start=0.0, stop=span, num=t.size, endpoint=True
-            )
-        else:
-            steps = [v0c]
-            v = v0c
-            for step in dt:
-                v = expm_multiply(gen * float(step), v)
-                steps.append(v)
-            compact = np.array(steps)
+    rel_t = t - t[0]
+    compact = expm_multiply(gu * sm, diag[mask], gd * sm, v0[mask], rel_t)
 
     # kept bands sit in band order, so band 0, if kept, opens the compact
     # vector and band 1 follows it
-    rel_t = t - t[0]
     pops = compact[:, :d].real if kept[0] else np.zeros((t.size, d))
     top = pops[:, d - 1].copy()  # a view would keep all of compact alive
     bad = np.flatnonzero(top > guard)
@@ -314,7 +417,12 @@ def evolve_oscillator(
     for i in range(last):
         phase = np.exp(1j * spec.omega * np.arange(d) * rel_t[i])
         rho = _from_bands(compact[i] * phase[kc], kept_layout, d)
-        states.append(DensityMatrix(rho, state_tol))
+        try:
+            states.append(DensityMatrix(rho, state_tol))
+        except NotAState as exc:
+            if i == 0:
+                raise  # the initial state itself, not a propagated one
+            raise NumericalDrift(f"state invariant violated at t = {t[i]:.6g}: {exc}") from exc
     return ChemTrajectory(
         times=t[:last],
         states=tuple(states),
@@ -442,6 +550,8 @@ def birth_death_evolve(
         )
 
     def accept(p, i):
+        if not np.isfinite(p).all():
+            raise NumericalDrift(f"replicator probabilities are not finite at t = {t[i]:.6g}")
         if p[-1] > guard:
             raise TruncationOverflow(
                 f"top-level probability {p[-1]:.3e} exceeds guard {guard:.1e} "

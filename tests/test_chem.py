@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
+import lindtherm.models.chem as chem
 from lindtherm import (
     DensityMatrix,
     DetailedBalanceViolation,
     NotAmplifying,
+    NumericalDrift,
     ShapeError,
     TruncationOverflow,
     apply_schrodinger,
@@ -172,6 +176,51 @@ def test_band_evolver_non_uniform_grid():
     for sa, sb in zip(a.states, b.states):
         assert trace_distance(sa, sb) < 1e-12
 
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 2.0, 41),
+    np.array([0.0, 0.01, 0.05, 0.3, 0.31, 1.0, 1.7, 2.0]),
+], ids=["uniform", "non-uniform"])
+def test_krylov_band_propagation_matches_expm_multiply(monkeypatch, times):
+    dim = 200
+    spec = ChemSpec(1.0, 0.5, 0.25, decoherence=0.1, dim=dim)
+    calls = []
+    inner = chem.expm_multiply
+
+    def spy(sub, diag, sup, v0, tau):
+        out = inner(sub, diag, sup, v0, tau)
+        calls.append((sub, diag, sup, v0, tau, out))
+        return out
+
+    monkeypatch.setattr(chem, "expm_multiply", spy)
+    evolve_oscillator(spec, coherent_state(1.5 + 1.0j, dim), times)
+    (sub, diag, sup, v0, tau, out), = calls
+    assert np.iscomplexobj(out) and np.array_equal(tau, times - times[0])
+    gen = sp.diags([sub, diag, sup], [-1, 0, 1], format="csr")
+    # reference: scipy's Taylor-series propagator, stepped from sample to sample
+    ref = [v0]
+    for step in np.diff(tau):
+        ref.append(expm_multiply(gen * step, ref[-1]))
+    ref = np.array(ref)
+    rel = np.linalg.norm(out - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert rel.max() < 1e-12
+    assert np.array_equal(out[0], v0)  # the t0 row is the initial bands, bitwise
+
+
+def test_band_evolver_huge_span_raises_numerical_drift():
+    spec = ChemSpec(1.0, 0.5, 0.25, dim=30)
+    with pytest.raises(NumericalDrift):
+        evolve_oscillator(spec, coherent_state(1.0, 30), [0.0, 1e200])
+
+
+def test_krylov_basis_cap_raises_numerical_drift(monkeypatch):
+    # gate 07's run needs about 40 basis vectors; at a cap of 10 the error
+    # estimate is still far above its tolerance
+    monkeypatch.setattr(chem, "_KRYLOV_CAP", 10)
+    spec = ChemSpec(1.0, 0.5, 0.25, dim=60)
+    with pytest.raises(NumericalDrift, match="after 10 basis vectors"):
+        evolve_oscillator(spec, coherent_state(1.0, 60), np.linspace(0.0, 2.5, 26))
 
 
 def _with_coherence(populations, eps, n, k):

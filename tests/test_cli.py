@@ -1,12 +1,20 @@
 """End-to-end checks of the scenario runner: exit codes, determinism, replay."""
 
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lindtherm.cli import main, run_scenario
 from lindtherm.errors import ConfigError
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, name, config):
@@ -341,6 +349,66 @@ def test_overflowing_pv_sweep_exits_three(tmp_path, capsys):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numerical error" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "field", ["chem.gamma_up", "chem.gamma_down", "chem.decoherence", "grid.t_max"]
+)
+def test_chem_engine_extreme_input_exits_cleanly(tmp_path, field):
+    # one subprocess per value, each with a timeout: these inputs once ran the
+    # band evolver for minutes or ended in a traceback
+    cfg = _write(tmp_path, "cfg.json", {
+        "scenario": "chem-engine",
+        "chem": {"omega": 1.0, "gamma_up": 0.5, "gamma_down": 0.25, "dim": 40},
+        "initial_alpha": 1.0,
+        "grid": {"t_max": 1.0, "steps": 10},
+    })
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+
+    def run(value):
+        out = tmp_path / value
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindtherm", "run", cfg, "--out", str(out),
+             "--override", f"{field}={value}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        return value, out, proc
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        runs = list(pool.map(run, ["1e30", "1e200", "1e308"]))
+    for value, out, proc in runs:
+        assert proc.returncode in (0, 3), (value, proc.stderr[-2000:])
+        assert "Traceback" not in proc.stderr, value
+        if proc.returncode == 0:
+            _, rows = _read_csv(out / "chem_trace.csv")
+            assert np.isfinite(rows).all(), value
+        else:
+            assert "numerical error" in proc.stderr, value
+
+
+@pytest.mark.parametrize("field", ["gamma_up", "gamma_down", "grid.t_max"])
+def test_overflowing_replicator_exits_three(tmp_path, capsys, field):
+    cfg = _write(tmp_path, "cfg.json", _replicator_config())
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", cfg, "--out", str(tmp_path / "o"),
+                     "--override", f"{field}=1e308"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "NumericalDrift" in err and "not finite" in err
+
+
+def test_non_finite_csv_value_exits_three(tmp_path, capsys):
+    # with a subnormal span the law residuals' finite differences divide by
+    # zero and come out NaN; the CSV writer refuses them and names the column
+    cfg = _write(tmp_path, "cfg.json", _evolve_config(grid={"t_max": 1e-320, "steps": 50}))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "NumericalDrift" in err and "column firstLawResidual" in err
+    assert not (tmp_path / "o" / "thermo_trace.csv").exists()
 
 
 def test_engine_power_out_of_equilibrium_exits_three(tmp_path, capsys):
