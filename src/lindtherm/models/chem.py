@@ -574,6 +574,9 @@ class GillespieStats:
     trajectories: int
 
 
+_GILLESPIE_BLOCK = 1 << 16  # trajectories that share one generator
+
+
 def gillespie_ensemble(
     n0: int,
     gamma_up: float,
@@ -584,8 +587,15 @@ def gillespie_ensemble(
 ) -> GillespieStats:
     """Kinetic Monte Carlo for the replicator: birth gu (n+1), death gd n.
 
-    Each trajectory draws from its own generator seeded by (seed, index),
-    so the ensemble is reproducible and independent of evaluation order.
+    Exact SSA (Gillespie, J. Phys. Chem. 81, 2340 (1977)) run in lockstep:
+    the trajectories of a block advance together as numpy arrays of states
+    and next-jump times, each round jumping every trajectory whose next jump
+    falls before the current grid time.  The value recorded at t[j] is the
+    state before any jump at a time >= t[j]; a state with total rate 0 is
+    absorbing.  Blocks of 2^16 trajectories share one generator seeded by
+    (seed, block), so the statistics are reproducible for a given (seed,
+    trajectories) and memory stays bounded for any ensemble size.  A total
+    rate that overflows to inf raises NumericalDrift.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
@@ -599,35 +609,38 @@ def gillespie_ensemble(
     total = np.zeros(n_samp)
     total_sq = np.zeros(n_samp)
     extinct = np.zeros(n_samp)
-    values = np.empty(n_samp)
-    for idx in range(trajectories):
-        rng = np.random.default_rng((seed, idx))
-        now = float(t[0])
-        n = int(n0)
-        cursor = 0
-        while cursor < n_samp:
-            birth = gamma_up * (n + 1.0)
-            death = gamma_down * n
-            rate = birth + death
-            if rate == 0.0:
-                values[cursor:] = n
-                cursor = n_samp
-                break
-            wait = rng.exponential(1.0 / rate)
-            jump_at = now + wait
-            while cursor < n_samp and t[cursor] <= jump_at:
-                values[cursor] = n
-                cursor += 1
-            if cursor >= n_samp:
-                break
-            now = jump_at
-            if rng.random() < birth / rate:
-                n += 1
-            else:
-                n -= 1
-        total += values
-        total_sq += values * values
-        extinct += values == 0
+
+    def jump_rates(n):
+        birth = gamma_up * (n + 1.0)
+        rate = birth + gamma_down * n
+        if not np.isfinite(rate).all():
+            raise NumericalDrift(
+                f"replicator jump rate is not finite (gamma_up = {gamma_up:.3g}, "
+                f"gamma_down = {gamma_down:.3g})"
+            )
+        return birth / rate, rate
+
+    # a total rate of 0 is absorbing: its wait is inf (and its birth share nan,
+    # never read, because the trajectory never jumps again)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for block, start in enumerate(range(0, trajectories, _GILLESPIE_BLOCK)):
+            rng = np.random.default_rng((seed, block))
+            n = np.full(min(_GILLESPIE_BLOCK, trajectories - start), int(n0), dtype=np.int64)
+            p_birth, rate = jump_rates(n)
+            nxt = t[0] + rng.standard_exponential(n.size) / rate
+            for j in range(n_samp):
+                live = np.flatnonzero(nxt < t[j])
+                while live.size:
+                    m = n[live]
+                    m += np.where(rng.random(live.size) < p_birth[live], 1, -1)
+                    n[live] = m
+                    p_birth[live], rate = jump_rates(m)
+                    nxt[live] += rng.standard_exponential(live.size) / rate
+                    live = live[nxt[live] < t[j]]
+                values = n.astype(float)
+                total[j] += values.sum()
+                total_sq[j] += np.sum(values * values)  # a multithreaded BLAS dot can cost ms
+                extinct[j] += np.count_nonzero(n == 0)
     mean = total / trajectories
     if trajectories > 1:
         var = (total_sq - trajectories * mean * mean) / (trajectories - 1)

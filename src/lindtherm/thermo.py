@@ -343,7 +343,8 @@ def ergotropy(rho, hamiltonian: np.ndarray) -> float:
     of H, so the sum is the energy of the passive state; only the two
     spectra and an elementwise tr(rho H) are computed.  The sorted pairing
     makes the raw value nonnegative up to rounding (trace inequality);
-    negative dust is clamped to zero.
+    negative dust is clamped to zero.  A diagonal H gives its levels by a
+    sort, with no eigensolver.
     """
     r = as_operator(rho, "state")
     h = as_operator(hamiltonian, "hamiltonian")
@@ -351,6 +352,10 @@ def ergotropy(rho, hamiltonian: np.ndarray) -> float:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
     energy = float(np.sum(r * h.T).real)
     populations = np.linalg.eigvalsh(hermitize(r))[::-1]
-    levels = np.linalg.eigvalsh(hermitize(h))
+    diagonal = np.diagonal(h)
+    if np.count_nonzero(h) == np.count_nonzero(diagonal):
+        levels = np.sort(diagonal.real)
+    else:
+        levels = np.linalg.eigvalsh(hermitize(h))
     w = energy - float(np.dot(populations, levels))
     return max(w, 0.0)

@@ -1,5 +1,10 @@
 """Driven-oscillator growth laws, band evolver, and the classical replicator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -40,6 +45,8 @@ from lindtherm.models.chem import (
 )
 
 from conftest import random_state
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # --- spec and chemistry --------------------------------------------------------
@@ -461,6 +468,75 @@ def test_gillespie_matches_ode_mean():
         ode = birth_death_mean(states[i])
         if stats.stderr[i] > 0:
             assert abs(stats.mean[i] - ode) <= 3.0 * stats.stderr[i]
+
+
+def _master_moments(n0, gu, gd, t, n_max=200):
+    p0 = np.zeros(n_max + 1)
+    p0[n0] = 1.0
+    ns = np.arange(n_max + 1.0)
+    states = birth_death_evolve(BirthDeathState(p0), gu, gd, t)
+    mean = np.array([birth_death_mean(s) for s in states])
+    return mean, np.array([np.dot(ns * ns, s.probs) for s in states]) - mean * mean
+
+
+def test_gillespie_variance_matches_master_equation():
+    # the relative error of a sample variance here is about 0.5 %, so 3 %
+    # is roughly 7 sigma
+    t = np.linspace(0.0, 1.5, 7)
+    stats = gillespie_ensemble(2, 0.5, 0.25, t, trajectories=200_000, seed=31)
+    _, var = _master_moments(2, 0.5, 0.25, t)
+    assert stats.variance[0] == 0.0
+    assert np.all(np.abs(stats.variance[1:] / var[1:] - 1.0) < 0.03)
+
+
+def test_gillespie_two_blocks_deterministic_and_unbiased():
+    t = np.linspace(0.0, 1.0, 5)
+    n_traj = chem._GILLESPIE_BLOCK + 1
+    a = gillespie_ensemble(2, 0.5, 0.25, t, trajectories=n_traj, seed=4)
+    b = gillespie_ensemble(2, 0.5, 0.25, t, trajectories=n_traj, seed=4)
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.variance, b.variance)
+    assert np.array_equal(a.extinction_fraction, b.extinction_fraction)
+    mean, _ = _master_moments(2, 0.5, 0.25, t)
+    assert a.mean[0] == 2.0
+    assert np.all(np.abs(a.mean[1:] - mean[1:]) <= 3.0 * a.stderr[1:])
+
+
+def test_gillespie_zero_rate_state_is_absorbing():
+    t = np.linspace(0.0, 6.0, 7)
+    stats = gillespie_ensemble(0, 0.0, 1.0, t, trajectories=100, seed=2)
+    assert np.all(stats.mean == 0.0)
+    assert np.all(stats.extinction_fraction == 1.0)
+    # pure death: extinct trajectories stay at 0, so the extinct share never falls
+    stats = gillespie_ensemble(2, 0.0, 1.0, t, trajectories=2000, seed=2)
+    assert np.all(np.diff(stats.extinction_fraction) >= 0.0)
+    assert stats.extinction_fraction[0] == 0.0
+    assert stats.extinction_fraction[-1] > 0.95
+    assert np.all(np.diff(stats.mean) <= 0.0)
+
+
+def test_gillespie_overflowing_rate_raises_drift():
+    # a subprocess with a timeout: gamma_up (n + 1) overflowing to inf once
+    # made every wait 0 and the sampler never returned
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from lindtherm import NumericalDrift\n"
+        "from lindtherm.models.chem import gillespie_ensemble\n"
+        "try:\n"
+        "    gillespie_ensemble(2, 1e308, 0.25, np.linspace(0.0, 1.0, 5), 3, 1)\n"
+        "except NumericalDrift:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_quantum_classical_populations_agree():

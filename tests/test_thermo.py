@@ -265,3 +265,17 @@ def test_ergotropy_degenerate_spectrum():
     rho = np.diag([0.1, 0.5, 0.4])
     # passive populations (0.5, 0.4, 0.1) give energy 0.5; state holds 0.9
     assert ergotropy(rho, h) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_ergotropy_diagonal_hamiltonian_matches_eigensolver_route():
+    # a diagonal H takes its levels by a sort; unsorted, negative and
+    # degenerate entries must give what the eigensolver gives
+    rng = np.random.default_rng(36)
+    h = np.diag([1.5, -0.7, 0.0, 1.5, -2.25, 0.3, -0.7, 4.0]).astype(complex)
+    for _ in range(3):
+        rho = random_state(rng, h.shape[0])
+        populations = np.linalg.eigvalsh(hermitize(rho))[::-1]
+        levels = np.linalg.eigvalsh(hermitize(h))
+        ref = internal_energy(rho, h) - float(np.dot(populations, levels))
+        assert ref > 1e-3
+        assert abs(ergotropy(rho, h) - ref) <= 1e-13
