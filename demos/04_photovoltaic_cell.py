@@ -34,11 +34,14 @@ spec = PvSpec(
 v_oc = open_circuit_voltage(spec)
 print("gap:", spec.gap, "eV   open-circuit voltage:", v_oc, "eV")
 
+# both numeric routes take the whole sweep: one generator, one L*(N_c)
+voltages = np.linspace(0.1, 0.8, 15)
+p_nums = pv_power_current(spec, voltages)
+p_fasts = pv_power_fast_ansatz(spec, voltages)
+
 print("\n  V       P (current route)   P (closed form)    P (fast route)")
-for v in np.linspace(0.1, 0.8, 15):
-    p_num = pv_power_current(spec, v)
+for v, p_num, p_fast in zip(voltages, p_nums, p_fasts):
     p_an = pv_analytic_power(spec, v)
-    p_fast = pv_power_fast_ansatz(spec, v)
     marker = "  <- V_oc" if abs(v - v_oc) < 0.026 else ""
     print(f"  {v:5.2f}   {p_num: .6e}      {p_an: .6e}     {p_fast: .6e}{marker}")
 

@@ -360,9 +360,10 @@ def _run_pv_sweep(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     if v_max <= v_min:
         _fail("sweep.v_max", f"must exceed v_min = {v_min}")
     voltages = np.linspace(v_min, v_max, points)
+    numeric = pv_power_current(spec, voltages)
     rows = [
-        [v, pv_analytic_power(spec, v), pv_power_current(spec, v)]
-        for v in voltages
+        [v, pv_analytic_power(spec, v), p]
+        for v, p in zip(voltages, numeric)
     ]
     _write_csv(out_dir / "pv_curve.csv", ["V", "pAnalytic", "pNumeric"], rows)
     return ["pv_curve.csv"], {"v_oc": open_circuit_voltage(spec)}

@@ -265,8 +265,8 @@ def _gkls_action(a: np.ndarray, x: np.ndarray, terms, adjoint: bool = False) -> 
     """
     out = a @ x + x @ dag(a)
     for term in terms:
-        v = dag(term.jump) if adjoint else term.jump
-        out += term.rate * (v @ x @ dag(v))
+        v, v_dag = (dag(term.jump), term.jump) if adjoint else (term.jump, dag(term.jump))
+        out += term.rate * (v @ x @ v_dag)
     return out
 
 

@@ -575,6 +575,28 @@ class GillespieStats:
 
 
 _GILLESPIE_BLOCK = 1 << 16  # trajectories that share one generator
+# expected jumps per trajectory above which sampling is refused: each jump is
+# one lockstep round of roughly 20 us, so the limit is about 20 s of rounds
+_GILLESPIE_JUMPS = 10**6
+
+
+def _expected_jumps(n0: int, gamma_up: float, gamma_down: float, span: float) -> float:
+    """Mean SSA jumps of one trajectory over ``span``, in closed form.
+
+    J = int_0^span ((gu + gd) <n> + gu) dt with d<n>/dt = (gu - gd) <n> + gu,
+    so int <n> dt = span (n0 phi1(x) + gu span phi2(x)) with x = (gu - gd) span,
+    phi1 = expm1(x)/x and phi2 = (expm1(x) - x)/x^2.  An overflow gives inf
+    or nan, neither of which passes a ``<=`` check against a limit.
+    """
+    x = (gamma_up - gamma_down) * span
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(x) < 1e-6:  # series: the closed forms cancel catastrophically here
+            phi1, phi2 = 1.0 + x / 2.0, 0.5 + x / 6.0
+        else:
+            e = np.expm1(x)
+            phi1, phi2 = e / x, (e - x) / (x * x)
+        mean_area = span * (n0 * phi1 + gamma_up * span * phi2)
+        return float((gamma_up + gamma_down) * mean_area + gamma_up * span)
 
 
 def gillespie_ensemble(
@@ -596,6 +618,12 @@ def gillespie_ensemble(
     (seed, block), so the statistics are reproducible for a given (seed,
     trajectories) and memory stays bounded for any ensemble size.  A total
     rate that overflows to inf raises NumericalDrift.
+
+    Each jump costs one round of array operations, so the run time grows
+    with the expected number of jumps per trajectory over the grid span,
+    J = int ((gu + gd) <n> + gu) dt, taken in closed form before sampling.
+    A J above 10^6 (or one that overflows) raises NumericalDrift instead of
+    running for hours.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
@@ -605,6 +633,13 @@ def gillespie_ensemble(
         if not (np.isfinite(rate) and rate >= 0):
             raise ValueError(f"rates must be finite and nonnegative, got {rate}")
     t = _time_grid(times)
+    jumps = _expected_jumps(n0, gamma_up, gamma_down, t[-1] - t[0])
+    if not jumps <= _GILLESPIE_JUMPS:
+        raise NumericalDrift(
+            f"replicator needs {jumps:.3g} expected jumps per trajectory, above "
+            f"the limit {_GILLESPIE_JUMPS:.0e} (gamma_up = {gamma_up:.3g}, "
+            f"gamma_down = {gamma_down:.3g})"
+        )
     n_samp = t.size
     total = np.zeros(n_samp)
     total_sq = np.zeros(n_samp)

@@ -16,6 +16,13 @@ generator's kernel is one state per charge sector; the sector tools below
 (sector_indices, sector_stationary_state, pv_conditioned_ansatz,
 pv_floating_voltage) work within a fixed total charge, which is where the
 grand-canonical ansatz can be compared against the true kernel.
+
+Both power routes read the interband current in the Heisenberg picture,
+tr(N_c L rho) = tr(L*(N_c) rho).  Only the grand-canonical state depends on
+the voltage, so pv_power_current and pv_power_fast_ansatz take a 1-d array
+of voltages: a sweep builds the generator and applies its adjoint to N_c
+once, then pays O(d^2) per voltage on top of validating that voltage's
+state.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from ..gkls import (
     GklsGenerator,
     LindbladTerm,
     apply_heisenberg,
-    apply_schrodinger,
     embed_state,
     restrict_generator,
     stationary_state,
@@ -279,7 +285,33 @@ def pv_analytic_power(spec: PvSpec, voltage: float = None) -> float:
     return g * g * spec.beta * n_c0 * g_bar * (np.exp(exponent) - 1.0)
 
 
-def pv_power_current(spec: PvSpec, voltage: float = None) -> float:
+def _over_voltages(spec: PvSpec, voltage, power_at):
+    """power_at(n_c, lm, v) at each voltage, with lm = L*(N_c) built once.
+
+    One family build and one adjoint action serve the whole sweep.  A scalar
+    or None voltage runs as a batch of one and returns a float; a 1-d array
+    returns an array.
+    """
+    if voltage is None:
+        voltages, scalar = [None], True
+    else:
+        v = np.asarray(voltage, dtype=float)
+        if v.ndim > 1:
+            raise ShapeError(f"voltage must be a scalar or 1-d array, got shape {v.shape}")
+        voltages, scalar = [float(x) for x in v.reshape(-1)], v.ndim == 0
+    family = build_pv_family(spec)
+    n_c = family.drive_observable
+    lm = apply_heisenberg(family.base, n_c)
+    out = np.array([power_at(n_c, lm, v) for v in voltages], dtype=float)
+    return float(out[0]) if scalar else out
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(a b) in O(d^2), without forming the product."""
+    return float(np.einsum("ij,ji->", a, b).real)
+
+
+def pv_power_current(spec: PvSpec, voltage=None):
     """Average power from the assembled generator's charge current.
 
     Evaluates g^2 beta <N_c>_0 tr(N_c L rho_gc(V)) with the full many-body
@@ -287,15 +319,20 @@ def pv_power_current(spec: PvSpec, voltage: float = None) -> float:
     in which the interband particle current through the grand-canonical
     state carries the voltage dependence.  Crosses zero at the open-circuit
     voltage for degenerate gaps.
+
+    The current is read in the Heisenberg picture, tr(L*(N_c) rho_gc(V)):
+    only the state depends on V, so ``voltage`` may be a 1-d array and the
+    family build and the one L*(N_c) (each O(n_terms d^3)) are paid once
+    per sweep; each voltage then costs a validated grand-canonical state and
+    two O(d^2) traces.  A scalar or None returns a float, an array an array.
     """
-    family = build_pv_family(spec)
-    gen0 = family.base
-    n_c = family.drive_observable
-    rho = pv_grand_canonical(spec, 0.0, voltage).matrix
-    n_c0 = float(np.trace(n_c @ rho).real)
-    current = float(np.trace(n_c @ apply_schrodinger(gen0, rho)).real)
     g = spec.amplitude
-    return g * g * spec.beta * n_c0 * current
+
+    def power_at(n_c, lm, v):
+        rho = pv_grand_canonical(spec, 0.0, v).matrix
+        return g * g * spec.beta * _trace_product(n_c, rho) * _trace_product(lm, rho)
+
+    return _over_voltages(spec, voltage, power_at)
 
 
 def pv_ansatz_derivative(spec: PvSpec, voltage: float = None) -> np.ndarray:
@@ -310,7 +347,7 @@ def pv_ansatz_derivative(spec: PvSpec, voltage: float = None) -> np.ndarray:
     return -spec.beta * (n_c @ rho - mean * rho)
 
 
-def pv_power_fast_ansatz(spec: PvSpec, voltage: float = None) -> float:
+def pv_power_fast_ansatz(spec: PvSpec, voltage=None):
     """Fast power formula fed with the grand-canonical ansatz derivative.
 
     -(g^2/2) tr(rho' L* N_c) with rho' from pv_ansatz_derivative.  Because
@@ -319,13 +356,17 @@ def pv_power_fast_ansatz(spec: PvSpec, voltage: float = None) -> float:
     negative at every voltage; the extensive, population-proportional part
     of the power (the part that changes sign at the open-circuit voltage)
     is what pv_power_current isolates.
+
+    Takes ``voltage`` as pv_power_current does: one family build and one
+    Heisenberg image L*(N_c) per call, then one ansatz derivative and one
+    O(d^2) trace per voltage.
     """
-    family = build_pv_family(spec)
-    gen0 = family.base
-    lm = apply_heisenberg(gen0, family.drive_observable)
-    prime = pv_ansatz_derivative(spec, voltage)
     g = spec.amplitude
-    return -0.5 * g * g * float(np.trace(prime @ lm).real)
+
+    def power_at(n_c, lm, v):
+        return -0.5 * g * g * _trace_product(pv_ansatz_derivative(spec, v), lm)
+
+    return _over_voltages(spec, voltage, power_at)
 
 
 # --- charge sectors ----------------------------------------------------------

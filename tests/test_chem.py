@@ -1,5 +1,6 @@
 """Driven-oscillator growth laws, band evolver, and the classical replicator."""
 
+import json
 import os
 import subprocess
 import sys
@@ -537,6 +538,43 @@ def test_gillespie_overflowing_rate_raises_drift():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_gillespie_expected_jumps_closed_form():
+    # against quadrature of the mean total jump rate, including a birth-death
+    # balance where the closed form's expm1 terms cancel
+    from scipy.integrate import quad
+
+    for n0, gu, gd, span in ((2, 0.4, 0.3, 1.0), (3, 0.5, 2.0, 3.0),
+                             (1, 1.0, 1.0 + 1e-9, 2.0), (4, 2.0, 0.5, 5.0)):
+        a = gu - gd
+        if abs(a * span) < 1e-3:
+            mean = lambda s: n0 + gu * s + a * (n0 * s + gu * s * s / 2.0)
+        else:
+            mean = lambda s: (n0 + gu / a) * np.exp(a * s) - gu / a
+        ref = quad(lambda s: (gu + gd) * mean(s) + gu, 0.0, span, epsabs=0.0, epsrel=1e-13)[0]
+        assert chem._expected_jumps(n0, gu, gd, span) == pytest.approx(ref, rel=1e-8)
+
+
+def test_gillespie_too_many_jumps_raises_drift(tmp_path):
+    # a subprocess with a timeout: at gamma 1e9 each trajectory needs ~1e18
+    # jumps, and the CLI replicator once sampled them for ever
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "replicator", "gamma_up": 1e9, "gamma_down": 1e9, "n0": 2,
+        "n_max": 40, "grid": {"t_max": 1.0, "steps": 4}, "trajectories": 3, "seed": 5,
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "lindtherm", "run", str(cfg), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "NumericalDrift" in proc.stderr and "expected jumps" in proc.stderr
+    assert "gamma_up = 1e+09" in proc.stderr and "gamma_down = 1e+09" in proc.stderr
 
 
 def test_quantum_classical_populations_agree():

@@ -158,6 +158,23 @@ def test_apply_matches_superoperator():
     assert np.allclose(apply_heisenberg(gen, x), unvec(ls @ vec(x)), atol=1e-12)
 
 
+def test_heisenberg_action_bitwise_equals_double_adjoint_form():
+    # the adjoint branch multiplies by V itself on the right; dag(dag(V)) is
+    # a copy of V with V's memory layout, so the products must agree bit for bit
+    rng = np.random.default_rng(25)
+    base, _ = random_thermal_model(rng, 5)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    terms = base.terms + (LindbladTerm(a, 0.3, "c"), LindbladTerm(dag(a), 0.2, "f"))
+    gen = GklsGenerator(base.hamiltonian, terms)
+    x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    g_dag = dag(gen._g)
+    old = g_dag @ x + x @ dag(g_dag)
+    for term in gen.terms:
+        v = dag(term.jump)
+        old += term.rate * (v @ x @ dag(dag(term.jump)))
+    assert np.array_equal(apply_heisenberg(gen, x), old)
+
+
 # --- closed-form dynamics ------------------------------------------------------
 
 def test_amplitude_damping_closed_form():

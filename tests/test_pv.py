@@ -1,5 +1,8 @@
 """Two-band photovoltaic cell: occupations, power routes, voltage structure."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from lindtherm import (
     ShapeError,
     ZeroOccupation,
     apply_heisenberg,
+    apply_schrodinger,
     trace_distance,
 )
+from lindtherm.cli import main
 from lindtherm.models.pv import (
     PvSpec,
     build_pv_family,
@@ -261,3 +266,101 @@ def test_sector_indices_are_binomial():
     spec = degenerate_2x2()
     sizes = [sector_indices(spec, n).size for n in range(5)]
     assert sizes == [1, 4, 6, 4, 1]
+
+
+# --- one generator per sweep ----------------------------------------------------
+
+def spread_3x2(v=0.5):
+    """3+2 cell with spread gaps and intraband hopping in both bands."""
+    return PvSpec(
+        conduction_energies=(1.0, 1.07, 1.19),
+        valence_energies=(0.0, -0.11),
+        beta=1.0 / (KB * 2000.0),
+        beta1=1.0 / (KB * 6000.0),
+        inter_rates=0.01 * np.array([[1.0, 0.8], [0.9, 1.1], [0.7, 1.3]]),
+        intra_rates_c=0.02 * np.array([[0.0, 1.0, 0.4], [0.6, 0.0, 0.9], [0.3, 0.5, 0.0]]),
+        intra_rates_v=0.02 * np.array([[0.0, 0.8], [1.2, 0.0]]),
+        mu_c=v,
+        mu_v=0.0,
+        amplitude=0.3,
+        frequency=20.0,
+    )
+
+
+@pytest.mark.parametrize("route", [pv_power_current, pv_power_fast_ansatz])
+@pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2()],
+                         ids=["degenerate_2x2", "spread_3x2"])
+def test_voltage_array_equals_scalar_calls(route, spec):
+    vs = np.linspace(0.1, 0.9, 7)
+    batch = route(spec, vs)
+    assert isinstance(batch, np.ndarray) and batch.shape == (7,)
+    singles = [route(spec, v) for v in vs]
+    assert all(isinstance(p, float) for p in singles)
+    assert np.array_equal(batch, singles)
+    assert route(spec) == route(spec, spec.voltage)
+    assert route(spec, [0.4]).shape == (1,)
+
+
+@pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2(), HALF],
+                         ids=["degenerate_2x2", "spread_3x2", "half"])
+def test_current_route_matches_schrodinger_reference(spec):
+    # the Schrodinger-picture route g^2 beta <N_c> tr(N_c L(rho_gc)).  At
+    # V_oc (0.7 for the degenerate cell) the per-state charge currents
+    # cancel in the sum, so the error is taken relative to the sum of their
+    # magnitudes, sum_i |L*(N_c)_ii rho_ii|; elsewhere that is |P| itself
+    vs = np.linspace(0.1, 0.9, 5)
+    gen = build_pv_family(spec).base
+    n_c = pv_number_operator(spec)
+    lm = apply_heisenberg(gen, n_c)
+    prefactor = spec.amplitude ** 2 * spec.beta
+    powers = pv_power_current(spec, vs)
+    for v, p in zip(vs, powers):
+        rho = pv_grand_canonical(spec, 0.0, v).matrix
+        n_c0 = np.trace(n_c @ rho).real
+        ref = prefactor * n_c0 * np.trace(n_c @ apply_schrodinger(gen, rho)).real
+        gross = prefactor * n_c0 * np.sum(np.abs(lm * rho.T))
+        assert abs(p - ref) <= 1e-12 * gross, v
+
+
+def test_two_dimensional_voltage_raises_shape_error():
+    spec = degenerate_2x2()
+    for route in (pv_power_current, pv_power_fast_ansatz):
+        with pytest.raises(ShapeError):
+            route(spec, np.full((2, 3), 0.5))
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap ``fn`` wherever a lindtherm module holds it; return the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lindtherm" or name.startswith("lindtherm."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_pv_sweep_builds_one_generator(tmp_path, monkeypatch):
+    builds = _count_calls(monkeypatch, build_pv_family)
+    heisenberg = _count_calls(monkeypatch, apply_heisenberg)
+    schrodinger = _count_calls(monkeypatch, apply_schrodinger)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "pv-sweep",
+        "pv": {
+            "conduction_energies": [1.0, 1.0],
+            "valence_energies": [0.0, 0.0],
+            "beta": 38.68,
+            "beta1": 11.6,
+            "inter_rates": [[0.01, 0.017], [0.013, 0.009]],
+            "amplitude": 0.2,
+        },
+        "sweep": {"v_min": 0.1, "v_max": 0.9, "points": 5},
+    }))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (len(builds), len(heisenberg), len(schrodinger)) == (1, 1, 0)
