@@ -11,7 +11,6 @@ Run:  python3 demos/05_chemical_engine.py
 
 import numpy as np
 
-from lindtherm import ergotropy
 from lindtherm.models.chem import (
     BirthDeathState,
     ChemSpec,
@@ -29,13 +28,12 @@ spec = ChemSpec(omega=1.0, gamma_up=1.0, gamma_down=0.5, dim=300)
 alpha0 = 2.0
 times = np.linspace(0.0, 2.0, 9)
 traj = evolve_oscillator(spec, coherent_state(alpha0, spec.dim), times)
-h = np.diag(np.arange(float(spec.dim)))
 
 eta_inf = storage_efficiency(alpha0, spec.gamma_up, spec.gamma_down)
 print("  t      E(t)       E closed   |alpha|    closed     W_e/E")
 for i, t in enumerate(times):
     e = traj.energies[i]
-    w = ergotropy(traj.states[i], h)
+    w = traj.ergotropy(i)  # from the real co-rotating matrix, against H = omega N
     print(f"  {t:4.2f}  {e:9.4f}  {analytic_energy(spec, traj.energies[0], t):9.4f}  "
           f"{abs(traj.amplitudes[i]):.5f}  "
           f"{abs(analytic_amplitude(spec, alpha0, t)):.5f}  {w / e:.4f}")

@@ -39,7 +39,6 @@ from .models.chem import (
     analytic_energy,
     birth_death_evolve,
     birth_death_mean,
-    build_chem_generator,
     coherent_state,
     evolve_oscillator,
     gillespie_ensemble,
@@ -48,10 +47,11 @@ from .models.pv import (
     PvSpec,
     open_circuit_voltage,
     pv_analytic_power,
+    pv_grand_canonical,
     pv_power_current,
 )
 from .operators import DensityMatrix
-from .thermo import BathAssignment, ergotropy, law_residuals
+from .thermo import BathAssignment, law_residuals
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["main", "run_scenario"]
@@ -359,8 +359,20 @@ def _run_pv_sweep(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     points = _integer(sw["points"], "sweep.points", minimum=2)
     if v_max <= v_min:
         _fail("sweep.v_max", f"must exceed v_min = {v_min}")
+    if not np.isfinite(v_max - v_min):
+        _fail("sweep.v_max", f"v_max - v_min overflows (v_min = {v_min})")
     voltages = np.linspace(v_min, v_max, points)
-    numeric = pv_power_current(spec, voltages)
+    try:
+        numeric = pv_power_current(spec, voltages)
+    except NumericalDrift as exc:
+        # the sweep varies only the voltage: name v_min if the sweep already
+        # fails there, else the v_max end that it ran into
+        key = "sweep.v_max"
+        try:
+            pv_grand_canonical(spec, 0.0, v_min)
+        except NumericalDrift:
+            key = "sweep.v_min"
+        raise NumericalDrift(f"{key}: {exc}") from exc
     rows = [
         [v, pv_analytic_power(spec, v), p]
         for v, p in zip(voltages, numeric)
@@ -380,15 +392,16 @@ def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     times = _grid(config["grid"], "grid")
     overflow = _string(config.get("overflow", "truncate"), "overflow",
                        {"raise", "truncate"})
-    initial = coherent_state(alpha0, spec.dim)
+    # every CSV column is invariant under e^{i phi N}, so the run starts from
+    # the real |alpha0|: its bands stay real and propagate as one real basis
+    initial = coherent_state(abs(alpha0), spec.dim)
     traj = evolve_oscillator(spec, initial, times, on_overflow=overflow, tol=tol)
     e0 = float(traj.energies[0])
     e_analytic = analytic_energy(spec, e0, traj.times)
     a_analytic = np.abs(analytic_amplitude(spec, alpha0, traj.times))
-    h = build_chem_generator(spec).hamiltonian
     rows = []
     for i in range(traj.times.size):
-        w_e = ergotropy(traj.states[i], h)
+        w_e = traj.ergotropy(i)
         e_num = float(traj.energies[i])
         eta = w_e / e_num if e_num > 0 else 0.0
         rows.append([

@@ -9,11 +9,15 @@ amplitude grow exponentially; the decoherence-dominated diagonal dynamics
 is the classical birth-death replicator.
 
 The number-conserving structure makes every diagonal rho_{n, n+k} of the
-density matrix evolve independently as a tridiagonal system ("band").  All
-bands share one real tridiagonal operator A of size O(dim^2), propagated by
-shift-and-invert Krylov: I - gamma A is factored once, one Arnoldi basis of
-its inverse serves every sample time, and the basis grows only until its
-error estimate is below the output precision.  The cost is O(dim^2) per
+density matrix evolve independently as a tridiagonal system ("band").  The
+generator commutes with e^{i theta N}, so in the frame co-rotating with
+omega N the bands feel no rotation: a real start (a coherent state of real
+alpha) stays real there, and the lab-frame state differs from it only by
+the phase e^{i omega k t} on band k.  All bands share one real tridiagonal
+operator A of size O(dim^2), propagated by shift-and-invert Krylov:
+I - gamma A is factored once, one Arnoldi basis of its inverse serves every
+sample time, and the basis grows only until its error estimate is below
+the output precision.  The cost is O(dim^2) per
 basis vector, independent of the norm of A (which grows with the Fock
 cutoff), instead of O(dim^6) for a dense superoperator exponential.  That is
 what makes the amplification window (mean occupations of a few hundred)
@@ -22,12 +26,13 @@ reachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lgamma
 
 import numpy as np
 from scipy.linalg import lapack
 
+from .. import thermo
 from ..errors import (
     DetailedBalanceViolation,
     InvalidDimension,
@@ -126,7 +131,7 @@ def build_chem_generator(spec: ChemSpec) -> GklsGenerator:
     covers it.
     """
     a = fock_annihilation(spec.dim)
-    number = a.conj().T @ a
+    number = np.diag(np.arange(float(spec.dim)))
     h = spec.omega * number
     terms = []
     if spec.gamma_down > 0:
@@ -183,7 +188,7 @@ def _band_layout(d: int):
 
 def _from_bands(v: np.ndarray, layout, d: int) -> np.ndarray:
     upper, lower = layout
-    rho = np.zeros((d, d), dtype=complex)
+    rho = np.zeros((d, d), dtype=v.dtype)
     flat = rho.reshape(-1)
     flat[lower] = v.conj()
     flat[upper] = v  # last, so the diagonal keeps the unconjugated band
@@ -302,8 +307,13 @@ def _krylov_samples(factors, gamma, b, tau, scale, out) -> np.ndarray:
 class ChemTrajectory:
     """Sampled oscillator evolution with cheap observables alongside states.
 
-    ``truncated`` flags that the requested grid was cut short because the
-    top-level population crossed the guard.
+    ``states`` are the validated lab-frame density matrices.  The trajectory
+    also keeps each sample in the frame co-rotating with omega N, as the
+    propagated band vectors: rho_rot = e^{i omega N t} rho e^{-i omega N t},
+    real whenever the initial state is real.  ``ergotropy(i)`` reads the
+    ergotropy of sample i from that matrix.  ``truncated`` flags that the
+    requested grid was cut short because the top-level population crossed
+    the guard.
     """
 
     times: np.ndarray
@@ -312,6 +322,22 @@ class ChemTrajectory:
     amplitudes: np.ndarray
     top_populations: np.ndarray
     truncated: bool = False
+    # co-rotating band samples, their flat indices (``_band_layout``) and the
+    # levels omega n of H
+    _bands: np.ndarray = field(default=None, repr=False, compare=False)
+    _layout: tuple = field(default=None, repr=False, compare=False)
+    _levels: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def ergotropy(self, i: int) -> float:
+        """Ergotropy of sample i against H = omega N.
+
+        H is diagonal and commutes with the rotation e^{i omega N t}, so the
+        co-rotating matrix has the lab-frame energy and spectrum, and
+        ``thermo.ergotropy`` gives the same value on it; a real start keeps
+        the matrix real, which takes the real symmetric eigensolver.
+        """
+        rho = _from_bands(self._bands[i], self._layout, self._levels.size)
+        return thermo.ergotropy(rho, np.diag(self._levels))
 
 
 def evolve_oscillator(
@@ -330,8 +356,11 @@ def evolve_oscillator(
     on the upper diagonal and from the level below (pump, gamma_up s) on the
     lower one, s = sqrt((n + 1)(m + 1)) with m = n + k, and s = 0 at the end
     of each band, so bands never mix.  The top level uses w = 0 on the
-    diagonal because the truncated a a+ has no state to pump into.  The rigid
-    rotation i omega k of band k is applied afterwards as a phase.
+    diagonal because the truncated a a+ has no state to pump into.  The
+    propagated bands are the state in the frame co-rotating with omega N; the
+    rigid rotation i omega k of band k is applied afterwards as a phase to
+    give the lab-frame states, and the trajectory keeps the co-rotating bands
+    for ``ChemTrajectory.ergotropy``.
 
     Bands whose initial weight cannot reach the output precision even after
     their Gershgorin growth bound over the grid span are frozen at zero
@@ -430,6 +459,9 @@ def evolve_oscillator(
         amplitudes=amps,
         top_populations=top[:last],
         truncated=last < t.size,
+        _bands=compact if last == t.size else compact[:last].copy(),
+        _layout=kept_layout,
+        _levels=spec.omega * np.arange(float(d)),
     )
 
 
@@ -578,6 +610,9 @@ _GILLESPIE_BLOCK = 1 << 16  # trajectories that share one generator
 # expected jumps per trajectory above which sampling is refused: each jump is
 # one lockstep round of roughly 20 us, so the limit is about 20 s of rounds
 _GILLESPIE_JUMPS = 10**6
+# expected jump events of the whole ensemble (trajectories x jumps) above
+# which sampling is refused: at 25-50 ns per event, about 25-50 s of work
+_GILLESPIE_EVENTS = 10**9
 
 
 def _expected_jumps(n0: int, gamma_up: float, gamma_down: float, span: float) -> float:
@@ -621,9 +656,10 @@ def gillespie_ensemble(
 
     Each jump costs one round of array operations, so the run time grows
     with the expected number of jumps per trajectory over the grid span,
-    J = int ((gu + gd) <n> + gu) dt, taken in closed form before sampling.
-    A J above 10^6 (or one that overflows) raises NumericalDrift instead of
-    running for hours.
+    J = int ((gu + gd) <n> + gu) dt, taken in closed form before sampling,
+    and the total work with trajectories x J.  A J above 10^6 (or one that
+    overflows), or more than 10^9 expected events in all, raises
+    NumericalDrift instead of running for minutes or hours.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
@@ -639,6 +675,12 @@ def gillespie_ensemble(
             f"replicator needs {jumps:.3g} expected jumps per trajectory, above "
             f"the limit {_GILLESPIE_JUMPS:.0e} (gamma_up = {gamma_up:.3g}, "
             f"gamma_down = {gamma_down:.3g})"
+        )
+    if not trajectories * jumps <= _GILLESPIE_EVENTS:
+        raise NumericalDrift(
+            f"replicator needs {trajectories} trajectories x {jumps:.3g} expected "
+            f"jumps = {trajectories * jumps:.3g} events, above the limit "
+            f"{_GILLESPIE_EVENTS:.0e}"
         )
     n_samp = t.size
     total = np.zeros(n_samp)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from ..errors import InvalidDimension, ShapeError, ZeroOccupation
+from ..errors import InvalidDimension, NumericalDrift, ShapeError, ZeroOccupation
 from ..gkls import (
     GeneratorFamily,
     GklsGenerator,
@@ -244,10 +244,16 @@ def _single_particle_weights(spec: PvSpec, xi: float, voltage) -> np.ndarray:
 def _gc_diagonal(spec: PvSpec, xi: float, voltage) -> np.ndarray:
     eps = _single_particle_weights(spec, xi, voltage)
     w = np.ones(1)
-    # mode q lives in bit q, so higher modes enter the kron on the left
-    for q in range(spec.n_modes):
-        w = np.kron(np.array([1.0, np.exp(-spec.beta * eps[q])]), w)
-    return w / w.sum()
+    # an overflowing weight is reported below, by the voltage that caused it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # mode q lives in bit q, so higher modes enter the kron on the left
+        for q in range(spec.n_modes):
+            w = np.kron(np.array([1.0, np.exp(-spec.beta * eps[q])]), w)
+        w = w / w.sum()
+    if not np.isfinite(w).all():
+        at = "mu_c" if voltage is None else f"voltage {float(voltage):.6g}"
+        raise NumericalDrift(f"grand-canonical weights are non-finite at {at}")
+    return w
 
 
 def pv_grand_canonical(spec: PvSpec, xi: float = 0.0, voltage: float = None) -> DensityMatrix:

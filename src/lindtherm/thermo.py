@@ -344,9 +344,12 @@ def ergotropy(rho, hamiltonian: np.ndarray) -> float:
     spectra and an elementwise tr(rho H) are computed.  The sorted pairing
     makes the raw value nonnegative up to rounding (trace inequality);
     negative dust is clamped to zero.  A diagonal H gives its levels by a
-    sort, with no eigensolver.
+    sort, with no eigensolver.  A real state (a float array) stays real, so
+    its spectrum comes from the real symmetric eigensolver.
     """
     r = as_operator(rho, "state")
+    if np.isrealobj(getattr(rho, "matrix", rho)):
+        r = r.real
     h = as_operator(hamiltonian, "hamiltonian")
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from lindtherm import (
     gibbs_state,
     trace_distance,
 )
+from lindtherm.cli import main
 from lindtherm.models.chem import (
     BirthDeathState,
     ChemSpec,
@@ -345,6 +347,29 @@ def test_ergotropy_window_tracks_coherent_energy():
         assert abs(w - abs(traj.amplitudes[i]) ** 2) < 1e-4
 
 
+@pytest.mark.parametrize("dim, alpha, decoherence, t_max, truncated", [
+    (60, 1.5, 0.0, 1.0, False),
+    (60, 1.5 * np.exp(0.7j), 0.0, 1.0, False),
+    (60, 1.5, 0.3, 1.0, False),
+    (12, 1.0, 0.0, 4.0, True),
+], ids=["real", "complex", "decoherence", "truncated"])
+def test_trajectory_ergotropy_matches_lab_frame_states(dim, alpha, decoherence, t_max,
+                                                       truncated):
+    # the co-rotating matrix has the lab-frame energy and spectrum, so its
+    # ergotropy is the one of the validated lab-frame state
+    spec = ChemSpec(1.3, 0.5, 0.25, decoherence=decoherence, dim=dim)
+    times = np.linspace(0.0, t_max, 17)
+    traj = evolve_oscillator(spec, coherent_state(alpha, dim), times, on_overflow="truncate")
+    assert traj.truncated == truncated
+    h = np.diag(spec.omega * np.arange(float(dim)))
+    for i in [*range(len(traj.states)), -1]:
+        ref = ergotropy(traj.states[i], h)
+        assert abs(traj.ergotropy(i) - ref) <= 1e-12 * (1.0 + ref)
+    assert traj.ergotropy(-1) == traj.ergotropy(len(traj.states) - 1)
+    with pytest.raises(IndexError):  # a truncated run keeps only its valid samples
+        traj.ergotropy(len(traj.states))
+
+
 def test_overflow_raise_and_truncate():
     spec = ChemSpec(1.0, 0.5, 0.25, dim=12)
     times = np.linspace(0.0, 4.0, 17)
@@ -575,6 +600,21 @@ def test_gillespie_too_many_jumps_raises_drift(tmp_path):
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "NumericalDrift" in proc.stderr and "expected jumps" in proc.stderr
     assert "gamma_up = 1e+09" in proc.stderr and "gamma_down = 1e+09" in proc.stderr
+
+
+def test_gillespie_too_much_total_work_raises_drift(tmp_path):
+    # each trajectory is far below the per-trajectory jump limit, but the
+    # ensemble needs about 1.8e9 jump events in all
+    start = time.perf_counter()
+    with pytest.raises(NumericalDrift, match="20000 trajectories"):
+        gillespie_ensemble(0, 300.0, 300.0, np.linspace(0.0, 1.0, 5), 20_000, seed=3)
+    assert time.perf_counter() - start < 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": "replicator", "gamma_up": 300.0, "gamma_down": 300.0, "n0": 0,
+        "n_max": 40, "grid": {"t_max": 1.0, "steps": 4}, "trajectories": 20_000, "seed": 5,
+    }))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
 def test_quantum_classical_populations_agree():

@@ -133,6 +133,48 @@ def test_chem_engine(tmp_path):
     assert manifest["extras"]["truncated"] is False
 
 
+def _chem_phase_config(alpha):
+    return {
+        "scenario": "chem-engine",
+        "chem": {"omega": 1.1, "gamma_up": 0.5, "gamma_down": 0.25,
+                 "decoherence": 0.05, "dim": 60},
+        "initial_alpha": alpha,
+        "grid": {"t_max": 1.0, "steps": 5},
+    }
+
+
+def test_chem_engine_csv_is_independent_of_the_phase_of_alpha0(tmp_path):
+    tables = []
+    for name, alpha in (("real", 3.0), ("phase", [3.0 * np.cos(2.1), 3.0 * np.sin(2.1)])):
+        cfg = _write(tmp_path, f"{name}.json", _chem_phase_config(alpha))
+        assert main(["run", cfg, "--out", str(tmp_path / name)]) == 0
+        tables.append(_read_csv(tmp_path / name / "chem_trace.csv")[1])
+    real, phase = tables
+    assert np.all(np.abs(phase - real) <= 1e-12 * np.abs(real))
+
+
+def test_chem_engine_runs_one_real_basis_and_no_generator(tmp_path, monkeypatch):
+    import lindtherm.cli as cli
+    import lindtherm.models.chem as chem
+
+    built, seeds = [], []
+    expm_multiply = chem.expm_multiply
+
+    def spy(sub, diag, sup, v0, tau):
+        seeds.append(v0)
+        return expm_multiply(sub, diag, sup, v0, tau)
+
+    monkeypatch.setattr(chem, "expm_multiply", spy)
+    for module in (chem, cli):
+        monkeypatch.setattr(module, "build_chem_generator",
+                            lambda spec: built.append(spec), raising=False)
+    cfg = _write(tmp_path, "cfg.json",
+                 _chem_phase_config([3.0 * np.cos(2.1), 3.0 * np.sin(2.1)]))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert built == []
+    assert len(seeds) == 1 and not np.imag(seeds[0]).any()
+
+
 def test_replicator(tmp_path):
     cfg = _write(tmp_path, "cfg.json", _replicator_config())
     out = tmp_path / "out"
@@ -349,6 +391,37 @@ def test_overflowing_pv_sweep_exits_three(tmp_path, capsys):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "numerical error" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("v_min, v_max, code, message", [
+    (0.1, 1e308, 3, "numerical error: NumericalDrift: sweep.v_max:"),
+    (1e307, 1e308, 3, "numerical error: NumericalDrift: sweep.v_min:"),
+    (-1e308, 1e308, 2, "config error: sweep.v_max:"),
+])
+def test_overflowing_pv_sweep_names_its_key_without_warnings(tmp_path, v_min, v_max,
+                                                              code, message):
+    cfg = _write(tmp_path, "cfg.json", {
+        "scenario": "pv-sweep",
+        "pv": {
+            "conduction_energies": [1.0],
+            "valence_energies": [0.0],
+            "beta": 2.0,
+            "beta1": 0.6931471805599453,
+            "inter_rates": [[4.0]],
+        },
+        "sweep": {"v_min": v_min, "v_max": v_max, "points": 5},
+    })
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "lindtherm", "run", cfg, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert "RuntimeWarning" not in proc.stderr
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize(

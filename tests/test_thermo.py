@@ -11,6 +11,7 @@ from lindtherm import (
     IncompleteAssignment,
     LindbladTerm,
     NotStationary,
+    ShapeError,
     SupportError,
     Trajectory,
     basis_state,
@@ -265,6 +266,35 @@ def test_ergotropy_degenerate_spectrum():
     rho = np.diag([0.1, 0.5, 0.4])
     # passive populations (0.5, 0.4, 0.1) give energy 0.5; state holds 0.9
     assert ergotropy(rho, h) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_ergotropy_real_state_takes_the_real_solver(monkeypatch):
+    # a float64 state keeps its dtype into the eigensolver, and gives what
+    # the complex route gives for the same matrix
+    import lindtherm.thermo as thermo
+
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(thermo.np.linalg, "eigvalsh",
+                        lambda a: solved.append(a.dtype) or eigvalsh(a))
+    rng = np.random.default_rng(37)
+    for d in (2, 7, 40):
+        x = rng.standard_normal((d, d))
+        rho = x @ x.T + 1e-6 * np.eye(d)
+        rho /= np.trace(rho)
+        y = rng.standard_normal((d, d))
+        for h in (np.diag(rng.uniform(-1.0, 2.0, d)), y + y.T):
+            solved.clear()
+            w_real = ergotropy(rho, h)
+            assert solved[0] == np.float64
+            solved.clear()
+            w_complex = ergotropy(rho.astype(complex), h)
+            assert solved[0] == np.complex128
+            assert abs(w_real - w_complex) <= 1e-13 * (1.0 + abs(w_complex))
+    with pytest.raises(ShapeError):
+        ergotropy(np.ones(3), np.eye(3))
+    with pytest.raises(ShapeError):
+        ergotropy(np.ones((2, 3)), np.eye(2))
 
 
 def test_ergotropy_diagonal_hamiltonian_matches_eigensolver_route():
