@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .models.pv import (
     pv_grand_canonical,
     pv_power_current,
 )
-from .operators import DensityMatrix
+from .operators import DensityMatrix, hermiticity_defect, hermitize
 from .thermo import BathAssignment, law_residuals
 from .tolerances import DEFAULT, Tolerances
 
@@ -105,16 +106,35 @@ def _string(node, path: str, choices=None) -> str:
     return node
 
 
-def _real_matrix(node, path: str) -> np.ndarray:
+# exact entry types a JSON number parses to; bool is not among them
+_NUMBERS = frozenset((int, float))
+
+
+def _matrix_width(node, path: str) -> int:
     if not isinstance(node, list) or not node or not all(isinstance(r, list) for r in node):
         _fail(path, "expected a matrix as a list of rows")
-    width = len(node[0])
-    for i, row in enumerate(node):
-        if len(row) != width:
-            _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                _fail(f"{path}[{i}][{j}]", f"expected a number, got {x!r}")
+    return len(node[0])
+
+
+def _entry_types(rows) -> set:
+    """The exact types of all entries of a list of lists, gathered in C."""
+    return set(map(type, chain.from_iterable(rows)))
+
+
+def _is_rectangular(node, width: int) -> bool:
+    return set(map(len, node)) == {width}
+
+
+def _real_matrix(node, path: str) -> np.ndarray:
+    width = _matrix_width(node, path)
+    if not (_is_rectangular(node, width) and _entry_types(node) <= _NUMBERS):
+        # the row-by-row walk names the first bad row or entry
+        for i, row in enumerate(node):
+            if len(row) != width:
+                _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    _fail(f"{path}[{i}][{j}]", f"expected a number, got {x!r}")
     return _finite_matrix(np.array(node, dtype=float), path)
 
 
@@ -138,9 +158,23 @@ def _complex_entry(node, path: str) -> complex:
 
 
 def _complex_matrix(node, path: str) -> np.ndarray:
-    if not isinstance(node, list) or not node or not all(isinstance(r, list) for r in node):
-        _fail(path, "expected a matrix as a list of rows")
-    width = len(node[0])
+    """A matrix of numbers or of [re, im] pairs, converted by one np.array.
+
+    Any other mix of entries goes through the entry-by-entry walk, which
+    accepts the same forms and names the first bad row or entry.
+    """
+    width = _matrix_width(node, path)
+    if _is_rectangular(node, width):
+        kinds = _entry_types(node)
+        if kinds <= _NUMBERS:
+            return _finite_matrix(np.array(node, dtype=complex), path)
+        if (
+            kinds == {list}
+            and set(map(len, chain.from_iterable(node))) == {2}
+            and _entry_types(chain.from_iterable(node)) <= _NUMBERS
+        ):
+            pairs = np.array(node, dtype=float)  # (rows, width, 2), C order
+            return _finite_matrix(pairs.view(complex)[..., 0], path)
     out = np.zeros((len(node), width), dtype=complex)
     for i, row in enumerate(node):
         if len(row) != width:
@@ -175,9 +209,22 @@ def _tolerances(node, path: str) -> Tolerances:
     return DEFAULT.with_(**values)
 
 
-def _model(node, path: str):
+def _hermitian_part(x: np.ndarray, path: str, tol: Tolerances) -> np.ndarray:
+    """Hermitian part of a square x whose defect is within the config's
+    tolerances.hamiltonian_hermiticity (the library checks against the
+    default)."""
+    defect = hermiticity_defect(x)
+    if defect > tol.hamiltonian_hermiticity:
+        _fail(path, f"hermiticity defect {defect:.3e} exceeds "
+                    f"tolerances.hamiltonian_hermiticity = {tol.hamiltonian_hermiticity:.1e}")
+    return hermitize(x)
+
+
+def _model(node, path: str, tol: Tolerances):
     _check_keys(node, path, {"hamiltonian", "terms", "baths"}, {"hamiltonian", "terms"})
     h = _complex_matrix(node["hamiltonian"], f"{path}.hamiltonian")
+    if h.shape[0] == h.shape[1]:
+        h = _hermitian_part(h, f"{path}.hamiltonian", tol)
     if not isinstance(node["terms"], list):
         _fail(f"{path}.terms", "expected a list")
     terms = []
@@ -206,7 +253,7 @@ def _model(node, path: str):
     return gen, baths
 
 
-def _drive(node, path: str, dim: int):
+def _drive(node, path: str, dim: int, tol: Tolerances):
     _check_keys(
         node, path, {"observable", "amplitude", "frequency"},
         {"observable", "amplitude", "frequency"},
@@ -214,6 +261,7 @@ def _drive(node, path: str, dim: int):
     m = _complex_matrix(node["observable"], f"{path}.observable")
     if m.shape != (dim, dim):
         _fail(f"{path}.observable", f"shape {m.shape} does not match model dim {dim}")
+    m = _hermitian_part(m, f"{path}.observable", tol)
     return (
         m,
         _number(node["amplitude"], f"{path}.amplitude"),
@@ -316,7 +364,7 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     _check_keys(config, "", {"scenario", "seed", "tolerances", "model", "drive",
                              "initial", "grid"},
                 {"scenario", "model", "initial", "grid"})
-    gen, baths = _model(config["model"], "model")
+    gen, baths = _model(config["model"], "model", tol)
     if not baths:
         _fail("model.baths", "evolve needs at least one bath assignment")
     initial = _complex_matrix(config["initial"], "initial")
@@ -328,7 +376,7 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
         _fail("initial", str(exc))
     times = _grid(config["grid"], "grid")
     if "drive" in config:
-        m, g, om = _drive(config["drive"], "drive", gen.dim)
+        m, g, om = _drive(config["drive"], "drive", gen.dim, tol)
         family = modulated_family(gen, m, g, om)
         traj = evolve_driven(family, rho0, times, tol=tol)
     else:
@@ -453,8 +501,8 @@ def _run_engine_power(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     _check_keys(config, "", {"scenario", "seed", "tolerances", "model", "drive",
                              "beta"},
                 {"scenario", "model", "drive"})
-    gen, _ = _model(config["model"], "model")
-    m, g, om = _drive(config["drive"], "drive", gen.dim)
+    gen, _ = _model(config["model"], "model", tol)
+    m, g, om = _drive(config["drive"], "drive", gen.dim, tol)
     family = modulated_family(gen, m, g, om)
     beta = None
     if "beta" in config:

@@ -7,19 +7,18 @@ stationary states rho_bar[xi], the leading-order time-averaged power is
                      R = Omega^2 (Omega^2 + (L*[0])^2)^(-1)
     fast form:       P = -(g^2/2) tr( rho_bar'[0] * L*[0] M )
 
-the second being the high-frequency limit of the first.  Both consume the
-stationary-derivative operator rho_bar'[0], computed here by symmetric
-finite differences of the stationary state with a consistency check on the
-first-order stationarity identity L'[0] rho_bar[0] + L[0] rho_bar'[0] = 0.
-Each stationary state is one bordered LU solve (gkls.stationary_state).  As
+the second being the high-frequency limit of the first.  One bordered LU
+of the assembled L[0] (gkls.stationary_state's route) gives rho_bar[0] and
+then rho_bar'[0] from the first-order stationarity identity
+L'[0] rho_bar[0] + L[0] rho_bar'[0] = 0, tr rho_bar'[0] = 0.  As
 R L* = (Omega^2/2) [(L* + i Omega)^(-1) + (L* - i Omega)^(-1)] and L* preserves
-hermiticity, one LU solve of (L* + i Omega) y = M gives the resolvent form as
--(g^2/2) Omega^2 Re tr(rho_bar'[0] y).
+hermiticity, one LU solve of (L* + i Omega) y = M, L* the adjoint of L[0],
+gives the resolvent form as -(g^2/2) Omega^2 Re tr(rho_bar'[0] y).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +32,16 @@ from .errors import (
 from .gkls import (
     GeneratorFamily,
     GklsGenerator,
-    _solve,
+    _factor,
+    _stationary_factored,
     apply_heisenberg,
+    apply_schrodinger,
     detailed_balance_report,
     gibbs_state,
-    heisenberg_super,
     schrodinger_super,
-    stationary_state,
     weighted_inner_product,
 )
-from .operators import as_operator, unvec, vec
+from .operators import as_operator, dag, hermitize, unvec, vec
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -60,10 +59,12 @@ __all__ = [
 class StationaryDerivative:
     """d(rho_bar)/d(xi) at xi = 0 with its diagnostics.
 
-    ``identity_residual`` is the Frobenius norm of
-    L'[0] rho_bar[0] + L[0] rho_bar'[0] with a finite-difference L'[0];
-    ``richardson_gap`` is the distance between the delta and delta/2
-    difference quotients (an O(delta^2) error estimate).
+    ``rho_prime`` solves L[0] rho' = -L'[0] rho_bar[0], tr rho' = 0, with
+    L'[0] the symmetric difference quotient at step delta;
+    ``richardson_gap`` is its distance to the step-delta/2 solution (an
+    O(delta^2) error estimate, rounding when L is affine in xi);
+    ``identity_residual`` is ||L'[0] rho_bar[0] + L[0] rho_bar'[0]||_F with
+    the independent step-delta/2 L'[0].  ``base_superop`` is L[0]'s matrix.
     """
 
     rho_prime: np.ndarray
@@ -71,6 +72,7 @@ class StationaryDerivative:
     identity_residual: float
     delta: float
     richardson_gap: float
+    base_superop: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def stationary_derivative(
@@ -78,38 +80,36 @@ def stationary_derivative(
     delta: float = None,
     tol: Tolerances = DEFAULT,
 ) -> StationaryDerivative:
-    """Symmetric finite-difference derivative of the stationary state at xi=0.
+    """Derivative of the stationary state at xi = 0 from one factorization.
 
-    Each stationary state is one bordered solve (``stationary_state``) at
-    xi in {0, +-delta, +-delta/2}.  The difference quotients at delta and
-    delta/2 give the Richardson gap; an identity residual above
+    L[0] is assembled and its bordered system factored once; the factors
+    solve for rho_bar, then for rho' at steps delta and delta/2 in one back
+    substitution, with L'[0] rho_bar a symmetric difference of the direct
+    actions L[+-h] rho_bar.  An identity residual above
     tol.identity_residual raises IdentityViolation.
     """
     if delta is None:
         delta = 1e-4 * max(1.0, float(np.linalg.norm(family.base.hamiltonian, 2)))
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
 
-    xis = (0.0, delta, -delta)
-    gens = {xi: family.generator_of(xi) if xi else family.base for xi in xis}
-    supers = {xi: schrodinger_super(gen) for xi, gen in gens.items()}
+    s = schrodinger_super(family.base)
+    state, solve = _stationary_factored(s, tol)
+    rho_0 = state.matrix
 
-    def stat(xi: float) -> np.ndarray:
-        gen = gens[xi] if xi in gens else family.generator_of(xi)
-        return stationary_state(gen, tol, superop=supers.get(xi)).matrix
+    def l_prime(h: float) -> np.ndarray:
+        up = apply_schrodinger(family.generator_of(h), rho_0)
+        down = apply_schrodinger(family.generator_of(-h), rho_0)
+        return vec((up - down) / (2.0 * h))
 
-    rho_0 = stat(0.0)
-    rho_p = stat(delta)
-    rho_m = stat(-delta)
-    prime = (rho_p - rho_m) / (2.0 * delta)
-    half = delta / 2.0
-    prime_half = (stat(half) - stat(-half)) / (2.0 * half)
+    lp = np.stack([l_prime(delta), l_prime(delta / 2.0)], axis=1)
+    rhs = -lp
+    rhs[0] = 0.0  # row 0 of the bordered system is the trace: tr rho' = 0
+    x = solve(rhs)
+    prime, prime_half = (hermitize(unvec(x[:, k])) for k in (0, 1))
     gap = float(np.linalg.norm(prime - prime_half))
-
-    s_0, s_p, s_m = (supers[xi] for xi in xis)
-    l_prime = (s_p - s_m) / (2.0 * delta)
-    residual = float(np.linalg.norm(l_prime @ vec(rho_0) + s_0 @ vec(prime)))
+    residual = float(np.linalg.norm(lp[:, 1] + s @ vec(prime)))
     if residual > tol.identity_residual:
         raise IdentityViolation(
             f"first-order stationarity identity residual {residual:.3e} exceeds "
@@ -122,6 +122,7 @@ def stationary_derivative(
         identity_residual=residual,
         delta=delta,
         richardson_gap=gap,
+        base_superop=s,
     )
 
 
@@ -136,11 +137,11 @@ def _resolvent_value(
     sd: StationaryDerivative,
     tol: Tolerances,
 ) -> float:
-    ls = heisenberg_super(family.base)
+    ls = dag(sd.base_superop)  # L*[0]: the adjoint of the assembled L[0]
     om = family.frequency
     ls[np.diag_indices_from(ls)] += 1j * om
-    y = _solve(ls, vec(family.drive_observable), np.sqrt(tol.resolvent_condition),
-               ResolventSingular, "resolvent system L* + i Omega")
+    y = _factor(ls, np.sqrt(tol.resolvent_condition), ResolventSingular,
+                "resolvent system L* + i Omega")(vec(family.drive_observable))
     g = family.amplitude
     return -0.5 * g * g * om * om * float(np.trace(sd.rho_prime @ unvec(y)).real)
 

@@ -419,24 +419,46 @@ def modulated_family(
 
 # --- stationary states -------------------------------------------------------
 
-def _solve(a: np.ndarray, b: np.ndarray, limit: float, error, what: str) -> np.ndarray:
-    """x with a x = b by one LU factorization.
+def _factor(a: np.ndarray, limit: float, error, what: str):
+    """One LU factorization of a, returned as its solver b -> a^(-1) b.
 
-    Raises ``error`` when a is exactly singular or its one-norm reciprocal
-    condition estimate (LAPACK ?gecon) is below 1/limit; NaN fails too.
+    a is overwritten when it is Fortran-ordered.  Raises ``error`` when a is
+    exactly singular or its one-norm reciprocal condition estimate (LAPACK
+    ?gecon) is below 1/limit; NaN fails too.
     """
-    lu, piv, info = lapack.zgetrf(a)
-    rcond = lapack.zgecon(lu, np.linalg.norm(a, 1))[0] if info == 0 else 0.0
+    anorm = np.linalg.norm(a, 1)
+    lu, piv, info = lapack.zgetrf(a, overwrite_a=True)
+    rcond = lapack.zgecon(lu, anorm)[0] if info == 0 else 0.0
     if not rcond * limit >= 1:
         raise error(f"{what}: reciprocal condition estimate {rcond:.3e} below {1 / limit:.1e}")
-    return lapack.zgetrs(lu, piv, b)[0]
+    return lambda b: lapack.zgetrs(lu, piv, b)[0]
 
 
-def stationary_state(
-    gen: GklsGenerator,
-    tol: Tolerances = DEFAULT,
-    superop: np.ndarray = None,
-) -> DensityMatrix:
+def _stationary_factored(s: np.ndarray, tol: Tolerances) -> tuple:
+    """(state, solve) of the generator matrix s; see ``stationary_state``.
+
+    The bordered system is factored once; solve(b) is x with s[1:] x = b[1:]
+    and ||s||_1 tr x = b[0], for one right-hand side or a column stack.
+    """
+    dim = int(round(np.sqrt(s.shape[0])))
+    scale = float(np.linalg.norm(s, 1))
+    a = np.array(s, dtype=complex, order="F")
+    a[0] = scale * vec(np.eye(dim))
+    solve = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
+                    "bordered stationary system")
+    b = np.zeros(s.shape[0], dtype=complex)
+    b[0] = scale
+    rho = hermitize(unvec(solve(b)))
+    resid = float(np.linalg.norm(s @ vec(rho)))
+    if resid > tol.stationarity:
+        raise NotStationary(
+            f"stationary candidate has generator-image norm {resid:.3e} "
+            f"(tolerance {tol.stationarity:.1e})"
+        )
+    return DensityMatrix(rho, tol.with_(positivity=1e-8)), solve
+
+
+def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Unique stationary state by one bordered linear solve.
 
     Trace preservation makes row 0 of the generator matrix L redundant, so
@@ -447,20 +469,7 @@ def stationary_state(
     checked against ||L rho||_F <= tol.stationarity and validated as a state
     with positivity 1e-8.
     """
-    s = schrodinger_super(gen) if superop is None else np.asarray(superop, dtype=complex)
-    scale = float(np.linalg.norm(s, 1))
-    a = np.vstack([scale * vec(np.eye(gen.dim)), s[1:]])
-    b = np.zeros(s.shape[0], dtype=complex)
-    b[0] = scale
-    x = _solve(a, b, 1.0 / tol.kernel_cut, NonUniqueStationary, "bordered stationary system")
-    rho = hermitize(unvec(x))
-    resid = float(np.linalg.norm(s @ vec(rho)))
-    if resid > tol.stationarity:
-        raise NotStationary(
-            f"stationary candidate has generator-image norm {resid:.3e} "
-            f"(tolerance {tol.stationarity:.1e})"
-        )
-    return DensityMatrix(rho, tol.with_(positivity=1e-8))
+    return _stationary_factored(schrodinger_super(gen), tol)[0]
 
 
 def restrict_generator(gen: GklsGenerator, indices) -> GklsGenerator:

@@ -36,7 +36,12 @@ class Tolerances:
         Floor on the reciprocal condition estimate of the bordered stationary
         system; below it the stationary state counts as not unique.
     identity_residual:
-        Bound on the first-order stationarity identity residual.
+        Bound on ||L'[0] rho_bar + L[0] rho_bar'||_F, the first-order
+        stationarity identity residual, where rho_bar' is solved with the
+        step-delta difference quotient of L'[0] and the residual uses the
+        independent step-delta/2 one.  It is O(delta^2) on smooth
+        families, rounding on families affine in xi and large on
+        discontinuous ones.
     log_floor:
         State eigenvalues below this are treated as outside the support.
     resolvent_condition:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindtherm.cli import main, run_scenario
+from lindtherm.cli import _complex_entry, _complex_matrix, _real_matrix, main, run_scenario
 from lindtherm.errors import ConfigError
 
 
@@ -328,6 +328,95 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, field, value):
         assert "model.hamiltonian[1][1]" in err
     elif field == "jump":
         assert "model.terms[1].jump[1][0]" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hamiltonian", True, "model.hamiltonian[1][1]: expected a number or [re, im] pair, got True"),
+    ("hamiltonian", "x", "model.hamiltonian[1][1]: expected a number or [re, im] pair, got 'x'"),
+    ("hamiltonian", None, "model.hamiltonian[1][1]: expected a number or [re, im] pair, got None"),
+    ("hamiltonian", [0.0, 1.0, 2.0],
+     "model.hamiltonian[1][1]: expected a number or [re, im] pair, got [0.0, 1.0, 2.0]"),
+    ("hamiltonian", [0.0, None],
+     "model.hamiltonian[1][1]: expected a number or [re, im] pair, got [0.0, None]"),
+    ("jump", [0.0, True],
+     "model.terms[1].jump[1][0]: expected a number or [re, im] pair, got [0.0, True]"),
+    ("jump", "x", "model.terms[1].jump[1][0]: expected a number or [re, im] pair, got 'x'"),
+    ("ragged", None, "model.terms[0].jump[1]: row length 2 != 3"),
+    ("row", 3.0, "model.hamiltonian: expected a matrix as a list of rows"),
+])
+def test_malformed_matrix_entry_is_a_config_error(tmp_path, capsys, field, value, message):
+    config = _evolve_config()
+    if field == "hamiltonian":
+        config["model"]["hamiltonian"][1][1] = value
+    elif field == "jump":
+        config["model"]["terms"][1]["jump"][1][0] = value
+    elif field == "ragged":
+        config["model"]["terms"][0]["jump"][0] = [0.0, 1.0, 0.0]
+    else:
+        config["model"]["hamiltonian"][1] = value
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _walked(node):
+    """The entry-by-entry conversion that the bulk parse must reproduce."""
+    out = np.zeros((len(node), len(node[0])), dtype=complex)
+    for i, row in enumerate(node):
+        for j, x in enumerate(row):
+            out[i, j] = _complex_entry(x, "m")
+    return out
+
+
+@pytest.mark.parametrize("node", [
+    [[0.1, -0.0], [1e-300, -2.5e17]],
+    [[0, 1], [2 ** 63 + 1, -7]],
+    [[[0.1, -0.0], [-0.0, 3]], [[2 ** 60 + 1, 1e-310], [0, -1.25]]],
+    [[0.5, [0.25, -1]], [-3, [-0.0, 0.0]]],
+])
+def test_bulk_matrix_parse_matches_the_entry_walk(node):
+    parsed = _complex_matrix(node, "m")
+    walked = _walked(node)
+    assert parsed.shape == walked.shape
+    assert parsed.tobytes() == walked.tobytes()
+    if all(type(x) in (int, float) for row in node for x in row):
+        assert _real_matrix(node, "m").tobytes() == walked.real.copy().tobytes()
+
+
+def _hermiticity_config(key, defect, tolerance):
+    config = {
+        "scenario": "engine-power",
+        "tolerances": {"hamiltonian_hermiticity": tolerance},
+        "model": {
+            "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
+            "terms": [
+                {"jump": [[0.0, 1.0], [0.0, 0.0]], "rate": 0.9, "bath": "b"},
+                {"jump": [[0.0, 0.0], [1.0, 0.0]], "rate": 0.3, "bath": "b"},
+            ],
+        },
+        "drive": {"observable": [[0.0, 0.0], [0.0, 0.3]],
+                  "amplitude": 0.4, "frequency": 600.0},
+    }
+    node = config["model"]["hamiltonian"] if key == "model.hamiltonian" \
+        else config["drive"]["observable"]
+    node[1][1] = [node[1][1], defect / 2.0]  # max|X - X+| = defect
+    return config
+
+
+@pytest.mark.parametrize("key", ["model.hamiltonian", "drive.observable"])
+def test_config_tolerance_reaches_the_hermiticity_check(tmp_path, capsys, key):
+    cfg = _write(tmp_path, "ok.json", _hermiticity_config(key, 1e-9, 1e-6))
+    assert main(["run", cfg, "--out", str(tmp_path / "ok")]) == 0
+    exact = _write(tmp_path, "exact.json", _hermiticity_config(key, 0.0, 1e-6))
+    assert main(["run", exact, "--out", str(tmp_path / "exact")]) == 0
+    # the run uses the hermitian part, so the defect leaves no trace
+    assert ((tmp_path / "ok" / "power_report.csv").read_bytes()
+            == (tmp_path / "exact" / "power_report.csv").read_bytes())
+    cfg = _write(tmp_path, "bad.json", _hermiticity_config(key, 1e-5, 1e-6))
+    assert main(["run", cfg, "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: hermiticity defect" in err
+    assert "tolerances.hamiltonian_hermiticity" in err
 
 
 def test_non_finite_initial_alpha_is_a_config_error(tmp_path, capsys):

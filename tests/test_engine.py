@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from lindtherm import (
     GeneratorFamily,
@@ -10,19 +11,23 @@ from lindtherm import (
     LindbladTerm,
     NotEquilibrium,
     ResolventSingular,
+    apply_heisenberg,
     average_power_fast,
     average_power_resolvent,
+    davies_terms,
     equilibrium_power_bound,
     gibbs_state,
     heisenberg_super,
     modulated_family,
     power_report,
     stationary_derivative,
+    stationary_state,
     thermal_family,
     thermal_pair,
     unvec,
     vec,
 )
+from lindtherm import engine, gkls
 
 from conftest import random_thermal_model, unit
 
@@ -209,3 +214,105 @@ def test_resolvent_singular_near_resonance():
                 average_power_resolvent(fam)
         else:
             assert np.isfinite(average_power_resolvent(fam))
+
+
+def _random_two_bath(rng, d):
+    """Gap-separated spectrum, a random drive observable and two Davies baths."""
+    h = np.diag(np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, d - 1))]))
+
+    def hermitian():
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (x + x.conj().T) / 2.0
+
+    m = 0.3 * hermitian()
+    couplings = [(hermitian(), 1.0, 0.5, "cold"), (hermitian(), 0.2, 0.5, "hot")]
+    return h.astype(complex), m, couplings
+
+
+def _bordered_lstsq(s, rhs, trace):
+    """x with s x = rhs and tr x = trace, by least squares on the stacked system."""
+    d = int(round(np.sqrt(s.shape[0])))
+    a = np.vstack([s, np.eye(d).reshape(1, -1)])
+    return unvec(np.linalg.lstsq(a, np.append(rhs, trace), rcond=None)[0])
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_stationary_derivative_is_exact_for_modulated_family(d):
+    # H0 + xi M with frozen terms: L' = -i[M, .] exactly, so rho' solves
+    # L rho' = i[M, rho_bar], tr rho' = 0, with no finite-difference error
+    rng = np.random.default_rng(100 + d)
+    h, m, couplings = _random_two_bath(rng, d)
+    terms = [t for c, b, r, lbl in couplings for t in davies_terms(h, c, b, r, lbl)]
+    gen = GklsGenerator(h, tuple(terms))
+    with pytest.warns(UserWarning, match="does not commute"):
+        fam = modulated_family(gen, m, 0.3, 600.0)
+    sd = stationary_derivative(fam)
+    s = gkls.schrodinger_super(gen)
+    rho_bar = _bordered_lstsq(s, np.zeros(d * d), 1.0)
+    ref = _bordered_lstsq(s, vec(1j * (m @ rho_bar - rho_bar @ m)), 0.0)
+    assert np.linalg.norm(ref) > 1e-3
+    assert np.linalg.norm(sd.rho_prime - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert sd.identity_residual < 1e-13
+    assert sd.richardson_gap < 1e-10
+
+
+def _five_point_powers(fam):
+    """(fast, resolvent) by the five-stationary-state route, kept as a reference.
+
+    rho' is the difference quotient of the stationary states at +-delta (the
+    route's states at +-delta/2 only fed its Richardson gap), and the
+    resolvent is a dense solve with the Heisenberg matrix plus i Omega.
+    """
+    delta = 1e-4 * max(1.0, float(np.linalg.norm(fam.base.hamiltonian, 2)))
+    prime = (stationary_state(fam.generator_of(delta)).matrix
+             - stationary_state(fam.generator_of(-delta)).matrix) / (2.0 * delta)
+    g2, om = fam.amplitude ** 2, fam.frequency
+    m = fam.drive_observable
+    fast = -0.5 * g2 * float(np.trace(prime @ apply_heisenberg(fam.base, m)).real)
+    ls = heisenberg_super(fam.base) + 1j * om * np.eye(fam.base.dim ** 2)
+    y = unvec(np.linalg.solve(ls, vec(m)))
+    resolvent = -0.5 * g2 * om * om * float(np.trace(prime @ y).real)
+    return fast, resolvent
+
+
+@pytest.mark.parametrize("model", ["triangle", "two-bath"])
+def test_power_report_agrees_with_five_point_route(model):
+    if model == "triangle":
+        fam = triangle_engine()
+    else:
+        h, m, couplings = _random_two_bath(np.random.default_rng(7), 5)
+        fam = thermal_family(h, np.diag(np.diag(m).real), couplings, 0.3, 600.0)
+    rep = power_report(fam)
+    fast, resolvent = _five_point_powers(fam)
+    assert abs(fast) > 1e-6
+    assert rep.p_bar_fast == pytest.approx(fast, rel=1e-6, abs=0)
+    assert rep.p_bar_resolvent == pytest.approx(resolvent, rel=1e-6, abs=0)
+
+
+def test_power_report_assembles_once_and_factors_twice(monkeypatch):
+    counts = {"schrodinger": 0, "heisenberg": 0, "zgetrf": 0}
+
+    def spy(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    fam = triangle_engine()
+    schrodinger = spy("schrodinger", gkls.schrodinger_super)
+    heisenberg = spy("heisenberg", gkls.heisenberg_super)
+    for module in (gkls, engine):
+        monkeypatch.setattr(module, "schrodinger_super", schrodinger)
+        monkeypatch.setattr(module, "heisenberg_super", heisenberg, raising=False)
+    monkeypatch.setattr(lapack, "zgetrf", spy("zgetrf", lapack.zgetrf))
+    power_report(fam)
+    assert counts == {"schrodinger": 1, "heisenberg": 0, "zgetrf": 2}
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_non_finite_or_zero_delta_is_rejected(delta):
+    fam = triangle_engine()
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        stationary_derivative(fam, delta=delta)
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        power_report(fam, delta=delta)
