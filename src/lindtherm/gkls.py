@@ -54,7 +54,6 @@ __all__ = [
     "GeneratorFamily",
     "Trajectory",
     "DetailedBalanceReport",
-    "hamiltonian_super",
     "schrodinger_super",
     "heisenberg_super",
     "apply_schrodinger",
@@ -65,8 +64,6 @@ __all__ = [
     "thermal_family",
     "modulated_family",
     "stationary_state",
-    "restrict_generator",
-    "embed_state",
     "evolve",
     "evolve_driven",
     "weighted_inner_product",
@@ -230,12 +227,6 @@ class Trajectory:
 
 
 # --- superoperator assembly -------------------------------------------------
-
-def hamiltonian_super(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i[H, rho]."""
-    h = as_operator(h, "hamiltonian")
-    return -1j * (left_mul(h) - right_mul(h))
-
 
 def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
     """Full generator matrix acting on vectorized states.
@@ -434,91 +425,54 @@ def _factor(a: np.ndarray, limit: float, error, what: str):
     return lambda b: lapack.zgetrs(lu, piv, b)[0]
 
 
-def _stationary_factored(s: np.ndarray, tol: Tolerances) -> tuple:
-    """(state, solve) of the generator matrix s; see ``stationary_state``.
+def _bordered_solve(s: np.ndarray, trace: np.ndarray, tol: Tolerances) -> tuple:
+    """(x, solve): the kernel vector of s with trace . x = 1, and the solver.
 
-    The bordered system is factored once; solve(b) is x with s[1:] x = b[1:]
-    and ||s||_1 tr x = b[0], for one right-hand side or a column stack.
+    Row 0 of s, redundant when s preserves the trace functional ``trace``,
+    is replaced by that functional scaled by ||s||_1 (by 1 when s = 0, whose
+    kernel is unique only in dimension one), and the system is factored
+    once; solve(b) is y with s[1:] y = b[1:] and scale * trace . y = b[0],
+    for one right-hand side or a column stack.  A reciprocal condition
+    estimate below tol.kernel_cut raises NonUniqueStationary, and
+    ||s x|| > tol.stationarity raises NotStationary.
     """
-    dim = int(round(np.sqrt(s.shape[0])))
-    scale = float(np.linalg.norm(s, 1))
+    scale = float(np.linalg.norm(s, 1)) or 1.0
     a = np.array(s, dtype=complex, order="F")
-    a[0] = scale * vec(np.eye(dim))
+    a[0] = scale * trace
     solve = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
                     "bordered stationary system")
     b = np.zeros(s.shape[0], dtype=complex)
     b[0] = scale
-    rho = hermitize(unvec(solve(b)))
-    resid = float(np.linalg.norm(s @ vec(rho)))
+    x = solve(b)
+    resid = float(np.linalg.norm(s @ x))
     if resid > tol.stationarity:
         raise NotStationary(
             f"stationary candidate has generator-image norm {resid:.3e} "
             f"(tolerance {tol.stationarity:.1e})"
         )
-    return DensityMatrix(rho, tol.with_(positivity=1e-8)), solve
+    return x, solve
+
+
+def _stationary_factored(s: np.ndarray, tol: Tolerances) -> tuple:
+    """(state, solve) of the generator matrix s; see ``stationary_state``."""
+    dim = int(round(np.sqrt(s.shape[0])))
+    x, solve = _bordered_solve(s, vec(np.eye(dim)), tol)
+    return DensityMatrix(hermitize(unvec(x)), tol.with_(positivity=1e-8)), solve
 
 
 def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Unique stationary state by one bordered linear solve.
 
     Trace preservation makes row 0 of the generator matrix L redundant, so
-    it is replaced by the trace functional scaled by ||L||_1 and the system
-    is solved against ||L||_1 e_0.  A kernel of dimension other than one
-    makes that system singular: its reciprocal condition estimate below
-    tol.kernel_cut raises NonUniqueStationary.  The solution is hermitized,
-    checked against ||L rho||_F <= tol.stationarity and validated as a state
+    it is replaced by the trace functional scaled by ||L||_1 (by 1 when
+    L = 0, as for a one-level system) and the system is solved against
+    that scale times e_0.  A kernel of dimension other than one makes that
+    system singular: its reciprocal condition estimate below tol.kernel_cut
+    raises NonUniqueStationary.  The solution is checked against
+    ||L rho||_F <= tol.stationarity, hermitized and validated as a state
     with positivity 1e-8.
     """
     return _stationary_factored(schrodinger_super(gen), tol)[0]
-
-
-def restrict_generator(gen: GklsGenerator, indices) -> GklsGenerator:
-    """Restriction of a generator to an invariant span of basis states.
-
-    Every jump operator and the Hamiltonian must be block diagonal with
-    respect to the chosen index set (no coupling in either direction), so
-    the restricted dynamics is autonomous GKLS on the subspace.
-    """
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.size == 0 or np.unique(idx).size != idx.size:
-        raise ShapeError("indices must be a nonempty list of distinct integers")
-    dim = gen.dim
-    if idx.min() < 0 or idx.max() >= dim:
-        raise ShapeError(f"indices outside 0..{dim - 1}")
-    rest = np.setdiff1d(np.arange(dim), idx)
-
-    def check_block(mat: np.ndarray, name: str):
-        if rest.size == 0:
-            return
-        off = max(
-            float(np.max(np.abs(mat[np.ix_(rest, idx)]))),
-            float(np.max(np.abs(mat[np.ix_(idx, rest)]))),
-        )
-        if off > 1e-12:
-            raise ShapeError(
-                f"{name} couples the subspace to its complement (max entry {off:.3e})"
-            )
-
-    check_block(gen.hamiltonian, "hamiltonian")
-    sub_h = gen.hamiltonian[np.ix_(idx, idx)]
-    sub_terms = []
-    for k, term in enumerate(gen.terms):
-        check_block(term.jump, f"terms[{k}]")
-        sub_terms.append(
-            LindbladTerm(term.jump[np.ix_(idx, idx)], term.rate, term.bath_label)
-        )
-    return GklsGenerator(sub_h, tuple(sub_terms))
-
-
-def embed_state(rho_sub: np.ndarray, indices, dim: int) -> np.ndarray:
-    """Place a subspace state back into the full space as a matrix."""
-    idx = np.asarray(indices, dtype=int)
-    sub = as_operator(rho_sub, "subspace state")
-    if sub.shape[0] != idx.size:
-        raise ShapeError(f"state of size {sub.shape[0]} for {idx.size} indices")
-    full = np.zeros((dim, dim), dtype=complex)
-    full[np.ix_(idx, idx)] = sub
-    return full
 
 
 # --- propagation -------------------------------------------------------------
@@ -675,13 +629,20 @@ def detailed_balance_report(
         )
     root = (vecs * np.sqrt(vals)) @ dag(vecs)
     root_inv = (vecs * (1.0 / np.sqrt(vals))) @ dag(vecs)
-    t_mat = np.kron(root.T, np.eye(gen.dim))
-    t_inv = np.kron(root_inv.T, np.eye(gen.dim))
+    d = gen.dim
+    eye = np.eye(d)
 
-    ham_star = -hamiltonian_super(gen.hamiltonian)
-    dis_star = heisenberg_super(gen) - ham_star
-    ham_gns = t_mat @ ham_star @ t_inv
-    dis_gns = t_mat @ dis_star @ t_inv
+    # T S T^-1 with T = right multiplication by root is one O(d^5)
+    # contraction.  The Hamiltonian part X -> i[H, X] of S maps to
+    # Y -> i(H Y - Y M), M = root^-1 H root; the dissipative part is the rest.
+    dis_gns = np.einsum(
+        "aj,iakb,lb->ijkl",
+        root, heisenberg_super(gen).reshape(d, d, d, d, order="F"), root_inv,
+        optimize=True,
+    ).reshape(d * d, d * d, order="F")
+    m = root_inv @ gen.hamiltonian @ root
+    ham_gns = 1j * (np.kron(eye, gen.hamiltonian) - np.kron(m.T, eye))
+    dis_gns -= ham_gns
 
     r_d = float(np.linalg.norm(0.5 * (dis_gns - dag(dis_gns))))
     r_h = float(np.linalg.norm(0.5 * (ham_gns + dag(ham_gns))))

@@ -17,6 +17,15 @@ generator's kernel is one state per charge sector; the sector tools below
 pv_floating_voltage) work within a fixed total charge, which is where the
 grand-canonical ansatz can be compared against the true kernel.
 
+Sector states are diagonal in the occupation basis.  H0 is diagonal, and
+each jump (c_k'+ c_k within a band, c_l+ c_k across the gap, or a
+reverse) maps every occupation state to at most one other, up to a sign,
+so the generator maps diagonal states to diagonal states.  A sector's
+populations then obey the Pauli master equation, whose rates are
+rate_j |V_j[b', b]|^2 (Davies 1974; Spohn 1977), and
+sector_stationary_state solves that block: one row per sector state
+instead of one per pair of states.
+
 Both power routes read the interband current in the Heisenberg picture,
 tr(N_c L rho) = tr(L*(N_c) rho).  Only the grand-canonical state depends on
 the voltage, so pv_power_current and pv_power_fast_ansatz take a 1-d array
@@ -37,10 +46,9 @@ from ..gkls import (
     GeneratorFamily,
     GklsGenerator,
     LindbladTerm,
+    _bordered_solve,
     apply_heisenberg,
-    embed_state,
-    restrict_generator,
-    stationary_state,
+    modulated_family,
 )
 from ..operators import DensityMatrix, dag, fermion_mode
 from ..tolerances import DEFAULT, Tolerances
@@ -165,12 +173,15 @@ def open_circuit_voltage(spec: PvSpec) -> float:
     return spec.gap * (1.0 - spec.beta1 / spec.beta)
 
 
+def _filled(spec: PvSpec, n_modes: int) -> np.ndarray:
+    """Occupied modes among modes 0 .. n_modes - 1, per basis index."""
+    b = np.arange(spec.dim)
+    return sum((b >> q) & 1 for q in range(n_modes))
+
+
 def pv_number_operator(spec: PvSpec) -> np.ndarray:
     """Conduction charge N_c = sum_k c_k+ c_k (diagonal in occupation basis)."""
-    diag = np.zeros(spec.dim)
-    for b in range(spec.dim):
-        diag[b] = bin(b & ((1 << spec.n_conduction) - 1)).count("1")
-    return np.diag(diag).astype(complex)
+    return np.diag(_filled(spec, spec.n_conduction)).astype(complex)
 
 
 def _mode_energies(spec: PvSpec) -> np.ndarray:
@@ -222,13 +233,12 @@ def build_pv_family(spec: PvSpec) -> GeneratorFamily:
             lift_rate = rate * np.exp(-spec.beta1 * omega_kl)
             terms.append(LindbladTerm(dag(drop), lift_rate, "photon"))
 
-    n_c = pv_number_operator(spec)
-    frozen = tuple(terms)
-
-    def generator_of(xi: float) -> GklsGenerator:
-        return GklsGenerator(h0 + xi * n_c, frozen)
-
-    return GeneratorFamily(generator_of, n_c, spec.amplitude, spec.frequency)
+    return modulated_family(
+        GklsGenerator(h0, tuple(terms)),
+        pv_number_operator(spec),
+        spec.amplitude,
+        spec.frequency,
+    )
 
 
 def _single_particle_weights(spec: PvSpec, xi: float, voltage) -> np.ndarray:
@@ -383,10 +393,7 @@ def sector_indices(spec: PvSpec, n_electrons: int) -> np.ndarray:
         raise InvalidDimension(
             f"{n_electrons} electrons outside 0..{spec.n_modes}"
         )
-    return np.array(
-        [b for b in range(spec.dim) if bin(b).count("1") == n_electrons],
-        dtype=int,
-    )
+    return np.flatnonzero(_filled(spec, spec.n_modes) == n_electrons)
 
 
 def sector_stationary_state(
@@ -395,13 +402,25 @@ def sector_stationary_state(
     tol: Tolerances = DEFAULT,
 ) -> DensityMatrix:
     """Unique stationary state of the generator within one charge sector,
-    embedded back into the full space."""
-    family = build_pv_family(spec)
-    gen0 = family.base
+    embedded back into the full space.
+
+    The state is diagonal in the occupation basis: H0 is diagonal and every
+    jump is a signed partial permutation of occupation states, so the
+    generator maps diagonal states to diagonal states, and the sector's
+    populations p obey the Pauli master equation Q p = 0 with
+    Q = W - diag(1^T W), W[b', b] = sum_j rate_j |V_j[b', b]|^2 over the
+    sector.  Q is solved by the bordered solve of ``stationary_state`` with
+    the all-ones trace row.
+    """
     idx = sector_indices(spec, n_electrons)
-    sub = restrict_generator(gen0, idx)
-    rho_sub = stationary_state(sub, tol)
-    return DensityMatrix(embed_state(rho_sub.matrix, idx, spec.dim))
+    block = np.ix_(idx, idx)
+    w = np.zeros((idx.size, idx.size))
+    for term in build_pv_family(spec).base.terms:
+        w += term.rate * np.abs(term.jump[block]) ** 2
+    q = w - np.diag(w.sum(axis=0))
+    p = np.zeros(spec.dim)
+    p[idx] = _bordered_solve(q, np.ones(idx.size), tol)[0].real
+    return DensityMatrix(np.diag(p).astype(complex))
 
 
 def pv_conditioned_ansatz(

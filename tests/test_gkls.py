@@ -24,7 +24,6 @@ from lindtherm import (
     dag,
     davies_terms,
     detailed_balance_report,
-    embed_state,
     evolve,
     evolve_driven,
     gibbs_state,
@@ -32,7 +31,6 @@ from lindtherm import (
     hermitize,
     left_mul,
     modulated_family,
-    restrict_generator,
     right_mul,
     sandwich_mul,
     schrodinger_super,
@@ -394,23 +392,15 @@ def test_stationary_state_matches_eig_kernel():
         assert np.allclose(stationary_state(gen).matrix, ref, rtol=0, atol=1e-12)
 
 
-def test_restrict_and_embed():
-    h = np.diag([0.0, 1.0, 5.0]).astype(complex)
-    terms = thermal_pair(unit(0, 1, 3), 0.8, 1.0, 1.0)
-    gen = GklsGenerator(h, tuple(terms))
-    sub = restrict_generator(gen, [0, 1])
-    rho_sub = stationary_state(sub)
-    big = embed_state(rho_sub.matrix, [0, 1], 3)
-    assert np.linalg.norm(apply_schrodinger(gen, big)) < 1e-11
-    assert abs(np.trace(big) - 1.0) < 1e-12
+def test_zero_generator_of_one_level_has_its_state():
+    # L = 0 borders with 1 instead of ||L||_1 = 0: the one state is unique
+    state = stationary_state(GklsGenerator(np.zeros((1, 1)), ()))
+    assert np.array_equal(state.matrix, [[1.0]])
 
 
-def test_restrict_rejects_coupled_cut():
-    h = np.diag([0.0, 1.0, 5.0]).astype(complex)
-    h[0, 2] = h[2, 0] = 0.3  # hamiltonian bridges the cut
-    gen = GklsGenerator(h, tuple(thermal_pair(unit(0, 1, 3), 0.8, 1.0, 1.0)))
-    with pytest.raises(ShapeError):
-        restrict_generator(gen, [0, 1])
+def test_zero_generator_of_two_levels_is_not_unique():
+    with pytest.raises(NonUniqueStationary):
+        stationary_state(GklsGenerator(np.zeros((2, 2)), ()))
 
 
 # --- driven propagation -----------------------------------------------------------

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from lindtherm import (
+    GklsGenerator,
+    LindbladTerm,
     ShapeError,
     ZeroOccupation,
     apply_heisenberg,
     apply_schrodinger,
+    stationary_state,
     trace_distance,
 )
 from lindtherm.cli import main
@@ -364,3 +367,50 @@ def test_pv_sweep_builds_one_generator(tmp_path, monkeypatch):
     }))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert (len(builds), len(heisenberg), len(schrodinger)) == (1, 1, 0)
+
+
+# --- charge-sector states from the population block --------------------------
+
+def _dense_sector_state(spec, n_electrons):
+    """Reference: the sector's full GKLS generator solved densely, embedded."""
+    gen = build_pv_family(spec).base
+    idx = sector_indices(spec, n_electrons)
+    block = np.ix_(idx, idx)
+    sub = GklsGenerator(
+        gen.hamiltonian[block],
+        tuple(LindbladTerm(t.jump[block], t.rate, t.bath_label) for t in gen.terms),
+    )
+    full = np.zeros((spec.dim, spec.dim), dtype=complex)
+    full[block] = stationary_state(sub).matrix
+    return full
+
+
+@pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2()],
+                         ids=["degenerate_2x2", "spread_3x2"])
+def test_sector_state_matches_dense_sector_solve(spec):
+    gen = build_pv_family(spec).base
+    for q in range(spec.n_modes + 1):
+        rho = sector_stationary_state(spec, q).matrix
+        outside = np.setdiff1d(np.arange(spec.dim), sector_indices(spec, q))
+        assert not rho[outside].any() and not rho[:, outside].any(), q
+        assert np.linalg.norm(apply_schrodinger(gen, rho)) <= 1e-12, q
+        assert trace_distance(rho, _dense_sector_state(spec, q)) <= 1e-12, q
+
+
+def test_one_state_sectors_are_basis_states():
+    # the empty and the full sector have a zero generator block
+    spec = degenerate_2x2()
+    for q, b in ((0, 0), (spec.n_modes, spec.dim - 1)):
+        expected = np.zeros((spec.dim, spec.dim))
+        expected[b, b] = 1.0
+        assert np.array_equal(sector_stationary_state(spec, q).matrix, expected), q
+
+
+def test_bit_counts_match_the_per_state_loop():
+    spec = spread_3x2()
+    mask = (1 << spec.n_conduction) - 1
+    loop_nc = [bin(b & mask).count("1") for b in range(spec.dim)]
+    assert np.array_equal(pv_number_operator(spec), np.diag(loop_nc).astype(complex))
+    for q in range(spec.n_modes + 1):
+        loop_idx = [b for b in range(spec.dim) if bin(b).count("1") == q]
+        assert np.array_equal(sector_indices(spec, q), loop_idx), q
