@@ -11,8 +11,16 @@ and on observables as its Hilbert-Schmidt adjoint
 
 On column-stacked operators (see operators.py for the convention) the
 matrix of L is I (x) G + conj(G) (x) I + sum_j rate_j conj(V_j) (x) V_j, and
-the matrix of L* is its conjugate transpose.  Both direct actions and the
-per-bath heat currents evaluate the same kernel a X + X a+ + sum v X v+.
+the matrix of L* is its conjugate transpose.
+
+Every generator keeps one jump table, built on first use: the scaled jumps
+sqrt(rate_j) V_j stacked as a C-contiguous (n, d, d) array, grouped by bath
+label so that each bath is one slice.  Everything else reads that table.
+Flattened to (n, d^2) it is the matrix W whose Gram matrix W^T conj(W) is
+the jump part of the superoperator, up to an index permutation; K_b is one
+GEMM over bath b's slice; and the direct actions and per-bath heat
+currents evaluate the kernel a X + X a+ + sum_j v_j X v_j+ as two GEMMs
+per chunk of the table: Y = [v_j X]_j, then [Y_1 ... Y_m] [v_1+; ...; v_m+].
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm, lapack
+from scipy.linalg import blas, expm, lapack
 
 from .errors import (
     NonUniqueStationary,
@@ -37,7 +45,6 @@ from .errors import (
 from .operators import (
     DensityMatrix,
     as_operator,
-    choi_matrix,
     dag,
     hermiticity_defect,
     hermitize,
@@ -96,7 +103,11 @@ class LindbladTerm:
 class GklsGenerator:
     """Hamiltonian plus a tuple of LindbladTerm channels.
 
-    The d x d matrices K_b (per bath) and G are computed on first use and kept.
+    On first use the generator builds its jump table, sqrt(rate_j) V_j for
+    every term as one C-contiguous (n, d, d) array with the terms grouped
+    by bath label (in order of first appearance), and keeps it together
+    with the d x d matrices K_b (per bath) and G.  The table costs
+    n d^2 16 bytes, as much as the terms themselves.
     """
 
     hamiltonian: np.ndarray
@@ -131,16 +142,41 @@ class GklsGenerator:
     def bath_labels(self) -> tuple:
         return tuple(self._baths)
 
+    @property
+    def _jumps(self) -> np.ndarray:
+        """The jump table: row j is sqrt(rate_j) V_j, grouped by bath label."""
+        return self._table[0]
+
     @cached_property
-    def _baths(self) -> dict:
-        """{bath label: (K_b, terms)}, K_b = sum of rate V+ V over the bath's terms."""
+    def _table(self) -> tuple:
+        """(jump table, {bath label: slice of the table})."""
         groups = {}
         for term in self.terms:
             groups.setdefault(term.bath_label, []).append(term)
-        return {
-            label: (sum(t.rate * (dag(t.jump) @ t.jump) for t in ts), tuple(ts))
-            for label, ts in groups.items()
-        }
+        jumps = np.empty((len(self.terms), self.dim, self.dim), dtype=complex)
+        slices = {}
+        j = 0
+        for label, ts in groups.items():
+            slices[label] = slice(j, j + len(ts))
+            for t in ts:
+                np.multiply(t.jump, np.sqrt(t.rate), out=jumps[j])
+                j += 1
+        return jumps, slices
+
+    @cached_property
+    def _baths(self) -> dict:
+        """{bath label: (K_b, the bath's slice of the jump table)}.
+
+        K_b = sum of rate V+ V over the bath is one GEMM U^H U with U the
+        slice flattened to (n_b d, d); BLAS is handed U^T, F-contiguous, so
+        nothing is copied.
+        """
+        jumps, slices = self._table
+        baths = {}
+        for label, sl in slices.items():
+            u = jumps[sl].reshape(-1, self.dim).T
+            baths[label] = (blas.zgemm(1.0, u, u, trans_b=2).T, jumps[sl])
+        return baths
 
     @cached_property
     def _g(self) -> np.ndarray:
@@ -231,16 +267,27 @@ class Trajectory:
 def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
     """Full generator matrix acting on vectorized states.
 
-    The jump part sum_j rate_j conj(V_j) (x) V_j is one GEMM W^T conj(W), with
-    row j of W = vec(sqrt(rate_j) V_j), put in place by the Choi reshuffle
-    (a self-inverse index permutation).
+    The jump part sum_j rate_j conj(V_j) (x) V_j is an index permutation of
+    the hermitian Gram matrix R = W^T conj(W) of the jump table flattened
+    to W, shape (n, d^2).  One rank-n update (BLAS zherk, reading W^T
+    without a copy) gives its upper triangle U, and R = U + (U - diag U)^H
+    is added in place through two permuted views of U.
     """
     g = gen._g
     s = left_mul(g)
     s += right_mul(dag(g))
     if gen.terms:
-        w = np.stack([vec(term.scaled_jump) for term in gen.terms])
-        s += choi_matrix(w.T @ w.conj())
+        d = gen.dim
+        s4 = s.reshape(d, d, d, d)
+        # u[(a, b), (c, e)] = sum_j V_j[a, b] conj(V_j[c, e]) for (a, b) <= (c, e),
+        # pairs in row-major order.  The kron entry [(i, k), (l, m)] is
+        # R[(k, m), (i, l)]: its upper part is read through u.T, its strict
+        # lower part through the transpose of conj(u) with the diagonal cleared
+        u = blas.zherk(1.0, gen._jumps.reshape(-1, d * d).T)
+        s4 += u.T.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        np.fill_diagonal(u, 0.0)
+        np.conjugate(u, out=u)
+        s4 += u.T.reshape(d, d, d, d).transpose(2, 0, 3, 1)
     return s
 
 
@@ -249,26 +296,42 @@ def heisenberg_super(gen: GklsGenerator) -> np.ndarray:
     return dag(schrodinger_super(gen))
 
 
-def _gkls_action(a: np.ndarray, x: np.ndarray, terms, adjoint: bool = False) -> np.ndarray:
-    """a X + X a+ + sum_j rate_j v_j X v_j+, with v_j = V_j (V_j+ if adjoint).
+# temporaries of one chunk of the jump table in _gkls_action stay below this
+_CHUNK_BYTES = 16 << 20
 
-    Loops over the terms so that every temporary stays d x d.
+
+def _gkls_action(a: np.ndarray, x: np.ndarray, jumps: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """a X + X a+ + sum_j v_j X v_j+ with v_j = jumps[j], or jumps[j]+ if adjoint.
+
+    ``jumps`` is a C-contiguous (n, d, d) stack, summed in chunks whose
+    temporaries stay below _CHUNK_BYTES.  Per chunk, one batched product
+    P_j = Y u_j and one GEMM over the stacked index (j, row) give
+    sum_j P_j^T conj(u_j) = sum_j u_j^T Y^T conj(u_j).  For L, u_j = V_j^T
+    (copied out) and Y = X^T, so the GEMM is [V_1 X ... V_m X] times
+    [V_1+; ...; V_m+]; for L*, u_j = V_j in place and Y = X, which gives
+    the transpose of sum_j V_j+ X V_j.
     """
     out = a @ x + x @ dag(a)
-    for term in terms:
-        v, v_dag = (dag(term.jump), term.jump) if adjoint else (term.jump, dag(term.jump))
-        out += term.rate * (v @ x @ v_dag)
+    d = x.shape[0]
+    y = x if adjoint else x.T
+    step = max(1, _CHUNK_BYTES // (32 * d * d))
+    for lo in range(0, len(jumps), step):
+        u = jumps[lo:lo + step]
+        if not adjoint:
+            u = np.ascontiguousarray(u.transpose(0, 2, 1))
+        z = blas.zgemm(1.0, np.matmul(y, u).reshape(-1, d).T, u.reshape(-1, d).T, trans_b=2)
+        out += z.T if adjoint else z
     return out
 
 
 def apply_schrodinger(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
     """L(X) by direct matrix products (no superoperator assembly)."""
-    return _gkls_action(gen._g, as_operator(x), gen.terms)
+    return _gkls_action(gen._g, as_operator(x), gen._jumps)
 
 
 def apply_heisenberg(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
     """L*(X) by direct matrix products."""
-    return _gkls_action(dag(gen._g), as_operator(x), gen.terms, adjoint=True)
+    return _gkls_action(dag(gen._g), as_operator(x), gen._jumps, adjoint=True)
 
 
 # --- thermal building blocks -------------------------------------------------

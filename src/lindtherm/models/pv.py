@@ -10,6 +10,7 @@ grand-canonical ansatz.
 
 Mode ordering is conduction first, then valence, matching the sign-string
 order of operators.fermion_mode; mode q occupies bit q of the basis index.
+H0 and every jump are formed directly from those bits.
 
 Every jump operator conserves the total electron number, so the full
 generator's kernel is one state per charge sector; the sector tools below
@@ -20,18 +21,20 @@ grand-canonical ansatz can be compared against the true kernel.
 Sector states are diagonal in the occupation basis.  H0 is diagonal, and
 each jump (c_k'+ c_k within a band, c_l+ c_k across the gap, or a
 reverse) maps every occupation state to at most one other, up to a sign,
-so the generator maps diagonal states to diagonal states.  A sector's
+so the generator maps diagonal states to diagonal states.  The
 populations then obey the Pauli master equation, whose rates are
-rate_j |V_j[b', b]|^2 (Davies 1974; Spohn 1977), and
-sector_stationary_state solves that block: one row per sector state
-instead of one per pair of states.
+W[b', b] = sum_j rate_j |V_j[b', b]|^2 (Davies 1974; Spohn 1977), and
+sector_stationary_state solves a sector's block of it: one row per sector
+state instead of one per pair of states.
 
 Both power routes read the interband current in the Heisenberg picture,
-tr(N_c L rho) = tr(L*(N_c) rho).  Only the grand-canonical state depends on
-the voltage, so pv_power_current and pv_power_fast_ansatz take a 1-d array
-of voltages: a sweep builds the generator and applies its adjoint to N_c
-once, then pays O(d^2) per voltage on top of validating that voltage's
-state.
+tr(N_c L rho) = tr(L*(N_c) rho), and read L*(N_c) off the same population
+block: N_c is diagonal too, so L*(N_c) = diag(W^T n - (1^T W) n) with n
+the diagonal of N_c, exactly, in O(n_terms d^2) and without any d^3
+product.  Only the grand-canonical state depends on the voltage, so
+pv_power_current and pv_power_fast_ansatz take a 1-d array of voltages: a
+sweep builds the generator and L*(N_c) once, then pays O(d^2) per voltage
+on top of validating that voltage's state.
 """
 
 from __future__ import annotations
@@ -47,10 +50,9 @@ from ..gkls import (
     GklsGenerator,
     LindbladTerm,
     _bordered_solve,
-    apply_heisenberg,
     modulated_family,
 )
-from ..operators import DensityMatrix, dag, fermion_mode
+from ..operators import DensityMatrix, dag
 from ..tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -173,19 +175,36 @@ def open_circuit_voltage(spec: PvSpec) -> float:
     return spec.gap * (1.0 - spec.beta1 / spec.beta)
 
 
-def _filled(spec: PvSpec, n_modes: int) -> np.ndarray:
-    """Occupied modes among modes 0 .. n_modes - 1, per basis index."""
-    b = np.arange(spec.dim)
-    return sum((b >> q) & 1 for q in range(n_modes))
+def _filled(b: np.ndarray, n_modes: int) -> np.ndarray:
+    """Occupied modes among modes 0 .. n_modes - 1 of each basis index in b."""
+    return sum(((b >> q) & 1 for q in range(n_modes)), np.zeros_like(b))
 
 
 def pv_number_operator(spec: PvSpec) -> np.ndarray:
     """Conduction charge N_c = sum_k c_k+ c_k (diagonal in occupation basis)."""
-    return np.diag(_filled(spec, spec.n_conduction)).astype(complex)
+    return np.diag(_filled(np.arange(spec.dim), spec.n_conduction)).astype(complex)
 
 
 def _mode_energies(spec: PvSpec) -> np.ndarray:
     return np.array(spec.conduction_energies + spec.valence_energies)
+
+
+def _hop(n_modes: int, src: int, dst: int) -> np.ndarray:
+    """c_dst+ c_src on the 2^n occupation basis, read off the occupation bits.
+
+    A basis state with mode src filled and, once src is emptied, mode dst
+    empty goes to the state with src emptied and dst filled; every other
+    state goes to 0.  The sign is the Jordan-Wigner parity of both moves,
+    as in operators.fermion_mode, so the matrix is a signed partial
+    permutation, built without any d x d products.
+    """
+    b = np.arange(1 << n_modes)
+    mid = b ^ (1 << src)
+    ok = (((b >> src) & 1) == 1) & (((mid >> dst) & 1) == 0)
+    parity = _filled(b, src) + _filled(mid, dst)
+    out = np.zeros((b.size, b.size), dtype=complex)
+    out[(mid | (1 << dst))[ok], b[ok]] = 1.0 - 2.0 * (parity[ok] & 1)
+    return out
 
 
 def build_pv_family(spec: PvSpec) -> GeneratorFamily:
@@ -194,15 +213,17 @@ def build_pv_family(spec: PvSpec) -> GeneratorFamily:
     H0 is the free two-band Hamiltonian; the drive coordinate shifts the
     conduction band rigidly, H(xi) = H0 + xi N_c.  Intraband hops couple to
     the phonon bath at beta, interband transitions to the photon bath at
-    beta1; each channel comes with its Gibbs-ratio reverse.
+    beta1; each channel comes with its Gibbs-ratio reverse.  H0 and every
+    jump are formed from the occupation bits of the basis index.
     """
     n = spec.n_modes
     nc = spec.n_conduction
-    modes = [fermion_mode(n, q) for q in range(n)]
     energies = _mode_energies(spec)
-    h0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    b = np.arange(spec.dim)
+    e0 = np.zeros(spec.dim)
     for q in range(n):
-        h0 += energies[q] * (dag(modes[q]) @ modes[q])
+        e0 += energies[q] * ((b >> q) & 1)
+    h0 = np.diag(e0).astype(complex)
 
     terms = []
 
@@ -212,9 +233,7 @@ def build_pv_family(spec: PvSpec) -> GeneratorFamily:
             for kp in range(nb):
                 if k == kp or rates[k, kp] == 0:
                     continue
-                src = modes[band_offset + k]
-                dst = modes[band_offset + kp]
-                hop = dag(dst) @ src
+                hop = _hop(n, band_offset + k, band_offset + kp)
                 terms.append(LindbladTerm(hop, rates[k, kp], "phonon"))
                 back = rates[k, kp] * np.exp(-spec.beta * (band_e[k] - band_e[kp]))
                 terms.append(LindbladTerm(dag(hop), back, "phonon"))
@@ -227,7 +246,7 @@ def build_pv_family(spec: PvSpec) -> GeneratorFamily:
             rate = spec.inter_rates[k, l]
             if rate == 0:
                 continue
-            drop = dag(modes[nc + l]) @ modes[k]
+            drop = _hop(n, k, nc + l)
             terms.append(LindbladTerm(drop, rate, "photon"))
             omega_kl = spec.conduction_energies[k] - spec.valence_energies[l]
             lift_rate = rate * np.exp(-spec.beta1 * omega_kl)
@@ -239,6 +258,19 @@ def build_pv_family(spec: PvSpec) -> GeneratorFamily:
         spec.amplitude,
         spec.frequency,
     )
+
+
+def _pauli_rates(gen: GklsGenerator) -> np.ndarray:
+    """W[b', b] = sum_j rate_j |V_j[b', b]|^2, the Pauli rates between basis states.
+
+    For the cell's generator the populations decouple from the coherences
+    (Davies 1974; Spohn 1977), and W is their whole dynamics:
+    dp/dt = (W - diag(1^T W)) p.
+    """
+    w = np.zeros(gen.hamiltonian.shape)
+    for term in gen.terms:
+        w += term.rate * np.abs(term.jump) ** 2
+    return w
 
 
 def _single_particle_weights(spec: PvSpec, xi: float, voltage) -> np.ndarray:
@@ -304,9 +336,10 @@ def pv_analytic_power(spec: PvSpec, voltage: float = None) -> float:
 def _over_voltages(spec: PvSpec, voltage, power_at):
     """power_at(n_c, lm, v) at each voltage, with lm = L*(N_c) built once.
 
-    One family build and one adjoint action serve the whole sweep.  A scalar
-    or None voltage runs as a batch of one and returns a float; a 1-d array
-    returns an array.
+    One family build serves the whole sweep, and L*(N_c) =
+    diag(W^T n - (1^T W) n) is read off its population block (see the
+    module docstring).  A scalar or None voltage runs as a batch of one and
+    returns a float; a 1-d array returns an array.
     """
     if voltage is None:
         voltages, scalar = [None], True
@@ -317,7 +350,9 @@ def _over_voltages(spec: PvSpec, voltage, power_at):
         voltages, scalar = [float(x) for x in v.reshape(-1)], v.ndim == 0
     family = build_pv_family(spec)
     n_c = family.drive_observable
-    lm = apply_heisenberg(family.base, n_c)
+    n = n_c.diagonal().real
+    w = _pauli_rates(family.base)
+    lm = np.diag(w.T @ n - w.sum(axis=0) * n).astype(complex)
     out = np.array([power_at(n_c, lm, v) for v in voltages], dtype=float)
     return float(out[0]) if scalar else out
 
@@ -338,9 +373,10 @@ def pv_power_current(spec: PvSpec, voltage=None):
 
     The current is read in the Heisenberg picture, tr(L*(N_c) rho_gc(V)):
     only the state depends on V, so ``voltage`` may be a 1-d array and the
-    family build and the one L*(N_c) (each O(n_terms d^3)) are paid once
-    per sweep; each voltage then costs a validated grand-canonical state and
-    two O(d^2) traces.  A scalar or None returns a float, an array an array.
+    family build and the one L*(N_c) (each O(n_terms d^2), see the module
+    docstring) are paid once per sweep; each voltage then costs a validated
+    grand-canonical state and two O(d^2) traces.  A scalar or None returns
+    a float, an array an array.
     """
     g = spec.amplitude
 
@@ -393,7 +429,7 @@ def sector_indices(spec: PvSpec, n_electrons: int) -> np.ndarray:
         raise InvalidDimension(
             f"{n_electrons} electrons outside 0..{spec.n_modes}"
         )
-    return np.flatnonzero(_filled(spec, spec.n_modes) == n_electrons)
+    return np.flatnonzero(_filled(np.arange(spec.dim), spec.n_modes) == n_electrons)
 
 
 def sector_stationary_state(
@@ -413,10 +449,7 @@ def sector_stationary_state(
     the all-ones trace row.
     """
     idx = sector_indices(spec, n_electrons)
-    block = np.ix_(idx, idx)
-    w = np.zeros((idx.size, idx.size))
-    for term in build_pv_family(spec).base.terms:
-        w += term.rate * np.abs(term.jump[block]) ** 2
+    w = _pauli_rates(build_pv_family(spec).base)[np.ix_(idx, idx)]
     q = w - np.diag(w.sum(axis=0))
     p = np.zeros(spec.dim)
     p[idx] = _bordered_solve(q, np.ones(idx.size), tol)[0].real

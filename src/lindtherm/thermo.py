@@ -132,8 +132,8 @@ def heat_currents(
     per_bath = {}
     for bath in baths:
         # L_b(rho) = -(K_b rho + rho K_b)/2 + sum over bath b of rate V rho V+
-        k, terms = gen._baths.get(bath.bath_label, (np.zeros_like(r), ()))
-        flow = _gkls_action(-0.5 * k, r, terms)
+        k, jumps = gen._baths.get(bath.bath_label, (np.zeros_like(r), gen._jumps[:0]))
+        flow = _gkls_action(-0.5 * k, r, jumps)
         per_bath[bath.bath_label] = float(np.trace(h @ flow).real)
     total = float(sum(per_bath.values()))
     return HeatCurrentReport(per_bath=per_bath, total=total)

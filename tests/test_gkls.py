@@ -1,5 +1,7 @@
 """Generator assembly, picture duality, thermal structure, propagation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -112,6 +114,22 @@ def test_schrodinger_super_matches_termwise_reference():
     assert np.allclose(schrodinger_super(bare), _termwise_super(bare), rtol=0, atol=1e-14)
 
 
+def test_schrodinger_super_temporaries_stay_superoperator_sized():
+    # ~1100 jumps at d = 24: the jump table (n d^2 complex, ~10 MB) is
+    # built once by the first call and kept; a later assembly must not copy it
+    gen = _two_bath_model(np.random.default_rng(26), 24)
+    assert len(gen.terms) > 1000
+    schrodinger_super(gen)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        schrodinger_super(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 4 * 16 * 24 ** 4 + (1 << 20)
+
+
 def test_picture_duality():
     """The Heisenberg matrix is the conjugate transpose of the Schrodinger one."""
     rng = np.random.default_rng(21)
@@ -156,21 +174,20 @@ def test_apply_matches_superoperator():
     assert np.allclose(apply_heisenberg(gen, x), unvec(ls @ vec(x)), atol=1e-12)
 
 
-def test_heisenberg_action_bitwise_equals_double_adjoint_form():
-    # the adjoint branch multiplies by V itself on the right; dag(dag(V)) is
-    # a copy of V with V's memory layout, so the products must agree bit for bit
+def test_heisenberg_action_is_adjoint_and_matches_superoperator():
+    # Davies terms plus two dense non-Davies jumps on extra bath labels
     rng = np.random.default_rng(25)
     base, _ = random_thermal_model(rng, 5)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     terms = base.terms + (LindbladTerm(a, 0.3, "c"), LindbladTerm(dag(a), 0.2, "f"))
     gen = GklsGenerator(base.hamiltonian, terms)
     x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    g_dag = dag(gen._g)
-    old = g_dag @ x + x @ dag(g_dag)
-    for term in gen.terms:
-        v = dag(term.jump)
-        old += term.rate * (v @ x @ dag(dag(term.jump)))
-    assert np.array_equal(apply_heisenberg(gen, x), old)
+    y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    lx = apply_heisenberg(gen, x)
+    lhs = np.trace(dag(y) @ lx)
+    rhs = np.trace(dag(apply_schrodinger(gen, y)) @ x)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    assert np.max(np.abs(lx - unvec(heisenberg_super(gen) @ vec(x)))) <= 1e-12
 
 
 # --- closed-form dynamics ------------------------------------------------------

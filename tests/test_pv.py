@@ -13,12 +13,17 @@ from lindtherm import (
     ZeroOccupation,
     apply_heisenberg,
     apply_schrodinger,
+    dag,
+    fermion_mode,
     stationary_state,
     trace_distance,
 )
 from lindtherm.cli import main
 from lindtherm.models.pv import (
     PvSpec,
+    _hop,
+    _over_voltages,
+    _pauli_rates,
     build_pv_family,
     effective_inverse_temperature,
     open_circuit_voltage,
@@ -366,7 +371,30 @@ def test_pv_sweep_builds_one_generator(tmp_path, monkeypatch):
         "sweep": {"v_min": 0.1, "v_max": 0.9, "points": 5},
     }))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert (len(builds), len(heisenberg), len(schrodinger)) == (1, 1, 0)
+    # L*(N_c) comes from the population block, not from a direct action
+    assert (len(builds), len(heisenberg), len(schrodinger)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2()],
+                         ids=["degenerate_2x2", "spread_3x2"])
+def test_population_route_matches_heisenberg_action(spec):
+    lms = []
+    _over_voltages(spec, None, lambda n_c, lm, v: lms.append(lm) or 0.0)
+    gen = build_pv_family(spec).base
+    n_c = pv_number_operator(spec)
+    n = n_c.diagonal().real
+    ref = apply_heisenberg(gen, n_c)
+    assert not (ref - np.diag(ref.diagonal())).any()
+    w = _pauli_rates(gen)
+    scale = w.sum(axis=0).max() * n.max()
+    assert np.max(np.abs(lms[0] - np.diag(ref.diagonal()))) <= 1e-14 * scale
+
+
+def test_hops_equal_fermion_mode_products():
+    for src in range(4):
+        for dst in range(4):
+            expected = dag(fermion_mode(4, dst)) @ fermion_mode(4, src)
+            assert np.array_equal(_hop(4, src, dst), expected), (src, dst)
 
 
 # --- charge-sector states from the population block --------------------------
