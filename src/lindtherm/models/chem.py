@@ -26,6 +26,7 @@ reachable.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import lgamma
 
@@ -303,30 +304,69 @@ def _krylov_samples(factors, gamma, b, tau, scale, out) -> np.ndarray:
     return norms
 
 
+class _LabFrameStates(Sequence):
+    """Read-only sequence of a trajectory's lab-frame states, built on access."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: ChemTrajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.times.size
+
+    def __getitem__(self, i):
+        # a range indexes, slices and raises exactly as a tuple of this length
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return tuple(self._traj._lab_state(j) for j in picked)
+        return self._traj._lab_state(picked)
+
+
 @dataclass(frozen=True)
 class ChemTrajectory:
     """Sampled oscillator evolution with cheap observables alongside states.
 
-    ``states`` are the validated lab-frame density matrices.  The trajectory
-    also keeps each sample in the frame co-rotating with omega N, as the
-    propagated band vectors: rho_rot = e^{i omega N t} rho e^{-i omega N t},
-    real whenever the initial state is real.  ``ergotropy(i)`` reads the
-    ergotropy of sample i from that matrix.  ``truncated`` flags that the
-    requested grid was cut short because the top-level population crossed
-    the guard.
+    The trajectory keeps each sample only in the frame co-rotating with
+    omega N, as the propagated band vectors: rho_rot = e^{i omega N t} rho
+    e^{-i omega N t}, real whenever the initial state is real.
+    ``evolve_oscillator`` certified every sample there, and the certificate
+    holds for the lab-frame state too: the rotation is a diagonal unitary, so
+    it leaves the trace, the diagonal (the only entries whose hermiticity
+    defect the band layout can carry) and the spectrum unchanged.
+
+    ``states`` is a read-only sequence of the lab-frame density matrices
+    (``len``, integer and negative indices, slices and iteration, as a
+    tuple): reading sample i multiplies band k of its co-rotating matrix by
+    e^{i omega k t_i} and returns that matrix as a validated DensityMatrix.
+    Nothing else is stored, so a run that reads no state builds no lab-frame
+    matrix.  ``ergotropy(i)`` reads the ergotropy of sample i from the
+    co-rotating matrix.  ``truncated`` flags that the requested grid was cut
+    short because the top-level population crossed the guard.
     """
 
     times: np.ndarray
-    states: tuple
     energies: np.ndarray
     amplitudes: np.ndarray
     top_populations: np.ndarray
     truncated: bool = False
-    # co-rotating band samples, their flat indices (``_band_layout``) and the
-    # levels omega n of H
+    # co-rotating band samples, their flat indices (``_band_layout``), the
+    # levels omega n of H and the tolerances the samples were certified with
     _bands: np.ndarray = field(default=None, repr=False, compare=False)
     _layout: tuple = field(default=None, repr=False, compare=False)
     _levels: np.ndarray = field(default=None, repr=False, compare=False)
+    _tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
+
+    @property
+    def states(self) -> Sequence:
+        """Lab-frame DensityMatrix of every sample, built when read."""
+        return _LabFrameStates(self)
+
+    def _lab_state(self, i: int) -> DensityMatrix:
+        d = self._levels.size
+        phase = np.exp(1j * self._levels * (self.times[i] - self.times[0]))
+        band = self._layout[0] % (d + 1)  # flat index of rho[n, n + k] is n (d + 1) + k
+        return DensityMatrix(_from_bands(self._bands[i] * phase[band], self._layout, d), self._tol)
 
     def ergotropy(self, i: int) -> float:
         """Ergotropy of sample i against H = omega N.
@@ -334,10 +374,38 @@ class ChemTrajectory:
         H is diagonal and commutes with the rotation e^{i omega N t}, so the
         co-rotating matrix has the lab-frame energy and spectrum, and
         ``thermo.ergotropy`` gives the same value on it; a real start keeps
-        the matrix real, which takes the real symmetric eigensolver.
+        the matrix and the real diagonal H real, which takes the real
+        symmetric eigensolver.
         """
         rho = _from_bands(self._bands[i], self._layout, self._levels.size)
         return thermo.ergotropy(rho, np.diag(self._levels))
+
+
+def _band_certified(v: np.ndarray, slots: np.ndarray, width: int, d: int,
+                    tol: Tolerances) -> bool:
+    """Whether the hermitian matrix with kept bands ``v`` passes the state checks.
+
+    The checks are DensityMatrix's, read off LAPACK lower band storage (row k
+    holds band k, conjugated): finiteness, the trace as the sum of band 0, the
+    hermiticity defect as 2 max|Im band 0| (every other entry mirrors its
+    conjugate exactly), and positivity by a banded Cholesky (dpbtrf/zpbtrf,
+    O(d width^2)) of the matrix plus tol.positivity I.  ``slots`` is each
+    entry's flat index in the C-ordered (d, width) array whose transpose is
+    that storage.  False means undecided, not rejected: the caller lets
+    DensityMatrix decide on the dense matrix.
+    """
+    if not np.isfinite(v).all():
+        return False
+    ab = np.zeros((d, width), dtype=v.dtype)
+    ab.reshape(-1)[slots] = v.conj()
+    diag = ab[:, 0]
+    if abs(complex(diag.sum()) - 1.0) > tol.trace:
+        return False
+    if 2.0 * float(np.max(np.abs(diag.imag))) > tol.hermiticity:
+        return False
+    diag += tol.positivity
+    pbtrf = lapack.zpbtrf if np.iscomplexobj(ab) else lapack.dpbtrf
+    return pbtrf(ab.T, lower=1, overwrite_ab=True)[1] == 0
 
 
 def evolve_oscillator(
@@ -357,10 +425,10 @@ def evolve_oscillator(
     lower one, s = sqrt((n + 1)(m + 1)) with m = n + k, and s = 0 at the end
     of each band, so bands never mix.  The top level uses w = 0 on the
     diagonal because the truncated a a+ has no state to pump into.  The
-    propagated bands are the state in the frame co-rotating with omega N; the
-    rigid rotation i omega k of band k is applied afterwards as a phase to
-    give the lab-frame states, and the trajectory keeps the co-rotating bands
-    for ``ChemTrajectory.ergotropy``.
+    propagated bands are the state in the frame co-rotating with omega N,
+    and the trajectory keeps only them: the rigid rotation i omega k of band
+    k is a phase that ``ChemTrajectory.states`` applies when a lab-frame
+    state is read.
 
     Bands whose initial weight cannot reach the output precision even after
     their Gershgorin growth bound over the grid span are frozen at zero
@@ -373,7 +441,18 @@ def evolve_oscillator(
     vectors at a time until the change of every sample since the previous
     size is below 1e-14 of its norm.  A basis that reaches 400 vectors first,
     or a non-finite result (an overflowing span or rate), raises
-    NumericalDrift, as does a propagated state that fails the state checks.
+    NumericalDrift.
+
+    Each kept sample is certified once, in the co-rotating frame, straight
+    from its bands: they already are LAPACK band storage, so finiteness,
+    trace, hermiticity and positivity (a banded Cholesky of rho_rot + p I,
+    p = max(tol.positivity, 1e-8)) cost O(dim width^2) for the widest kept
+    band, not the O(dim^3) of a dense check.  The rotation e^{i omega N t}
+    is a diagonal unitary, so the certificate holds for the lab-frame state
+    (see ``ChemTrajectory``).  Only a sample whose banded factorization
+    fails goes through DensityMatrix on its dense co-rotating matrix, where
+    the smallest eigenvalue decides: an initial state that fails raises
+    NotAState, a propagated one NumericalDrift naming its time.
 
     The simulation is trusted only while the top Fock level holds less
     than ``guard`` population; beyond that the truncation is biasing the
@@ -442,19 +521,19 @@ def evolve_oscillator(
     state_tol = tol.with_(positivity=max(tol.positivity, 1e-8))
     kept_layout = (layout[0][mask], layout[1][mask])
     kc = k[mask]
-    states = []
+    width = int(kc.max(initial=0)) + 1
+    slots = n[mask] * width + kc
     for i in range(last):
-        phase = np.exp(1j * spec.omega * np.arange(d) * rel_t[i])
-        rho = _from_bands(compact[i] * phase[kc], kept_layout, d)
+        if _band_certified(compact[i], slots, width, d, state_tol):
+            continue
         try:
-            states.append(DensityMatrix(rho, state_tol))
+            DensityMatrix(_from_bands(compact[i], kept_layout, d), state_tol)
         except NotAState as exc:
             if i == 0:
                 raise  # the initial state itself, not a propagated one
             raise NumericalDrift(f"state invariant violated at t = {t[i]:.6g}: {exc}") from exc
     return ChemTrajectory(
         times=t[:last],
-        states=tuple(states),
         energies=energies,
         amplitudes=amps,
         top_populations=top[:last],
@@ -462,6 +541,7 @@ def evolve_oscillator(
         _bands=compact if last == t.size else compact[:last].copy(),
         _layout=kept_layout,
         _levels=spec.omega * np.arange(float(d)),
+        _tol=state_tol,
     )
 
 

@@ -392,11 +392,13 @@ def pv_ansatz_derivative(spec: PvSpec, voltage: float = None) -> np.ndarray:
 
     The exponent is a commuting family, so
     d(rho)/d(xi) = -beta (N_c - <N_c>) rho with no ordering corrections.
+    Both N_c and rho are diagonal, so N_c rho and <N_c> come from their
+    diagonals in O(d).
     """
-    rho = pv_grand_canonical(spec, 0.0, voltage).matrix
-    n_c = pv_number_operator(spec)
-    mean = float(np.trace(n_c @ rho).real)
-    return -spec.beta * (n_c @ rho - mean * rho)
+    p = pv_grand_canonical(spec, 0.0, voltage).matrix.diagonal().real
+    n = _filled(np.arange(spec.dim), spec.n_conduction)
+    n_rho = n * p
+    return np.diag(-spec.beta * (n_rho - float(n_rho.sum()) * p)).astype(complex)
 
 
 def pv_power_fast_ansatz(spec: PvSpec, voltage=None):

@@ -62,11 +62,17 @@ def as_operator(x, name: str = "operator") -> np.ndarray:
 
     Accepts plain arrays and anything exposing a .matrix array (states).
     """
+    return _square(x, name, keep_real=False)
+
+
+def _square(x, name: str, keep_real: bool) -> np.ndarray:
+    """``as_operator``; with ``keep_real`` a real input stays float64."""
     matrix = getattr(x, "matrix", None)
     if isinstance(matrix, np.ndarray):
         x = matrix
     try:
-        arr = np.asarray(x, dtype=complex)
+        dtype = float if keep_real and np.isrealobj(x) else complex
+        arr = np.asarray(x, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"{name} is not matrix-like: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -209,6 +215,9 @@ class DensityMatrix:
     rho + positivity * I; only when that factorization fails does the
     smallest eigenvalue decide (it raises below -positivity).  Rounding in
     the factorization moves the acceptance boundary by O(d eps ||rho||).
+    A matrix whose imaginary part is exactly zero is checked in float64
+    (dpotrf, and the real symmetric eigensolver if it fails), which costs a
+    fraction of the complex route; the stored matrix is complex either way.
     """
 
     __slots__ = ("_matrix",)
@@ -217,22 +226,28 @@ class DensityMatrix:
         m = as_operator(matrix, "density matrix")
         if not np.isfinite(m).all():
             raise NotAState("density matrix has non-finite entries")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > tol.trace:
             raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        adj = m.conj().T.copy()  # contiguous, so both passes below read it row by row
-        defect = float(np.max(np.abs(m - adj)))
+        real = not m.imag.any()
+        part = m.real if real else m
+        # contiguous, so both passes below read it row by row
+        adj = part.T.copy() if real else np.conjugate(part.T, order="C")
+        defect = float(np.abs(part - adj).max())
         if defect > tol.hermiticity:
             raise NotAState(f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}")
-        h = 0.5 * (m + adj)
+        h = 0.5 * (part + adj)
         # h is exactly hermitian, so the transposed view of the shifted copy
         # (Fortran order, factored in place) has the same spectrum.
         shifted = h.copy()
         shifted.reshape(-1)[:: h.shape[0] + 1] += tol.positivity
-        if lapack.zpotrf(shifted.T, overwrite_a=True, clean=False)[1] != 0:
+        potrf = lapack.dpotrf if real else lapack.zpotrf
+        if potrf(shifted.T, overwrite_a=True, clean=False)[1] != 0:
             lo = float(np.linalg.eigvalsh(h)[0])
             if lo < -tol.positivity:
                 raise NotAState(f"minimum eigenvalue {lo:.3e} below -{tol.positivity:.1e}")
+        if real:
+            h = h.astype(complex)
         h.setflags(write=False)
         self._matrix = h
 

@@ -33,7 +33,7 @@ from .gkls import (
     apply_schrodinger,
     stationary_state,
 )
-from .operators import DensityMatrix, as_operator, dag, hermiticity_defect, hermitize
+from .operators import DensityMatrix, _square, as_operator, dag, hermiticity_defect, hermitize
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -344,13 +344,12 @@ def ergotropy(rho, hamiltonian: np.ndarray) -> float:
     spectra and an elementwise tr(rho H) are computed.  The sorted pairing
     makes the raw value nonnegative up to rounding (trace inequality);
     negative dust is clamped to zero.  A diagonal H gives its levels by a
-    sort, with no eigensolver.  A real state (a float array) stays real, so
-    its spectrum comes from the real symmetric eigensolver.
+    sort, with no eigensolver.  Real input (float arrays) stays real, in
+    float64 throughout, so a real state's spectrum comes from the real
+    symmetric eigensolver.
     """
-    r = as_operator(rho, "state")
-    if np.isrealobj(getattr(rho, "matrix", rho)):
-        r = r.real
-    h = as_operator(hamiltonian, "hamiltonian")
+    r = _square(rho, "state", keep_real=True)
+    h = _square(hamiltonian, "hamiltonian", keep_real=True)
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
     energy = float(np.sum(r * h.T).real)

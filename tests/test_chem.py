@@ -16,9 +16,11 @@ import lindtherm.models.chem as chem
 from lindtherm import (
     DensityMatrix,
     DetailedBalanceViolation,
+    NotAState,
     NotAmplifying,
     NumericalDrift,
     ShapeError,
+    Tolerances,
     TruncationOverflow,
     apply_schrodinger,
     basis_state,
@@ -368,6 +370,83 @@ def test_trajectory_ergotropy_matches_lab_frame_states(dim, alpha, decoherence, 
     assert traj.ergotropy(-1) == traj.ergotropy(len(traj.states) - 1)
     with pytest.raises(IndexError):  # a truncated run keeps only its valid samples
         traj.ergotropy(len(traj.states))
+
+
+def test_states_read_like_a_tuple():
+    spec = ChemSpec(1.3, 0.5, 0.25, decoherence=0.1, dim=40)
+    traj = evolve_oscillator(spec, coherent_state(1.2 * np.exp(0.4j), 40),
+                             np.linspace(0.0, 1.0, 6))
+    states = traj.states
+    ref = tuple(states)
+    assert len(states) == len(ref) == 6
+    assert all(isinstance(st, DensityMatrix) for st in ref)
+    for i in (0, 3, -1, -6, np.int64(2)):
+        assert np.array_equal(states[i].matrix, ref[i].matrix)
+    for cut in (slice(1, 4), slice(None, None, -2), slice(10, 20)):
+        got = states[cut]
+        assert isinstance(got, tuple) and len(got) == len(ref[cut])
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got, ref[cut]))
+    for bad in (6, -7):
+        with pytest.raises(IndexError):
+            states[bad]
+    with pytest.raises(TypeError):
+        states[1.0]
+    with pytest.raises(TypeError):
+        states[0] = ref[0]
+
+
+def test_evolver_rejects_bad_states(monkeypatch):
+    # a non-positive or mis-normalized initial state is the caller's error,
+    # NotAState; a propagated sample with a negative population fails its
+    # banded factorization, and the spectrum then rejects it as drift
+    spec = ChemSpec(1.0, 0.5, 0.25, dim=30)
+    times = np.linspace(0.0, 0.5, 3)
+    for diag, reason in (([1.2, -0.2], "minimum eigenvalue"), ([0.5], "trace deviates")):
+        with pytest.raises(NotAState, match=reason):
+            evolve_oscillator(spec, np.diag(diag + [0.0] * (30 - len(diag))), times)
+
+    propagate = chem.expm_multiply
+
+    def negative_population(sub, diag, sup, v0, tau):
+        out = propagate(sub, diag, sup, v0, tau)
+        out[2, 1] -= 0.5  # band 0 (the populations) opens each sample
+        out[2, 2] += 0.5
+        return out
+
+    monkeypatch.setattr(chem, "expm_multiply", negative_population)
+    with pytest.raises(NumericalDrift,
+                       match=r"state invariant violated at t = 0\.5: minimum eigenvalue"):
+        evolve_oscillator(spec, coherent_state(1.0, 30), times)
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_band_certificate_matches_the_spectrum_at_the_boundary(is_complex):
+    # banded states whose smallest eigenvalue sits just inside or just
+    # outside -positivity: the banded Cholesky certifies exactly the states
+    # DensityMatrix accepts
+    d, width, positivity = 80, 6, 1e-8
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if is_complex else 0.0)
+    band = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) < width
+    b = np.where(band, x + x.conj().T, 0.0)
+    lo_b = np.linalg.eigvalsh(b)[0]
+    upper = _band_layout(d)[0]
+    n, k = np.divmod(upper, d + 1)
+    kept = k < width
+    tol = Tolerances().with_(positivity=positivity)
+    for factor in (0.9, 0.99, 1.01, 1.1):
+        low = -positivity * factor
+        shift = (low * np.trace(b).real - lo_b) / (1.0 - low * d)
+        rho = (b + shift * np.eye(d)) / (np.trace(b).real + shift * d)
+        assert (np.linalg.eigvalsh(rho)[0] < -positivity) == (factor > 1.0)
+        v = rho.reshape(-1)[upper[kept]]
+        certified = chem._band_certified(v, n[kept] * width + k[kept], width, d, tol)
+        assert certified == (factor < 1.0)
+        if certified:
+            DensityMatrix(rho, tol)
+        else:
+            with pytest.raises(NotAState, match="minimum eigenvalue"):
+                DensityMatrix(rho, tol)
 
 
 def test_overflow_raise_and_truncate():

@@ -156,6 +156,7 @@ def test_chem_engine_csv_is_independent_of_the_phase_of_alpha0(tmp_path):
 def test_chem_engine_runs_one_real_basis_and_no_generator(tmp_path, monkeypatch):
     import lindtherm.cli as cli
     import lindtherm.models.chem as chem
+    from lindtherm.operators import DensityMatrix
 
     built, seeds = [], []
     expm_multiply = chem.expm_multiply
@@ -168,11 +169,24 @@ def test_chem_engine_runs_one_real_basis_and_no_generator(tmp_path, monkeypatch)
     for module in (chem, cli):
         monkeypatch.setattr(module, "build_chem_generator",
                             lambda spec: built.append(spec), raising=False)
+    # the samples are certified in band storage and the CSV reads no
+    # lab-frame state, so the only dense check is the initial coherent state's
+    checked = []
+    init = DensityMatrix.__init__
+
+    def counted(self, matrix, *args, **kwargs):
+        checked.append(np.array(matrix))
+        init(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counted)
     cfg = _write(tmp_path, "cfg.json",
                  _chem_phase_config([3.0 * np.cos(2.1), 3.0 * np.sin(2.1)]))
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    monkeypatch.undo()
     assert built == []
     assert len(seeds) == 1 and not np.imag(seeds[0]).any()
+    assert len(checked) == 1
+    assert np.array_equal(checked[0], chem.coherent_state(3.0, 60).matrix)
 
 
 def test_replicator(tmp_path):

@@ -210,27 +210,29 @@ def _eigvalsh_counter(monkeypatch):
 def test_density_matrix_positivity_boundary_sweep(monkeypatch, dim, positivity):
     # States whose smallest eigenvalue sits just inside or just outside
     # -positivity: the decision must match the spectrum exactly, and an
-    # accepted state must be certified without computing the spectrum.
+    # accepted state must be certified without computing the spectrum.  A
+    # real orthogonal basis gives real states, which take the float64 route.
     rng = np.random.default_rng(dim)
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     u = np.linalg.qr(x)[0]
     rest = rng.uniform(0.5, 1.5, dim - 1)
     tol = Tolerances().with_(positivity=positivity)
-    for factor in (0.9, 0.99, 1.01, 1.1):
-        low = -positivity * factor
-        vals = np.concatenate([[low], (1.0 - low) * rest / rest.sum()])
-        m = (u * vals) @ u.conj().T
-        lo = np.linalg.eigvalsh(hermitize(m))[0]
-        assert (lo < -positivity) == (factor > 1.0)
-        calls = _eigvalsh_counter(monkeypatch)
-        if lo < -positivity:
-            with pytest.raises(NotAState, match="minimum eigenvalue"):
+    for basis in (u, np.linalg.qr(x.real)[0]):
+        for factor in (0.9, 0.99, 1.01, 1.1):
+            low = -positivity * factor
+            vals = np.concatenate([[low], (1.0 - low) * rest / rest.sum()])
+            m = (basis * vals) @ basis.conj().T
+            lo = np.linalg.eigvalsh(hermitize(m))[0]
+            assert (lo < -positivity) == (factor > 1.0)
+            calls = _eigvalsh_counter(monkeypatch)
+            if lo < -positivity:
+                with pytest.raises(NotAState, match="minimum eigenvalue"):
+                    DensityMatrix(m, tol)
+                assert len(calls) == 1
+            else:
                 DensityMatrix(m, tol)
-            assert len(calls) == 1
-        else:
-            DensityMatrix(m, tol)
-            assert calls == []
-        monkeypatch.undo()
+                assert calls == []
+            monkeypatch.undo()
 
 
 def test_pure_state_passes_through_the_spectral_fallback(monkeypatch):

@@ -28,6 +28,7 @@ from lindtherm.models.pv import (
     effective_inverse_temperature,
     open_circuit_voltage,
     pv_analytic_power,
+    pv_ansatz_derivative,
     pv_conditioned_ansatz,
     pv_floating_voltage,
     pv_grand_canonical,
@@ -328,6 +329,22 @@ def test_current_route_matches_schrodinger_reference(spec):
         ref = prefactor * n_c0 * np.trace(n_c @ apply_schrodinger(gen, rho)).real
         gross = prefactor * n_c0 * np.sum(np.abs(lm * rho.T))
         assert abs(p - ref) <= 1e-12 * gross, v
+
+
+@pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2(), HALF],
+                         ids=["degenerate_2x2", "spread_3x2", "half"])
+def test_ansatz_derivative_matches_dense_products(spec):
+    # the derivative is read off the diagonals of N_c and rho; the dense
+    # products -beta (N_c rho - <N_c> rho) stay here as the reference, and
+    # only the order of the sum giving <N_c> differs
+    n_c = pv_number_operator(spec)
+    for v in (None, 0.2, 0.8):
+        rho = pv_grand_canonical(spec, 0.0, v).matrix
+        ref = -spec.beta * (n_c @ rho - np.trace(n_c @ rho).real * rho)
+        got = pv_ansatz_derivative(spec, v)
+        assert got.dtype == complex and got.shape == ref.shape
+        assert np.count_nonzero(got - np.diag(np.diagonal(got))) == 0
+        assert np.max(np.abs(got - ref)) <= 1e-14 * spec.beta * spec.n_conduction
 
 
 def test_two_dimensional_voltage_raises_shape_error():
