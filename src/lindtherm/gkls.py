@@ -377,19 +377,21 @@ def thermal_pair(
     return down, up
 
 
+_FREQ_TOL = 1e-9  # Bohr gaps closer than this are one frequency
+
+
 def davies_terms(
     hamiltonian: np.ndarray,
     coupling: np.ndarray,
     beta: float,
     base_rate: float = 1.0,
     bath_label: str = "",
-    freq_tol: float = 1e-9,
 ) -> list:
     """Thermal jump terms from the Bohr decomposition of a coupling operator.
 
     The coupling A is split into eigenoperators A_w of the Hamiltonian, one
     per distinct positive Bohr gap w: sorted gaps whose neighbours lie within
-    freq_tol form one group, valued at its first gap in row-major order;
+    _FREQ_TOL (1e-9) form one group, valued at its first gap in row-major order;
     each contributes a Gibbs-ratio pair (A_w, rate), (A_w+, rate e^{-beta w}).
     The zero-frequency block enters once with its identity component removed
     (that component is dynamically inert).  The Gibbs state of H is exactly
@@ -407,13 +409,13 @@ def davies_terms(
         return []
     gaps = vals[cols] - vals[rows]
     order = np.argsort(gaps, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(gaps[order]) > freq_tol) + 1)
+    groups = np.split(order, np.flatnonzero(np.diff(gaps[order]) > _FREQ_TOL) + 1)
     terms = []
     for group in groups:
         w = gaps[group.min()]  # the group's first gap in row-major order
         block = np.zeros((d, d), dtype=complex)
         block[rows[group], cols[group]] = at[rows[group], cols[group]]
-        if abs(w) <= freq_tol:
+        if abs(w) <= _FREQ_TOL:
             block -= (np.trace(block) / d) * np.eye(d)
             if np.linalg.norm(block) > 1e-12:
                 terms.append(LindbladTerm(vecs @ block @ dag(vecs), base_rate, bath_label))

@@ -8,20 +8,20 @@ gamma_up > gamma_down the mode self-oscillates and the mean energy and
 amplitude grow exponentially; the decoherence-dominated diagonal dynamics
 is the classical birth-death replicator.
 
-The number-conserving structure makes every diagonal rho_{n, n+k} of the
-density matrix evolve independently as a tridiagonal system ("band").  The
-generator commutes with e^{i theta N}, so in the frame co-rotating with
-omega N the bands feel no rotation: a real start (a coherent state of real
-alpha) stays real there, and the lab-frame state differs from it only by
-the phase e^{i omega k t} on band k.  All bands share one real tridiagonal
-operator A of size O(dim^2), propagated by shift-and-invert Krylov:
-I - gamma A is factored once, one Arnoldi basis of its inverse serves every
-sample time, and the basis grows only until its error estimate is below
-the output precision.  The cost is O(dim^2) per
-basis vector, independent of the norm of A (which grows with the Fock
-cutoff), instead of O(dim^6) for a dense superoperator exponential.  That is
-what makes the amplification window (mean occupations of a few hundred)
-reachable.
+The number-conserving structure makes every diagonal rho_{n+k, n} of the
+density matrix, row k of its LAPACK lower band storage, evolve on its own
+as a tridiagonal system ("band").  The generator commutes with
+e^{i theta N}, so in the frame co-rotating with omega N the bands feel no
+rotation: a real start (a coherent state of real alpha) stays real there,
+and the lab-frame state differs from it only by the phase e^{-i omega k t}
+on band k.  All bands share one real tridiagonal operator A of size
+O(dim^2), propagated by shift-and-invert Krylov: I - gamma A is factored
+once, one Arnoldi basis of its inverse serves every sample time, and the
+basis grows only until its error estimate reaches the output precision.
+The cost is O(dim^2) per basis vector, independent of the norm of A (which
+grows with the Fock cutoff), instead of O(dim^6) for a dense superoperator
+exponential.  That is what makes the amplification window (mean
+occupations of a few hundred) reachable.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from math import lgamma
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lapack
 
 from .. import thermo
@@ -44,7 +45,7 @@ from ..errors import (
     TruncationOverflow,
 )
 from ..gkls import GklsGenerator, LindbladTerm, _propagate, _time_grid
-from ..operators import DensityMatrix, as_operator, fock_annihilation
+from ..operators import DensityMatrix, as_operator, fock_annihilation, hermiticity_defect
 from ..tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -73,6 +74,11 @@ class Chemistry:
     mu_a: float
     mu_b: float
     mu_c: float
+
+    def __post_init__(self):
+        for name in ("beta", "mu_a", "mu_b", "mu_c"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -169,36 +175,25 @@ def coherent_state(alpha: complex, dim: int) -> DensityMatrix:
 
 # --- banded propagation ------------------------------------------------------
 
-def _band_offsets(d: int) -> np.ndarray:
-    lengths = d - np.arange(d)
-    return np.concatenate([[0], np.cumsum(lengths)])
+def _dense(bands: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The hermitian d x d matrix whose lower bands are ``bands``.
 
-
-def _band_layout(d: int):
-    """Flat indices of band storage in a d x d matrix: (upper, lower).
-
-    Entry i of the band vector holds rho[n, n + k] (flat index ``upper[i]``);
-    its mirror rho[n + k, n] sits at ``lower[i]``.
+    ``bands`` holds the rows ``rows`` (ascending, from 0) of LAPACK lower
+    band storage: the row of band k holds rho[n + k, n] for n < d - k, then
+    k zeros; unlisted bands are zero.  That is scipy's DIA layout with
+    offsets -k.  The upper triangle mirrors it conjugated; the diagonal is
+    band 0 as it is.
     """
-    off = _band_offsets(d)
-    k = np.repeat(np.arange(d), d - np.arange(d))
-    n = np.arange(off[-1]) - off[k]
-    upper = n * (d + 1) + k
-    return upper, upper + k * (d - 1)
-
-
-def _from_bands(v: np.ndarray, layout, d: int) -> np.ndarray:
-    upper, lower = layout
-    rho = np.zeros((d, d), dtype=v.dtype)
-    flat = rho.reshape(-1)
-    flat[lower] = v.conj()
-    flat[upper] = v  # last, so the diagonal keeps the unconjugated band
+    d = bands.shape[1]
+    low = sparse.dia_array((bands, -rows), shape=(d, d)).toarray()
+    rho = low + low.conj().T
+    np.fill_diagonal(rho, bands[0])
     return rho
 
 
 _KRYLOV_STEP = 10  # basis vectors added between two error estimates
 _KRYLOV_CAP = 400  # basis size at which the propagation gives up
-_KRYLOV_TOL = 1e-14  # error estimate allowed, relative to each sample's norm
+_KRYLOV_TOL = 1e-14  # least error estimate asked for, relative to each sample's norm
 
 
 def expm_multiply(sub, diag, sup, v0, tau) -> np.ndarray:
@@ -215,21 +210,26 @@ def expm_multiply(sub, diag, sup, v0, tau) -> np.ndarray:
 
     The basis grows by _KRYLOV_STEP vectors at a time.  Its error estimate is
     how far each sample moved since the previous size; the basis stops
-    growing once that is below _KRYLOV_TOL of the sample's norm at every
-    sample, or once it spans the whole space.  A basis that reaches
-    _KRYLOV_CAP vectors first, a singular or non-finite I - gamma A, and a
-    non-finite result raise NumericalDrift.  A is real, so the real and
-    imaginary parts of a complex v0 run as two separate bases.  Row 0 is v0
-    itself.
+    growing once that is below max(_KRYLOV_TOL, eps ||A||_inf tau[-1]) of
+    the sample's norm at every sample (eps the float64 epsilon: rounding A
+    alone moves the result that much), or once it spans the whole space.
+    A basis that reaches _KRYLOV_CAP vectors first, a singular or
+    non-finite I - gamma A, and a non-finite result raise NumericalDrift.
+    A is real, so the real and imaginary parts of a complex v0 run as two
+    separate bases.  Row 0 is v0 itself.
     """
     is_complex = np.iscomplexobj(v0) and v0.imag.any()
     out = np.empty((tau.size, v0.size), dtype=complex if is_complex else float)
     out[0] = v0 if is_complex else v0.real
     if tau.size == 1:
         return out
+    if v0.size == 2:  # scipy's dgttrf wrapper rejects n = 2: add a decoupled zero entry
+        return expm_multiply(*(np.append(x, 0.0) for x in (sub, diag, sup, v0)), tau)[:, :2]
     gamma = tau[-1] / 20.0
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = (-gamma * sub, 1.0 - gamma * diag, -gamma * sup)
+        row_sums = np.abs(diag) + np.abs(np.append(0.0, sub)) + np.abs(np.append(sup, 0.0))
+        target = max(_KRYLOV_TOL, np.finfo(float).eps * float(row_sums.max()) * tau[-1])
     if not all(np.isfinite(x).all() for x in shifted):
         raise NumericalDrift(
             f"band generator times the grid span {tau[-1]:.3g} is not finite"
@@ -237,18 +237,19 @@ def expm_multiply(sub, diag, sup, v0, tau) -> np.ndarray:
     *factors, info = lapack.dgttrf(*shifted)
     if info != 0:
         raise NumericalDrift("band generator: I - gamma A is singular")
-    norms = _krylov_samples(factors, gamma, v0.real, tau, np.zeros(tau.size), out.real)
+    norms = _krylov_samples(factors, gamma, v0.real, tau, target, np.zeros(tau.size), out.real)
     if is_complex:
-        _krylov_samples(factors, gamma, v0.imag, tau, norms, out.imag)
+        _krylov_samples(factors, gamma, v0.imag, tau, target, norms, out.imag)
     return out
 
 
-def _krylov_samples(factors, gamma, b, tau, scale, out) -> np.ndarray:
+def _krylov_samples(factors, gamma, b, tau, target, scale, out) -> np.ndarray:
     """Write exp(tau_i A) b into out[1:] (see ``expm_multiply``).
 
-    ``scale`` holds the per-sample norms of the parts already propagated, so
-    the error estimate is relative to the whole sample; returns them with
-    this part's norms added.
+    ``target`` is the relative error estimate at which the basis stops
+    growing.  ``scale`` holds the per-sample norms of the parts already
+    propagated, so the estimate is relative to the whole sample; returns
+    them with this part's norms added.
     """
     beta = np.linalg.norm(b)
     if beta == 0.0:
@@ -292,11 +293,11 @@ def _krylov_samples(factors, gamma, b, tau, scale, out) -> np.ndarray:
             if prev is not None:
                 change = u.copy()
                 change[:, : prev.shape[1]] -= prev
-                if np.all(beta * np.linalg.norm(change, axis=1) <= _KRYLOV_TOL * norms):
+                if np.all(beta * np.linalg.norm(change, axis=1) <= target * norms):
                     break
             if m == cap:
                 raise NumericalDrift(
-                    f"band propagation: Krylov error estimate above {_KRYLOV_TOL:.0e} "
+                    f"band propagation: Krylov error estimate above {target:.2g} "
                     f"after {cap} basis vectors"
                 )
             prev = u
@@ -327,22 +328,22 @@ class _LabFrameStates(Sequence):
 class ChemTrajectory:
     """Sampled oscillator evolution with cheap observables alongside states.
 
-    The trajectory keeps each sample only in the frame co-rotating with
-    omega N, as the propagated band vectors: rho_rot = e^{i omega N t} rho
+    The trajectory keeps each sample only as its propagated bands, in the
+    frame co-rotating with omega N: rho_rot = e^{i omega N t} rho
     e^{-i omega N t}, real whenever the initial state is real.
     ``evolve_oscillator`` certified every sample there, and the certificate
-    holds for the lab-frame state too: the rotation is a diagonal unitary, so
-    it leaves the trace, the diagonal (the only entries whose hermiticity
-    defect the band layout can carry) and the spectrum unchanged.
+    holds in the lab frame too: the rotation is a diagonal unitary, so it
+    keeps the trace, the diagonal (the only entries whose hermiticity defect
+    band storage can carry) and the spectrum.
 
     ``states`` is a read-only sequence of the lab-frame density matrices
     (``len``, integer and negative indices, slices and iteration, as a
-    tuple): reading sample i multiplies band k of its co-rotating matrix by
-    e^{i omega k t_i} and returns that matrix as a validated DensityMatrix.
-    Nothing else is stored, so a run that reads no state builds no lab-frame
-    matrix.  ``ergotropy(i)`` reads the ergotropy of sample i from the
-    co-rotating matrix.  ``truncated`` flags that the requested grid was cut
-    short because the top-level population crossed the guard.
+    tuple): reading sample i multiplies band k (rho[n + k, n]) by
+    e^{-i omega k t_i} and returns a validated DensityMatrix, so a run that
+    reads no state builds no lab-frame matrix.  ``ergotropy(i)`` reads the
+    ergotropy of sample i from the co-rotating matrix.  ``truncated`` flags
+    that the requested grid was cut short because the top-level population
+    crossed the guard.
     """
 
     times: np.ndarray
@@ -350,11 +351,12 @@ class ChemTrajectory:
     amplitudes: np.ndarray
     top_populations: np.ndarray
     truncated: bool = False
-    # co-rotating band samples, their flat indices (``_band_layout``), the
-    # levels omega n of H and the tolerances the samples were certified with
+    # co-rotating samples as (samples, kept bands, dim) rows of LAPACK lower
+    # band storage, the kept band indices (see ``_dense``), omega and the
+    # tolerances the samples were certified with
     _bands: np.ndarray = field(default=None, repr=False, compare=False)
-    _layout: tuple = field(default=None, repr=False, compare=False)
-    _levels: np.ndarray = field(default=None, repr=False, compare=False)
+    _rows: np.ndarray = field(default=None, repr=False, compare=False)
+    _omega: float = field(default=0.0, repr=False, compare=False)
     _tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
 
     @property
@@ -363,49 +365,42 @@ class ChemTrajectory:
         return _LabFrameStates(self)
 
     def _lab_state(self, i: int) -> DensityMatrix:
-        d = self._levels.size
-        phase = np.exp(1j * self._levels * (self.times[i] - self.times[0]))
-        band = self._layout[0] % (d + 1)  # flat index of rho[n, n + k] is n (d + 1) + k
-        return DensityMatrix(_from_bands(self._bands[i] * phase[band], self._layout, d), self._tol)
+        phase = np.exp(-1j * self._omega * self._rows * (self.times[i] - self.times[0]))
+        return DensityMatrix(_dense(self._bands[i] * phase[:, np.newaxis], self._rows), self._tol)
 
     def ergotropy(self, i: int) -> float:
-        """Ergotropy of sample i against H = omega N.
+        """Ergotropy of sample i against H = omega N, from the co-rotating matrix.
 
-        H is diagonal and commutes with the rotation e^{i omega N t}, so the
-        co-rotating matrix has the lab-frame energy and spectrum, and
-        ``thermo.ergotropy`` gives the same value on it; a real start keeps
-        the matrix and the real diagonal H real, which takes the real
-        symmetric eigensolver.
+        H is diagonal and commutes with the rotation, so that matrix has the
+        lab-frame energy and spectrum; a real start keeps it real, which takes
+        the real symmetric eigensolver.
         """
-        rho = _from_bands(self._bands[i], self._layout, self._levels.size)
-        return thermo.ergotropy(rho, np.diag(self._levels))
+        rho = _dense(self._bands[i], self._rows)
+        return thermo.ergotropy(rho, np.diag(self._omega * np.arange(float(rho.shape[0]))))
 
 
-def _band_certified(v: np.ndarray, slots: np.ndarray, width: int, d: int,
-                    tol: Tolerances) -> bool:
-    """Whether the hermitian matrix with kept bands ``v`` passes the state checks.
+def _band_certified(bands: np.ndarray, rows: np.ndarray, tol: Tolerances) -> bool:
+    """Whether the hermitian matrix ``_dense(bands, rows)`` passes the state checks.
 
-    The checks are DensityMatrix's, read off LAPACK lower band storage (row k
-    holds band k, conjugated): finiteness, the trace as the sum of band 0, the
-    hermiticity defect as 2 max|Im band 0| (every other entry mirrors its
-    conjugate exactly), and positivity by a banded Cholesky (dpbtrf/zpbtrf,
-    O(d width^2)) of the matrix plus tol.positivity I.  ``slots`` is each
-    entry's flat index in the C-ordered (d, width) array whose transpose is
-    that storage.  False means undecided, not rejected: the caller lets
-    DensityMatrix decide on the dense matrix.
+    The checks are DensityMatrix's, read off the band storage: finiteness,
+    the trace as the sum of band 0, the hermiticity defect as 2 max|Im band
+    0| (every other entry mirrors its conjugate exactly), and positivity by a
+    banded Cholesky (dpbtrf/zpbtrf, O(d K^2) for the widest kept band K) of
+    the matrix plus tol.positivity I, in a copy that holds every band up to
+    K, the frozen ones as zero rows.  False means undecided, not rejected:
+    the caller lets DensityMatrix decide on the dense matrix.
     """
-    if not np.isfinite(v).all():
+    if not np.isfinite(bands).all():
         return False
-    ab = np.zeros((d, width), dtype=v.dtype)
-    ab.reshape(-1)[slots] = v.conj()
-    diag = ab[:, 0]
-    if abs(complex(diag.sum()) - 1.0) > tol.trace:
+    if abs(complex(bands[0].sum()) - 1.0) > tol.trace:
         return False
-    if 2.0 * float(np.max(np.abs(diag.imag))) > tol.hermiticity:
+    if 2.0 * float(np.max(np.abs(bands[0].imag))) > tol.hermiticity:
         return False
-    diag += tol.positivity
+    ab = np.zeros((rows[-1] + 1, bands.shape[1]), dtype=bands.dtype, order="F")
+    ab[rows] = bands  # a fresh copy: the factorization overwrites it
+    ab[0] += tol.positivity
     pbtrf = lapack.zpbtrf if np.iscomplexobj(ab) else lapack.dpbtrf
-    return pbtrf(ab.T, lower=1, overwrite_ab=True)[1] == 0
+    return pbtrf(ab, lower=1, overwrite_ab=True)[1] == 0
 
 
 def evolve_oscillator(
@@ -418,40 +413,36 @@ def evolve_oscillator(
 ) -> ChemTrajectory:
     """Propagate the oscillator on its independent density-matrix bands.
 
-    All bands live in one vector (entry i holds rho[n, n + k], band by band,
-    see ``_band_layout``) under one real tridiagonal matrix: decay/pump
-    balance on the diagonal, gain from the level above (decay, gamma_down s)
-    on the upper diagonal and from the level below (pump, gamma_up s) on the
-    lower one, s = sqrt((n + 1)(m + 1)) with m = n + k, and s = 0 at the end
-    of each band, so bands never mix.  The top level uses w = 0 on the
-    diagonal because the truncated a a+ has no state to pump into.  The
-    propagated bands are the state in the frame co-rotating with omega N,
-    and the trajectory keeps only them: the rigid rotation i omega k of band
-    k is a phase that ``ChemTrajectory.states`` applies when a lab-frame
-    state is read.
+    A sample is LAPACK lower band storage: row k holds band k, rho[n + k, n]
+    for n < d - k, then k zeros.  The kept rows laid end to end are one
+    vector under one real tridiagonal matrix A: decay/pump balance on the
+    diagonal, gain from the level above (decay, gamma_down s) on the upper
+    diagonal and from the level below (pump, gamma_up s) on the lower one,
+    s = sqrt((n + 1)(m + 1)) with m = n + k, and s = 0 from the end of each
+    band on, so bands never mix and the padding stays zero.  The top level
+    uses w = 0 on the diagonal because the truncated a a+ has no state to
+    pump into.  The rows are the state in the frame co-rotating with
+    omega N, and the trajectory keeps only them (see ChemTrajectory).
 
-    Bands whose initial weight cannot reach the output precision even after
-    their Gershgorin growth bound over the grid span are frozen at zero
-    instead of propagated; exactly-zero bands (diagonal states, Fock states)
-    cost nothing.
+    Band 0 (the populations) is always kept; another band is frozen at zero
+    when its initial weight cannot reach the output precision even after
+    its Gershgorin growth bound over the grid span.
 
-    The kept bands are propagated by ``expm_multiply`` for any grid, uniform
-    or not: one factorization of I - gamma A (gamma = span / 20) and one
-    Krylov basis of its inverse give every sample.  The basis grows ten
-    vectors at a time until the change of every sample since the previous
-    size is below 1e-14 of its norm.  A basis that reaches 400 vectors first,
-    or a non-finite result (an overflowing span or rate), raises
-    NumericalDrift.
+    ``expm_multiply`` propagates the kept rows for any grid: one
+    factorization of I - gamma A (gamma = span / 20) and one Krylov basis of
+    its inverse give every sample, and the basis grows until every sample
+    changes by less than max(1e-14, eps ||A||_inf span) of its norm.  A
+    basis of 400 vectors, or a non-finite result (an overflowing span or
+    rate), raises NumericalDrift.
 
-    Each kept sample is certified once, in the co-rotating frame, straight
-    from its bands: they already are LAPACK band storage, so finiteness,
-    trace, hermiticity and positivity (a banded Cholesky of rho_rot + p I,
-    p = max(tol.positivity, 1e-8)) cost O(dim width^2) for the widest kept
-    band, not the O(dim^3) of a dense check.  The rotation e^{i omega N t}
-    is a diagonal unitary, so the certificate holds for the lab-frame state
-    (see ``ChemTrajectory``).  Only a sample whose banded factorization
-    fails goes through DensityMatrix on its dense co-rotating matrix, where
-    the smallest eigenvalue decides: an initial state that fails raises
+    Only the lower triangle of the initial matrix is read, so it must be
+    hermitian within tol.hermiticity (NotAState otherwise; a DensityMatrix
+    is hermitian by construction and skips that O(dim^2) check).  Each kept
+    sample is certified once, in the co-rotating frame, from its band
+    storage (``_band_certified``, positivity at least 1e-8), and that holds
+    for the lab-frame state too.  Only a sample it does not certify goes
+    through DensityMatrix on its dense co-rotating matrix, where the
+    smallest eigenvalue decides: an initial state that fails raises
     NotAState, a propagated one NumericalDrift naming its time.
 
     The simulation is trusted only while the top Fock level holds less
@@ -466,37 +457,44 @@ def evolve_oscillator(
     d = spec.dim
     if rho0.shape != (d, d):
         raise ShapeError(f"initial state shape {rho0.shape} does not match dim {d}")
+    defect = 0.0 if isinstance(initial, DensityMatrix) else hermiticity_defect(rho0)
+    if defect > tol.hermiticity:
+        raise NotAState(f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}")
     gu, gd = spec.gamma_up, spec.gamma_down
-
-    off = _band_offsets(d)
-    layout = _band_layout(d)
-    n, k = np.divmod(layout[0], d + 1)  # flat index of rho[n, n + k] is n (d + 1) + k
-    m = n + k
-    w = np.arange(1.0, d + 1.0)
-    w[d - 1] = 0.0
-    diag = -0.5 * gd * (n + m) - 0.5 * gu * (w[n] + w[m]) - spec.decoherence * k * k
-    s = np.sqrt((n + 1.0) * (m + 1.0))
-    s[off[1:] - 1] = 0.0
-
-    v0 = rho0.reshape(-1)[layout[0]]
     span = float(t[-1] - t[0])
-    floor = 1e-15 * max(float(np.linalg.norm(v0)), 1e-300)
+    weight = np.sqrt([np.vdot(b, b).real for b in (np.diagonal(rho0, -k) for k in range(d))])
+    floor = 1e-15 * max(float(np.linalg.norm(weight)), 1e-300)
+    k = np.arange(d)
+    # every row's Gershgorin bound below is at most gd + gu d / 2 - Gamma k^2
+    # (each coupling s is at most (n + m + 2) / 2), so rows are built only for
+    # the bands that reach the floor at that rate, taken with a margin
+    crude = np.maximum(2.0 * gd + gu * d - spec.decoherence * k * k, 0.0)
+    top = np.flatnonzero(weight * np.exp(np.minimum(crude * span, 700.0)) >= floor).max(initial=0)
+    k = k[: top + 1, np.newaxis]
+    n = np.arange(d)
+    w = np.arange(1.0, 2.0 * d + 1.0)  # pump factor n + 1, none out of the top level
+    w[d - 1:] = 0.0
+    diag = -0.5 * gd * (2 * n + k) - 0.5 * gu * (w[n] + w[n + k]) - spec.decoherence * k * k
+    s = np.where(n < d - 1 - k, np.sqrt((n + 1.0) * (n + k + 1.0)), 0.0)
     # Gershgorin bound on each band's log growth rate: the row's diagonal
-    # plus the mean of the couplings into and out of it
+    # plus the mean of the couplings into and out of it (diag <= 0 in the
+    # padding, so it never raises the bound)
     row_bound = diag + 0.5 * (gd * s + gu * s)
-    row_bound[1:] += 0.5 * (gd * s[:-1] + gu * s[:-1])
-    mu = np.maximum(np.maximum.reduceat(row_bound, off[:-1]), 0.0)
-    weight = np.sqrt(np.add.reduceat(np.abs(v0) ** 2, off[:-1]))
+    row_bound[:, 1:] += 0.5 * (gd * s[:, :-1] + gu * s[:, :-1])
+    mu = np.maximum(row_bound.max(axis=1), 0.0)
+    weight = weight[: top + 1]
     kept = (weight != 0.0) & ~(weight * np.exp(np.minimum(mu * span, 700.0)) < floor)
-    mask = kept[k]
-    sm = s[mask][:-1]
+    kept[0] = True
+    rows = np.flatnonzero(kept)
+    m = n + rows[:, np.newaxis]
+    v0 = np.where(m < d, rho0[np.minimum(m, d - 1), n], 0.0)
+    s = s[rows].reshape(-1)[:-1]
     rel_t = t - t[0]
-    compact = expm_multiply(gu * sm, diag[mask], gd * sm, v0[mask], rel_t)
+    bands = expm_multiply(gu * s, diag[rows].reshape(-1), gd * s, v0.reshape(-1),
+                          rel_t).reshape(t.size, rows.size, d)
 
-    # kept bands sit in band order, so band 0, if kept, opens the compact
-    # vector and band 1 follows it
-    pops = compact[:, :d].real if kept[0] else np.zeros((t.size, d))
-    top = pops[:, d - 1].copy()  # a view would keep all of compact alive
+    pops = bands[:, 0].real
+    top = pops[:, d - 1].copy()  # a view would keep all of bands alive
     bad = np.flatnonzero(top > guard)
     last = int(bad[0]) if bad.size else t.size
     if last < t.size and on_overflow == "raise":
@@ -512,22 +510,16 @@ def evolve_oscillator(
 
     energies = spec.omega * (pops[:last] @ np.arange(d))
     amps = np.zeros(last, dtype=complex)
-    if kept[1]:
-        start = d if kept[0] else 0
-        band1 = compact[:last, start: start + d - 1]
-        band1 = band1 * np.exp(1j * spec.omega * rel_t[:last])[:, np.newaxis]
-        amps = band1.conj() @ np.sqrt(np.arange(1.0, d))
+    if rows.size > 1 and rows[1] == 1:  # <a> = sum_n sqrt(n + 1) rho[n + 1, n]
+        lab = bands[:last, 1, : d - 1] * np.exp(-1j * spec.omega * rel_t[:last])[:, np.newaxis]
+        amps = lab @ np.sqrt(np.arange(1.0, d))
 
     state_tol = tol.with_(positivity=max(tol.positivity, 1e-8))
-    kept_layout = (layout[0][mask], layout[1][mask])
-    kc = k[mask]
-    width = int(kc.max(initial=0)) + 1
-    slots = n[mask] * width + kc
     for i in range(last):
-        if _band_certified(compact[i], slots, width, d, state_tol):
+        if _band_certified(bands[i], rows, state_tol):
             continue
         try:
-            DensityMatrix(_from_bands(compact[i], kept_layout, d), state_tol)
+            DensityMatrix(_dense(bands[i], rows), state_tol)
         except NotAState as exc:
             if i == 0:
                 raise  # the initial state itself, not a propagated one
@@ -538,9 +530,9 @@ def evolve_oscillator(
         amplitudes=amps,
         top_populations=top[:last],
         truncated=last < t.size,
-        _bands=compact if last == t.size else compact[:last].copy(),
-        _layout=kept_layout,
-        _levels=spec.omega * np.arange(float(d)),
+        _bands=bands if last == t.size else bands[:last].copy(),
+        _rows=rows,
+        _omega=spec.omega,
         _tol=state_tol,
     )
 

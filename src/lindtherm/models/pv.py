@@ -92,6 +92,8 @@ def _rate_matrix(m, shape, name) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.shape != shape:
         raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(a < 0):
         raise ValueError(f"{name} has negative entries")
     return a
@@ -129,21 +131,25 @@ class PvSpec:
             raise InvalidDimension(
                 f"{len(ec) + len(ev)} fermionic modes exceed the cap of 12"
             )
+        object.__setattr__(self, "conduction_energies", ec)
+        object.__setattr__(self, "valence_energies", ev)
+        for name in ("conduction_energies", "valence_energies", "beta1", "mu_c", "mu_v",
+                     "amplitude", "frequency"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(ec) <= max(ev):
             raise ValueError(
                 f"band gap must be positive: min E_c = {min(ec)} "
                 f"<= max E_v = {max(ev)}"
             )
-        object.__setattr__(self, "conduction_energies", ec)
-        object.__setattr__(self, "valence_energies", ev)
         nc, nv = len(ec), len(ev)
         gc = self.intra_rates_c if self.intra_rates_c is not None else np.zeros((nc, nc))
         gv = self.intra_rates_v if self.intra_rates_v is not None else np.zeros((nv, nv))
         object.__setattr__(self, "intra_rates_c", _rate_matrix(gc, (nc, nc), "intra_rates_c"))
         object.__setattr__(self, "intra_rates_v", _rate_matrix(gv, (nv, nv), "intra_rates_v"))
         object.__setattr__(self, "inter_rates", _rate_matrix(self.inter_rates, (nc, nv), "inter_rates"))
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
 
     @property
     def n_conduction(self) -> int:

@@ -112,7 +112,6 @@ def heat_currents(
     gen: GklsGenerator,
     baths,
     rho,
-    hamiltonian: np.ndarray = None,
 ) -> HeatCurrentReport:
     """J_k = tr(H L_k(rho)) for each bath, where L_k is bath k's dissipator.
 
@@ -121,7 +120,6 @@ def heat_currents(
     IncompleteAssignment.
     """
     r = as_operator(rho, "state")
-    h = gen.hamiltonian if hamiltonian is None else as_operator(hamiltonian)
     labels = [b.bath_label for b in baths]
     if len(set(labels)) != len(labels):
         dup = sorted({l for l in labels if labels.count(l) > 1})
@@ -134,7 +132,7 @@ def heat_currents(
         # L_b(rho) = -(K_b rho + rho K_b)/2 + sum over bath b of rate V rho V+
         k, jumps = gen._baths.get(bath.bath_label, (np.zeros_like(r), gen._jumps[:0]))
         flow = _gkls_action(-0.5 * k, r, jumps)
-        per_bath[bath.bath_label] = float(np.trace(h @ flow).real)
+        per_bath[bath.bath_label] = float(np.trace(gen.hamiltonian @ flow).real)
     total = float(sum(per_bath.values()))
     return HeatCurrentReport(per_bath=per_bath, total=total)
 

@@ -35,9 +35,6 @@ from lindtherm.models.chem import (
     BirthDeathState,
     ChemSpec,
     Chemistry,
-    _band_layout,
-    _band_offsets,
-    _from_bands,
     analytic_amplitude,
     analytic_energy,
     birth_death_evolve,
@@ -65,6 +62,16 @@ def test_spec_validation():
                  (1.0, 0.5, np.nan)):
         with pytest.raises(ValueError):
             ChemSpec(*args)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["beta", "mu_a", "mu_b", "mu_c"])
+def test_chemistry_rejects_non_finite_parameters(name, value):
+    # a NaN would pass the detailed-balance comparison unnoticed
+    values = dict(beta=0.5, mu_a=2.0, mu_b=1.5, mu_c=0.5)
+    values[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ChemSpec(1.0, 0.25 * np.exp(1.0), 0.25, chemistry=Chemistry(**values))
 
 
 def test_chemistry_constrains_rates():
@@ -162,20 +169,39 @@ def test_band_evolver_matches_superoperator(decoherence):
 
 
 @pytest.mark.parametrize("dim", [2, 7, 60])
-def test_from_bands_matches_per_band_loop(dim):
+def test_dense_matches_per_band_loop(dim):
     rng = np.random.default_rng(dim)
     size = dim * (dim + 1) // 2
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    off = _band_offsets(dim)
+    ab = np.zeros((dim, dim), dtype=complex)  # LAPACK lower band storage
     ref = np.zeros((dim, dim), dtype=complex)
+    start = 0
     for k in range(dim):
-        band = v[off[k]: off[k + 1]]
+        band = v[start: start + dim - k]
+        start += dim - k
+        ab[k, : dim - k] = band
         n = np.arange(dim - k)
-        ref[n, n + k] = band
+        ref[n + k, n] = band
         if k > 0:
-            ref[n + k, n] = band.conj()
-    got = _from_bands(v, _band_layout(dim), dim)
+            ref[n, n + k] = band.conj()
+    got = chem._dense(ab, np.arange(dim))
     assert np.array_equal(got.view(float), ref.view(float))
+    kept = np.arange(0, dim, 3)  # every third band; the others are zero
+    in_kept = np.isin(np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))), kept)
+    got = chem._dense(ab[kept], kept)
+    assert np.array_equal(got.view(float), np.where(in_kept, ref, 0.0).view(float))
+
+
+def test_two_level_diagonal_start_matches_dense_evolution():
+    # one kept band of two entries: the tridiagonal size scipy's dgttrf
+    # wrapper rejects
+    spec = ChemSpec(1.0, 0.5, 0.25, dim=2)
+    rho0 = DensityMatrix(np.diag([1.0, 0.0]))
+    times = np.linspace(0.0, 0.1, 3)
+    band = evolve_oscillator(spec, rho0, times, guard=1.0)
+    dense = evolve(build_chem_generator(spec), rho0, times)
+    for sb, sd in zip(band.states, dense.states):
+        assert trace_distance(sb, sd) < 1e-12
 
 
 def test_band_evolver_non_uniform_grid():
@@ -235,6 +261,24 @@ def test_krylov_basis_cap_raises_numerical_drift(monkeypatch):
         evolve_oscillator(spec, coherent_state(1.0, 60), np.linspace(0.0, 2.5, 26))
 
 
+def test_krylov_target_follows_the_generator_norm(monkeypatch):
+    # strong decoherence makes eps ||A|| span far larger than 1e-14: no route
+    # gets the samples closer than that, so the basis stops growing there
+    times = np.linspace(0.0, 1.0, 61)
+    spec = ChemSpec(1.0, 0.6, 0.5, decoherence=200.0, dim=30)
+    rho0 = coherent_state(1.0, 30)
+    band = evolve_oscillator(spec, rho0, times)
+    dense = evolve(build_chem_generator(spec), rho0, times)
+    assert max(trace_distance(a, b) for a, b in zip(band.states, dense.states)) < 1e-11
+    spec = ChemSpec(1.0, 0.6, 0.5, decoherence=500.0, dim=100)
+    traj = evolve_oscillator(spec, coherent_state(2.0, 100), times)
+    ref = analytic_energy(spec, traj.energies[0], times)
+    assert np.max(np.abs(traj.energies - ref) / (1.0 + ref)) < 1e-6
+    monkeypatch.setattr(chem, "_KRYLOV_CAP", 10)  # the cap error names the target
+    with pytest.raises(NumericalDrift, match=r"above 2\.1e-10 after 10 basis vectors"):
+        evolve_oscillator(spec, coherent_state(2.0, 100), times)
+
+
 def _with_coherence(populations, eps, n, k):
     """Raw matrix diag(populations) + eps (|n><n+k| + |n+k><n|)."""
     rho = np.diag(populations).astype(complex)
@@ -270,6 +314,31 @@ def test_weak_coherence_band_matches_dense_evolution(case):
     for sb, sd in zip(band.states, dense.states):
         assert trace_distance(sb, sd) < 1e-12
     assert np.all(np.abs(np.diagonal(band.states[-1].matrix, 3)) > 0.0)
+
+
+def test_gapped_state_propagates_only_its_bands(monkeypatch):
+    # (|0> + |10>)/sqrt 2 has bands 0 and 10 only: the Krylov vector holds
+    # those two rows of the band storage, not the eleven rows 0 ... 10
+    dim = 30
+    psi = np.zeros(dim)
+    psi[[0, 10]] = np.sqrt(0.5)
+    rho0 = DensityMatrix(np.outer(psi, psi))
+    spec = ChemSpec(1.0, 0.1, 0.3, decoherence=0.05, dim=dim)
+    sizes = []
+    inner = chem.expm_multiply
+
+    def spy(sub, diag, sup, v0, tau):
+        sizes.append(v0.size)
+        return inner(sub, diag, sup, v0, tau)
+
+    monkeypatch.setattr(chem, "expm_multiply", spy)
+    times = np.linspace(0.0, 0.5, 5)
+    band = evolve_oscillator(spec, rho0, times)
+    assert sizes == [2 * dim]
+    dense = evolve(build_chem_generator(spec), rho0, times)
+    for sb, sd in zip(band.states, dense.states):
+        assert trace_distance(sb, sd) < 1e-12
+        assert np.all(np.diagonal(sb.matrix, 4) == 0.0)
 
 
 def test_band_freeze_counts_worst_case_growth():
@@ -419,6 +488,15 @@ def test_evolver_rejects_bad_states(monkeypatch):
         evolve_oscillator(spec, coherent_state(1.0, 30), times)
 
 
+def test_evolver_rejects_non_hermitian_initial_matrix():
+    # the evolver reads only the lower triangle, so it checks the mirror first
+    rho0 = np.zeros((30, 30))
+    rho0[0, 0] = rho0[1, 1] = 0.5
+    rho0[0, 1], rho0[1, 0] = 0.3, -0.2
+    with pytest.raises(NotAState, match="hermiticity defect 5.000e-01 exceeds"):
+        evolve_oscillator(ChemSpec(1.0, 0.5, 0.25, dim=30), rho0, np.linspace(0.0, 0.5, 3))
+
+
 @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
 def test_band_certificate_matches_the_spectrum_at_the_boundary(is_complex):
     # banded states whose smallest eigenvalue sits just inside or just
@@ -430,17 +508,14 @@ def test_band_certificate_matches_the_spectrum_at_the_boundary(is_complex):
     band = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) < width
     b = np.where(band, x + x.conj().T, 0.0)
     lo_b = np.linalg.eigvalsh(b)[0]
-    upper = _band_layout(d)[0]
-    n, k = np.divmod(upper, d + 1)
-    kept = k < width
     tol = Tolerances().with_(positivity=positivity)
     for factor in (0.9, 0.99, 1.01, 1.1):
         low = -positivity * factor
         shift = (low * np.trace(b).real - lo_b) / (1.0 - low * d)
         rho = (b + shift * np.eye(d)) / (np.trace(b).real + shift * d)
         assert (np.linalg.eigvalsh(rho)[0] < -positivity) == (factor > 1.0)
-        v = rho.reshape(-1)[upper[kept]]
-        certified = chem._band_certified(v, n[kept] * width + k[kept], width, d, tol)
+        ab = np.array([np.append(np.diagonal(rho, -k), np.zeros(k)) for k in range(width)])
+        certified = chem._band_certified(ab, np.arange(width), tol)
         assert certified == (factor < 1.0)
         if certified:
             DensityMatrix(rho, tol)

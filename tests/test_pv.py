@@ -116,6 +116,20 @@ def test_spec_validation():
     assert spec.voltage == 0.5
 
 
+@pytest.mark.parametrize("name, value", [
+    ("beta", np.nan), ("beta", np.inf), ("beta1", np.nan), ("beta1", np.inf),
+    ("mu_c", np.nan), ("mu_v", -np.inf), ("amplitude", np.nan), ("frequency", np.inf),
+    ("conduction_energies", (np.nan,)), ("valence_energies", (-np.inf,)),
+    ("inter_rates", np.array([[np.inf]])), ("intra_rates_c", np.array([[np.nan]])),
+])
+def test_spec_rejects_non_finite_parameters(name, value):
+    kwargs = dict(conduction_energies=(1.0,), valence_energies=(0.0,), beta=1.0,
+                  beta1=0.5, inter_rates=np.array([[1.0]]))
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=name):
+        PvSpec(**kwargs)
+
+
 def test_grand_canonical_occupations():
     spec = WORKED
     rho = pv_grand_canonical(spec)
