@@ -13,14 +13,19 @@ On column-stacked operators (see operators.py for the convention) the
 matrix of L is I (x) G + conj(G) (x) I + sum_j rate_j conj(V_j) (x) V_j, and
 the matrix of L* is its conjugate transpose.
 
-Every generator keeps one jump table, built on first use: the scaled jumps
-sqrt(rate_j) V_j stacked as a C-contiguous (n, d, d) array, grouped by bath
-label so that each bath is one slice.  Everything else reads that table.
-Flattened to (n, d^2) it is the matrix W whose Gram matrix W^T conj(W) is
-the jump part of the superoperator, up to an index permutation; K_b is one
-GEMM over bath b's slice; and the direct actions and per-bath heat
-currents evaluate the kernel a X + X a+ + sum_j v_j X v_j+ as two GEMMs
-per chunk of the table: Y = [v_j X]_j, then [Y_1 ... Y_m] [v_1+; ...; v_m+].
+Every generator is one jump table: the scaled jumps sqrt(rate_j) V_j
+stacked as a C-contiguous (n, d, d) array, grouped by bath label so that
+each bath is one slice, with the rate vector beside it.  Everything else
+reads that table.  Flattened to (n, d^2) it is the matrix W whose Gram
+matrix W^T conj(W) is the jump part of the superoperator, up to an index
+permutation; K_b is one GEMM over bath b's slice; and the direct actions
+and per-bath heat currents evaluate the kernel a X + X a+ + sum_j v_j X v_j+
+as two GEMMs per chunk of the table: Y = [v_j X]_j, then
+[Y_1 ... Y_m] [v_1+; ...; v_m+].  ``thermal_family`` writes the Davies
+channels of all its baths straight into one table per xi, from one
+eigendecomposition of H(xi); ``modulated_family`` shares its base
+generator's table across xi.  No LindbladTerm is made on either path:
+a generator built from a table makes its ``terms`` when they are read.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ from .operators import (
     dag,
     hermiticity_defect,
     hermitize,
-    left_mul,
-    right_mul,
     unvec,
     vec,
 )
@@ -99,32 +102,48 @@ class LindbladTerm:
         return np.sqrt(self.rate) * self.jump
 
 
-@dataclass(frozen=True)
-class GklsGenerator:
-    """Hamiltonian plus a tuple of LindbladTerm channels.
+def _checked_hamiltonian(hamiltonian) -> np.ndarray:
+    """``hamiltonian`` as a complex matrix, finite and hermitian within tolerance."""
+    h = as_operator(hamiltonian, "hamiltonian")
+    if not np.isfinite(h).all():
+        raise ShapeError("hamiltonian has non-finite entries")
+    defect = hermiticity_defect(h)
+    if defect > DEFAULT.hamiltonian_hermiticity:
+        raise ShapeError(
+            f"hamiltonian hermiticity defect {defect:.3e} exceeds "
+            f"{DEFAULT.hamiltonian_hermiticity:.1e}"
+        )
+    return h
 
-    On first use the generator builds its jump table, sqrt(rate_j) V_j for
-    every term as one C-contiguous (n, d, d) array with the terms grouped
-    by bath label (in order of first appearance), and keeps it together
-    with the d x d matrices K_b (per bath) and G.  The table costs
-    n d^2 16 bytes, as much as the terms themselves.
+
+def _scaled_table(jumps: np.ndarray, rates: np.ndarray, slices: dict) -> tuple:
+    """Check every channel at once, then scale row j of ``jumps`` by sqrt(rate_j) in place."""
+    if not np.isfinite(jumps).all():
+        raise ValueError("jump operator has non-finite entries")
+    bad = ~np.isfinite(rates) | (rates < 0)
+    if bad.any():
+        raise ValueError(f"rate must be finite and nonnegative, got {rates[bad.argmax()]}")
+    jumps *= np.sqrt(rates)[:, None, None]
+    return jumps, rates, slices
+
+
+class GklsGenerator:
+    """Hamiltonian plus jump channels, held as one jump table.
+
+    The table is sqrt(rate_j) V_j for every channel as one C-contiguous
+    (n, d, d) array, the channels grouped by bath label (in order of first
+    appearance), kept with the rate vector; it costs n d^2 16 bytes.
+    ``GklsGenerator(hamiltonian, terms)`` stacks its LindbladTerm channels
+    into the table on first use.  ``thermal_family`` builds the table of
+    each xi directly and makes ``terms`` only when they are first read;
+    ``modulated_family`` shares its base generator's table.  The d x d
+    matrices K_b (per bath) and G are built from the table on first use
+    and kept.
     """
 
-    hamiltonian: np.ndarray
-    terms: tuple
-
-    def __post_init__(self):
-        h = as_operator(self.hamiltonian, "hamiltonian")
-        if not np.isfinite(h).all():
-            raise ShapeError("hamiltonian has non-finite entries")
-        defect = hermiticity_defect(h)
-        if defect > DEFAULT.hamiltonian_hermiticity:
-            raise ShapeError(
-                f"hamiltonian hermiticity defect {defect:.3e} exceeds "
-                f"{DEFAULT.hamiltonian_hermiticity:.1e}"
-            )
-        object.__setattr__(self, "hamiltonian", h)
-        terms = tuple(self.terms)
+    def __init__(self, hamiltonian, terms):
+        h = _checked_hamiltonian(hamiltonian)
+        terms = tuple(terms)
         for k, term in enumerate(terms):
             if not isinstance(term, LindbladTerm):
                 raise TypeError(f"terms[{k}] is not a LindbladTerm")
@@ -133,35 +152,56 @@ class GklsGenerator:
                     f"terms[{k}] jump shape {term.jump.shape} does not match "
                     f"hamiltonian shape {h.shape}"
                 )
-        object.__setattr__(self, "terms", terms)
+        self.hamiltonian, self.terms = h, terms
+
+    @classmethod
+    def _from_table(cls, hamiltonian, jumps, rates, slices, terms_of) -> GklsGenerator:
+        """Generator of unscaled channel rows ``jumps`` (scaled in place).
+
+        ``rates`` and ``slices`` are as in the table; ``terms_of()`` returns
+        the LindbladTerm tuple, called when ``terms`` is first read.
+        """
+        gen = cls.__new__(cls)
+        gen.hamiltonian = _checked_hamiltonian(hamiltonian)
+        gen._table = _scaled_table(jumps, rates, slices)
+        gen._terms_of = terms_of
+        return gen
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The LindbladTerm channels, in the order they were given."""
+        return self._terms_of()
+
+    @cached_property
+    def _table(self) -> tuple:
+        """(jump table, rate vector, {bath label: slice of the table})."""
+        groups = {}
+        for term in self.terms:
+            groups.setdefault(term.bath_label, []).append(term)
+        grouped = [t for ts in groups.values() for t in ts]
+        slices, j = {}, 0
+        for label, ts in groups.items():
+            slices[label] = slice(j, j + len(ts))
+            j += len(ts)
+        return _scaled_table(
+            np.array([t.jump for t in grouped], dtype=complex).reshape(-1, self.dim, self.dim),
+            np.array([t.rate for t in grouped], dtype=float), slices,
+        )
+
+    @property
+    def _jumps(self) -> np.ndarray:
+        return self._table[0]
+
+    @property
+    def _rates(self) -> np.ndarray:
+        return self._table[1]
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
     def bath_labels(self) -> tuple:
-        return tuple(self._baths)
-
-    @property
-    def _jumps(self) -> np.ndarray:
-        """The jump table: row j is sqrt(rate_j) V_j, grouped by bath label."""
-        return self._table[0]
-
-    @cached_property
-    def _table(self) -> tuple:
-        """(jump table, {bath label: slice of the table})."""
-        groups = {}
-        for term in self.terms:
-            groups.setdefault(term.bath_label, []).append(term)
-        jumps = np.empty((len(self.terms), self.dim, self.dim), dtype=complex)
-        slices = {}
-        j = 0
-        for label, ts in groups.items():
-            slices[label] = slice(j, j + len(ts))
-            for t in ts:
-                np.multiply(t.jump, np.sqrt(t.rate), out=jumps[j])
-                j += 1
-        return jumps, slices
+        return tuple(self._table[2])
 
     @cached_property
     def _baths(self) -> dict:
@@ -171,7 +211,7 @@ class GklsGenerator:
         slice flattened to (n_b d, d); BLAS is handed U^T, F-contiguous, so
         nothing is copied.
         """
-        jumps, slices = self._table
+        jumps, _, slices = self._table
         baths = {}
         for label, sl in slices.items():
             u = jumps[sl].reshape(-1, self.dim).T
@@ -182,6 +222,22 @@ class GklsGenerator:
     def _g(self) -> np.ndarray:
         """G = -iH - K/2, so that L(X) = G X + X G+ + sum rate V X V+."""
         return -1j * self.hamiltonian - 0.5 * sum(k for k, _ in self._baths.values())
+
+
+class _Shifted(GklsGenerator):
+    """The channels of ``base`` under another Hamiltonian.
+
+    Its terms, jump table and K_b are those of ``base``, built there once
+    when first needed; only G is its own.
+    """
+
+    def __init__(self, base: GklsGenerator, hamiltonian):
+        self.hamiltonian = _checked_hamiltonian(hamiltonian)
+        self._base = base
+
+    terms = property(lambda self: self._base.terms)
+    _table = property(lambda self: self._base._table)
+    _baths = property(lambda self: self._base._baths)
 
 
 @dataclass(frozen=True)
@@ -203,6 +259,8 @@ class GeneratorFamily:
 
     def __post_init__(self):
         m = as_operator(self.drive_observable, "drive observable")
+        if not np.isfinite(m).all():
+            raise ShapeError("drive observable has non-finite entries")
         defect = hermiticity_defect(m)
         if defect > DEFAULT.hamiltonian_hermiticity:
             raise ShapeError(
@@ -212,6 +270,9 @@ class GeneratorFamily:
         object.__setattr__(self, "drive_observable", m)
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "frequency", float(self.frequency))
+        for name in ("amplitude", "frequency"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.frequency <= 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         object.__setattr__(self, "base", self.generator_of(0.0))
@@ -264,9 +325,27 @@ class Trajectory:
 
 # --- superoperator assembly -------------------------------------------------
 
+def _two_sided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of X -> A X + X B on column-stacked operators: I (x) A + B^T (x) I.
+
+    Both Kronecker products are diagonals of the result's (d, d, d, d)
+    reshape, so each is added into a zeroed array through one writable
+    diagonal view, with no d^2 x d^2 temporary.
+    """
+    d = a.shape[0]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    s4 = s.reshape(d, d, d, d)
+    left = np.einsum("kakb->kab", s4)  # s4[k, a, k, b] = A[a, b]
+    left += a
+    right = np.einsum("aibi->iab", s4)  # s4[a, i, b, i] = B[b, a]
+    right += b.T
+    return s
+
+
 def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
     """Full generator matrix acting on vectorized states.
 
+    The Hamiltonian part I (x) G + conj(G) (x) I comes from ``_two_sided``.
     The jump part sum_j rate_j conj(V_j) (x) V_j is an index permutation of
     the hermitian Gram matrix R = W^T conj(W) of the jump table flattened
     to W, shape (n, d^2).  One rank-n update (BLAS zherk, reading W^T
@@ -274,9 +353,8 @@ def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
     is added in place through two permuted views of U.
     """
     g = gen._g
-    s = left_mul(g)
-    s += right_mul(dag(g))
-    if gen.terms:
+    s = _two_sided(g, dag(g))
+    if len(gen._jumps):
         d = gen.dim
         s4 = s.reshape(d, d, d, d)
         # u[(a, b), (c, e)] = sum_j V_j[a, b] conj(V_j[c, e]) for (a, b) <= (c, e),
@@ -364,20 +442,128 @@ def thermal_pair(
         raise ValueError(f"base_rate must be positive, got {base_rate}")
     if hamiltonian is not None:
         h = as_operator(hamiltonian, "hamiltonian")
-        resid = np.linalg.norm(h @ a - a @ h + bohr_frequency * a)
-        scale = np.linalg.norm(a)
-        if scale == 0 or resid > tol.eigenoperator * scale:
-            raise NotAnEigenoperator(
-                f"[H, A] + omega A has norm {resid:.3e} "
-                f"(relative {resid / max(scale, 1e-300):.3e}) "
-                f"for omega = {bohr_frequency}"
-            )
+        _check_eigenoperators(h, a[None], np.array([bohr_frequency]), tol)
     down = LindbladTerm(a, base_rate, bath_label)
     up = LindbladTerm(dag(a), base_rate * np.exp(-beta * bohr_frequency), bath_label)
     return down, up
 
 
+def _check_eigenoperators(h: np.ndarray, a: np.ndarray, w: np.ndarray, tol: Tolerances):
+    """Raise NotAnEigenoperator unless ||[H, A_k] + w_k A_k||_F <= tol.eigenoperator ||A_k||_F.
+
+    ``a`` is a (k, d, d) stack; the first failing A_k is reported.
+    """
+    r = h @ a
+    r -= a @ h
+    r += w[:, None, None] * a
+    resid, scale = (
+        np.sqrt(np.einsum("kx,kx->k", v, v))  # Frobenius norms over real and imaginary parts
+        for v in (r.reshape(len(r), -1).view(float), a.reshape(len(a), -1).view(float))
+    )
+    bad = (scale == 0) | (resid > tol.eigenoperator * scale)
+    if bad.any():
+        k = bad.argmax()
+        raise NotAnEigenoperator(
+            f"[H, A] + omega A has norm {resid[k]:.3e} "
+            f"(relative {resid[k] / max(scale[k], 1e-300):.3e}) "
+            f"for omega = {w[k]}"
+        )
+
+
 _FREQ_TOL = 1e-9  # Bohr gaps closer than this are one frequency
+
+
+def _bohr_split(vals: np.ndarray, vecs: np.ndarray, vd: np.ndarray, coupling: np.ndarray) -> tuple:
+    """A coupling's Bohr decomposition in the eigenbasis (vals, vecs = vd+) of H.
+
+    The coupling's nonzero eigenbasis entries (i, j), sorted stably by their
+    gap vals[j] - vals[i], form one group wherever neighbouring gaps lie
+    within _FREQ_TOL, valued at the group's first gap in row-major order.
+    Sorted, the groups run negative, zero (|w| <= _FREQ_TOL), positive.
+    Returns (zero, group, rows, cols, values, w): the lab-frame
+    zero-frequency jumps with their identity component removed (that
+    component is dynamically inert), each kept when its norm exceeds 1e-12;
+    and the entries of the positive groups, sorted by group, entry e
+    belonging to group[e], whose gap is w[group[e]].
+    """
+    d = vals.size
+    at = vd @ coupling @ vecs
+    rows, cols = at.nonzero()  # row-major order
+    gaps = vals[cols] - vals[rows]
+    order = gaps.argsort(kind="stable")
+    sorted_gaps = gaps[order]
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    np.greater(sorted_gaps[1:] - sorted_gaps[:-1], _FREQ_TOL, out=new[1:])
+    starts = new.nonzero()[0]
+    group = new.cumsum() - 1
+    w = gaps[np.minimum.reduceat(order, starts)] if order.size else gaps
+    z0 = w.searchsorted(-_FREQ_TOL, side="left")
+    p0 = w.searchsorted(_FREQ_TOL, side="right")
+    zero = []
+    for k in range(z0, p0):
+        g = order[group == k]
+        block = np.zeros((d, d), dtype=complex)
+        block[rows[g], cols[g]] = at[rows[g], cols[g]]
+        block -= (np.trace(block) / d) * np.eye(d)
+        if np.linalg.norm(block) > 1e-12:
+            zero.append(vecs @ block @ vd)
+    first = group.searchsorted(p0)
+    pos = order[first:]
+    return zero, group[first:] - p0, rows[pos], cols[pos], at[rows[pos], cols[pos]], w[p0:]
+
+
+def _davies_table(h: np.ndarray, couplings) -> tuple:
+    """The unscaled Davies channels of several baths of H, as one table.
+
+    ``couplings`` holds (coupling, beta, base_rate, bath label); one
+    eigendecomposition of H serves them all.  Each coupling gives its
+    zero-frequency jump at base_rate, then for each positive gap w, in
+    ascending order, A_w at base_rate and A_w+ at base_rate e^{-beta w}.
+    The lab-frame blocks vecs (block) vecs+ are formed a chunk at a time
+    as stacked products and written into one preallocated table, where
+    each A_w is checked as an eigenoperator, [H, A_w] = -w A_w.  Returns
+    (jumps, rates, slices): the (n, d, d) table, its rates, and {label:
+    slice} for the labels with channels, rows grouped by label in order of
+    first appearance.
+    """
+    d = h.shape[0]
+    vals, vecs = np.linalg.eigh(hermitize(h))
+    vd = dag(vecs)
+    baths = {}
+    for a, beta, base_rate, label in couplings:
+        if a.shape != h.shape:
+            raise ShapeError(f"coupling shape {a.shape} does not match {h.shape}")
+        baths.setdefault(label, []).append((_bohr_split(vals, vecs, vd, a), beta, base_rate))
+    n = sum(len(s[0]) + 2 * s[5].size for parts in baths.values() for s, _, _ in parts)
+    jumps = np.empty((n, d, d), dtype=complex)
+    rates = np.empty(n)
+    slices = {}
+    step = max(1, _CHUNK_BYTES // (16 * d * d))
+    j = 0
+    for label, parts in baths.items():
+        first = j
+        for (zero, group, rows, cols, values, w), beta, base_rate in parts:
+            for block in zero:
+                jumps[j], rates[j] = block, base_rate
+                j += 1
+            if w.size and base_rate <= 0:
+                raise ValueError(f"base_rate must be positive, got {base_rate}")
+            rates[j:j + 2 * w.size:2] = base_rate
+            rates[j + 1:j + 2 * w.size:2] = base_rate * np.exp(-beta * w)
+            for lo in range(0, w.size, step):
+                hi = min(lo + step, w.size)
+                e = slice(*group.searchsorted((lo, hi)))
+                blocks = np.zeros((hi - lo, d, d), dtype=complex)
+                blocks[group[e] - lo, rows[e], cols[e]] = values[e]
+                down = jumps[j + 2 * lo:j + 2 * hi:2]
+                np.matmul(vecs @ blocks, vd, out=down)
+                _check_eigenoperators(h, down, w[lo:hi], DEFAULT)
+                np.conjugate(down.transpose(0, 2, 1), out=jumps[j + 2 * lo + 1:j + 2 * hi:2])
+            j += 2 * w.size
+        if j > first:  # as for terms, a bath without channels has no label
+            slices[label] = slice(first, j)
+    return jumps, rates, slices
 
 
 def davies_terms(
@@ -395,36 +581,13 @@ def davies_terms(
     each contributes a Gibbs-ratio pair (A_w, rate), (A_w+, rate e^{-beta w}).
     The zero-frequency block enters once with its identity component removed
     (that component is dynamically inert).  The Gibbs state of H is exactly
-    stationary for the resulting channel set.
+    stationary for the resulting channel set.  These are the rows of
+    ``thermal_family``'s jump table for one coupling.
     """
     h = as_operator(hamiltonian, "hamiltonian")
     a = as_operator(coupling, "coupling")
-    if a.shape != h.shape:
-        raise ShapeError(f"coupling shape {a.shape} does not match {h.shape}")
-    vals, vecs = np.linalg.eigh(hermitize(h))
-    at = dag(vecs) @ a @ vecs
-    d = h.shape[0]
-    rows, cols = np.nonzero(at)  # row-major order
-    if not rows.size:
-        return []
-    gaps = vals[cols] - vals[rows]
-    order = np.argsort(gaps, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(gaps[order]) > _FREQ_TOL) + 1)
-    terms = []
-    for group in groups:
-        w = gaps[group.min()]  # the group's first gap in row-major order
-        block = np.zeros((d, d), dtype=complex)
-        block[rows[group], cols[group]] = at[rows[group], cols[group]]
-        if abs(w) <= _FREQ_TOL:
-            block -= (np.trace(block) / d) * np.eye(d)
-            if np.linalg.norm(block) > 1e-12:
-                terms.append(LindbladTerm(vecs @ block @ dag(vecs), base_rate, bath_label))
-        elif w > 0:
-            aw = vecs @ block @ dag(vecs)
-            terms.extend(
-                thermal_pair(aw, base_rate, w, beta, bath_label, hamiltonian=h)
-            )
-    return terms
+    jumps, rates, _ = _davies_table(h, [(a, beta, base_rate, bath_label)])
+    return [LindbladTerm(v, r, bath_label) for v, r in zip(jumps, rates)]
 
 
 def thermal_family(
@@ -439,7 +602,10 @@ def thermal_family(
     ``couplings`` is an iterable of (coupling operator, beta, base_rate,
     bath_label).  The Davies decomposition is rebuilt at every xi, so each
     bath's Gibbs state of H(xi) is exactly stationary for its own channel
-    set at that xi.
+    set at that xi: one eigendecomposition of H(xi) serves every bath, and
+    the channels go straight into the generator's jump table.  A
+    generator's ``terms``, when read, are ``davies_terms`` of each coupling
+    in turn.
     """
     h0 = as_operator(h0, "h0")
     m = as_operator(m, "drive observable")
@@ -450,10 +616,10 @@ def thermal_family(
 
     def generator_of(xi: float) -> GklsGenerator:
         h = h0 + xi * m
-        terms = []
-        for coupling, beta, rate, label in spec:
-            terms.extend(davies_terms(h, coupling, beta, rate, label))
-        return GklsGenerator(h, tuple(terms))
+        return GklsGenerator._from_table(
+            h, *_davies_table(h, spec),
+            lambda: tuple(t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl)),
+        )
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
 
@@ -464,11 +630,14 @@ def modulated_family(
     amplitude: float,
     frequency: float,
 ) -> GeneratorFamily:
-    """Family where xi shifts the Hamiltonian only: H0 + xi M, frozen terms."""
+    """Family where xi shifts the Hamiltonian only: H0 + xi M, frozen terms.
+
+    Every generator shares ``gen``'s jump table and K_b; only G is rebuilt.
+    """
     m = as_operator(m, "drive observable")
 
     def generator_of(xi: float) -> GklsGenerator:
-        return GklsGenerator(gen.hamiltonian + xi * m, gen.terms)
+        return _Shifted(gen, gen.hamiltonian + xi * m)
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
 
@@ -612,7 +781,7 @@ def evolve_driven(
     """
     t = _time_grid(times, points=2)
     bound = 0.05 / family.frequency
-    mr = max((term.rate for term in family.base.terms), default=0.0)
+    mr = float(family.base._rates.max(initial=0.0))
     if mr > 0:
         bound = min(bound, 0.1 / mr)
     dt_max = float(np.max(np.diff(t)))
@@ -695,7 +864,7 @@ def detailed_balance_report(
     root = (vecs * np.sqrt(vals)) @ dag(vecs)
     root_inv = (vecs * (1.0 / np.sqrt(vals))) @ dag(vecs)
     d = gen.dim
-    eye = np.eye(d)
+    h = gen.hamiltonian
 
     # T S T^-1 with T = right multiplication by root is one O(d^5)
     # contraction.  The Hamiltonian part X -> i[H, X] of S maps to
@@ -705,13 +874,21 @@ def detailed_balance_report(
         root, heisenberg_super(gen).reshape(d, d, d, d, order="F"), root_inv,
         optimize=True,
     ).reshape(d * d, d * d, order="F")
-    m = root_inv @ gen.hamiltonian @ root
-    ham_gns = 1j * (np.kron(eye, gen.hamiltonian) - np.kron(m.T, eye))
+    m = root_inv @ h @ root
+    ham_gns = _two_sided(1j * h, -1j * m)
     dis_gns -= ham_gns
 
-    r_d = float(np.linalg.norm(0.5 * (dis_gns - dag(dis_gns))))
-    r_h = float(np.linalg.norm(0.5 * (ham_gns + dag(ham_gns))))
-    r_c = float(np.linalg.norm(ham_gns @ dis_gns - dis_gns @ ham_gns))
+    r_d = 0.5 * float(np.linalg.norm(dis_gns - dag(dis_gns)))
+    r_h = 0.5 * float(np.linalg.norm(ham_gns + dag(ham_gns)))
+    # ham_gns D - D ham_gns is i times four O(d^5) contractions of D with H
+    # and M: on q[j, i, l, k] = D[i + d j, k + d l], ham_gns D acts on the
+    # operator index (i, j) and D ham_gns on (k, l)
+    q = dis_gns.reshape(d, d, d, d)
+    comm = (h @ q.reshape(d, d, -1)).reshape(q.shape)
+    comm -= (m.T @ q.reshape(d, -1)).reshape(q.shape)
+    comm -= (q.reshape(-1, d) @ h).reshape(q.shape)
+    comm += m @ q
+    r_c = float(np.linalg.norm(comm))
     return DetailedBalanceReport(
         dissipative_hermiticity_defect=r_d,
         hamiltonian_antihermiticity_defect=r_h,

@@ -33,10 +33,12 @@ from lindtherm import (
     hermitize,
     left_mul,
     modulated_family,
+    power_report,
     right_mul,
     sandwich_mul,
     schrodinger_super,
     stationary_state,
+    thermal_family,
     thermal_pair,
     trace_distance,
     trace_preservation_defect,
@@ -347,6 +349,93 @@ def test_davies_gap_grouping_matches_scan(dim):
         assert a.jump.tobytes() == b.jump.tobytes()
     assert davies_terms(h, np.zeros((dim, dim)), 0.7) == []
 
+
+def _rotated_family(rng, dim):
+    """Two-bath thermal family in a random basis, with a repeated gap.
+
+    Levels 0, 1, 2 are equally spaced and M keeps them so, so the gap 1 is
+    repeated at every xi.  The label "cold" is shared by two couplings, the
+    "idle" coupling is zero, and the hot bath has beta = inf.
+    """
+    q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    levels = np.concatenate([[0.0, 1.0, 2.0], 2.0 + np.cumsum(rng.uniform(0.3, 1.0, dim - 3))])
+    drive = np.concatenate([[0.0, 0.1, 0.2], rng.uniform(-0.5, 0.5, dim - 3)])
+    h0 = hermitize(q @ np.diag(levels) @ dag(q))
+    m = hermitize(q @ np.diag(drive) @ dag(q))
+
+    def coupling():
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return (x + dag(x)) / 2.0
+
+    couplings = [
+        (coupling(), 1.3, 0.7, "cold"),
+        (coupling(), np.inf, 0.4, "hot"),
+        (np.zeros((dim, dim)), 0.5, 0.3, "idle"),
+        (coupling(), 0.9, 0.2, "cold"),
+    ]
+    return h0, m, couplings
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8])
+def test_thermal_family_table_matches_davies_terms(dim):
+    rng = np.random.default_rng(60 + dim)
+    h0, m, couplings = _rotated_family(rng, dim)
+    fam = thermal_family(h0, m, couplings, amplitude=0.3, frequency=2.0)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for xi in (0.0, 0.37, -1.1):
+        h = h0 + xi * m
+        ref = GklsGenerator(h, tuple(
+            t for c, beta, rate, label in couplings for t in davies_terms(h, c, beta, rate, label)
+        ))
+        gen = fam.generator_of(xi)
+        assert gen.bath_labels() == ref.bath_labels() == ("cold", "hot")
+        assert len(gen.terms) == len(ref.terms) > 0
+        for a, b in zip(gen.terms, ref.terms):
+            assert (a.rate, a.bath_label) == (b.rate, b.bath_label)
+            assert np.max(np.abs(a.jump - b.jump)) <= 1e-14
+        assert np.array_equal(gen._jumps, ref._jumps)
+        assert np.max(np.abs(schrodinger_super(gen) - schrodinger_super(ref))) <= 1e-14
+        assert np.max(np.abs(apply_schrodinger(gen, x) - apply_schrodinger(ref, x))) <= 1e-14
+
+
+def test_davies_families_build_tables_without_terms(monkeypatch):
+    rng = np.random.default_rng(64)
+    h0, m, couplings = _rotated_family(rng, 5)
+    fam = thermal_family(h0, m, couplings[:2], amplitude=0.3, frequency=600.0)
+    made, eighs, generators = [], [], []
+    post_init = LindbladTerm.__post_init__
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(LindbladTerm, "__post_init__", lambda t: made.append(t) or post_init(t))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+
+    def counted(xi):
+        generators.append(xi)
+        return fam.generator_of(xi)
+
+    power_report(GeneratorFamily(counted, fam.drive_observable, fam.amplitude, fam.frequency))
+    assert made == []
+    assert len(eighs) == len(generators) > 1
+    # a modulated family shares its base generator's table and K_b
+    base = fam.generator_of(0.0)
+    mod = modulated_family(base, m, amplitude=0.3, frequency=2.0).generator_of(0.2)
+    assert mod._jumps is base._jumps
+    assert all(mod._baths[k][0] is base._baths[k][0] for k in base.bath_labels())
+    assert made == []
+
+
+def test_davies_eigenoperator_check_rejects_a_spread_gap_group():
+    # nearest-neighbour gaps 1 + 0.99e-9 n chain into one group within
+    # _FREQ_TOL, but its members are 1.6e-8 (relative) from one eigenoperator
+    dim = 30
+    n = np.arange(dim)
+    h = np.diag(n + 0.99e-9 * n * (n - 1) / 2.0).astype(complex)
+    coupling = np.diag(np.ones(dim - 1), 1) + np.diag(np.ones(dim - 1), -1)
+    with pytest.raises(NotAnEigenoperator, match="relative 1.6"):
+        davies_terms(h, coupling, 1.0)
+    with pytest.raises(NotAnEigenoperator):
+        thermal_family(h, np.zeros((dim, dim)), [(coupling, 1.0, 0.5, "b")], 0.3, 2.0)
+
+
 # --- stationary states -----------------------------------------------------------
 
 def test_stationary_state_triangle():
@@ -428,6 +517,27 @@ def _driven_family():
     gen0 = GklsGenerator(h0, tuple(terms))
     m = np.diag([0.0, 0.25])
     return modulated_family(gen0, m, amplitude=0.3, frequency=2.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", np.nan), ("amplitude", np.inf), ("amplitude", -np.inf),
+    ("frequency", np.nan), ("frequency", np.inf),
+])
+def test_family_rejects_non_finite_drive(field, value):
+    h0 = np.diag([0.0, 1.0, 2.5]).astype(complex)
+    x = unit(0, 1, 3) + unit(1, 2, 3) + unit(0, 2, 3)
+    drive = {"amplitude": 0.3, "frequency": 2.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        thermal_family(h0, np.diag([0.0, 0.2, 0.1]), [(x + dag(x), 1.0, 0.5, "cold"),
+                                                      (x + dag(x), 0.2, 0.5, "hot")], **drive)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_family_rejects_non_finite_drive_observable(value):
+    gen, _ = random_thermal_model(np.random.default_rng(3), 3)
+    m = np.diag([0.0, 0.2, value])
+    with pytest.raises(ShapeError, match="drive observable has non-finite entries"):
+        GeneratorFamily(lambda xi: gen, m, 0.3, 2.0)
 
 
 def test_driven_zero_amplitude_matches_static():
