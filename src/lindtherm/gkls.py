@@ -102,15 +102,15 @@ class LindbladTerm:
         return np.sqrt(self.rate) * self.jump
 
 
-def _checked_hamiltonian(hamiltonian) -> np.ndarray:
-    """``hamiltonian`` as a complex matrix, finite and hermitian within tolerance."""
-    h = as_operator(hamiltonian, "hamiltonian")
+def _checked_hermitian(x, name: str) -> np.ndarray:
+    """``x`` as a complex matrix, finite and hermitian within tolerance."""
+    h = as_operator(x, name)
     if not np.isfinite(h).all():
-        raise ShapeError("hamiltonian has non-finite entries")
+        raise ShapeError(f"{name} has non-finite entries")
     defect = hermiticity_defect(h)
     if defect > DEFAULT.hamiltonian_hermiticity:
         raise ShapeError(
-            f"hamiltonian hermiticity defect {defect:.3e} exceeds "
+            f"{name} hermiticity defect {defect:.3e} exceeds "
             f"{DEFAULT.hamiltonian_hermiticity:.1e}"
         )
     return h
@@ -142,7 +142,7 @@ class GklsGenerator:
     """
 
     def __init__(self, hamiltonian, terms):
-        h = _checked_hamiltonian(hamiltonian)
+        h = _checked_hermitian(hamiltonian, "hamiltonian")
         terms = tuple(terms)
         for k, term in enumerate(terms):
             if not isinstance(term, LindbladTerm):
@@ -162,7 +162,7 @@ class GklsGenerator:
         the LindbladTerm tuple, called when ``terms`` is first read.
         """
         gen = cls.__new__(cls)
-        gen.hamiltonian = _checked_hamiltonian(hamiltonian)
+        gen.hamiltonian = _checked_hermitian(hamiltonian, "hamiltonian")
         gen._table = _scaled_table(jumps, rates, slices)
         gen._terms_of = terms_of
         return gen
@@ -232,7 +232,7 @@ class _Shifted(GklsGenerator):
     """
 
     def __init__(self, base: GklsGenerator, hamiltonian):
-        self.hamiltonian = _checked_hamiltonian(hamiltonian)
+        self.hamiltonian = _checked_hermitian(hamiltonian, "hamiltonian")
         self._base = base
 
     terms = property(lambda self: self._base.terms)
@@ -258,15 +258,7 @@ class GeneratorFamily:
     base: GklsGenerator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_operator(self.drive_observable, "drive observable")
-        if not np.isfinite(m).all():
-            raise ShapeError("drive observable has non-finite entries")
-        defect = hermiticity_defect(m)
-        if defect > DEFAULT.hamiltonian_hermiticity:
-            raise ShapeError(
-                f"drive observable hermiticity defect {defect:.3e} exceeds "
-                f"{DEFAULT.hamiltonian_hermiticity:.1e}"
-            )
+        m = _checked_hermitian(self.drive_observable, "drive observable")
         object.__setattr__(self, "drive_observable", m)
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "frequency", float(self.frequency))

@@ -18,27 +18,27 @@ generator's kernel is one state per charge sector; the sector tools below
 pv_floating_voltage) work within a fixed total charge, which is where the
 grand-canonical ansatz can be compared against the true kernel.
 
-Sector states are diagonal in the occupation basis.  H0 is diagonal, and
-each jump (c_k'+ c_k within a band, c_l+ c_k across the gap, or a
-reverse) maps every occupation state to at most one other, up to a sign,
-so the generator maps diagonal states to diagonal states.  The
-populations then obey the Pauli master equation, whose rates are
-W[b', b] = sum_j rate_j |V_j[b', b]|^2 (Davies 1974; Spohn 1977), and
-sector_stationary_state solves a sector's block of it: one row per sector
-state instead of one per pair of states.
+Every jump is c_dst+ c_src for a pair of modes: a signed partial
+permutation of the occupation states, held as the index arrays of its
+nonzeros (_hop).  _channels lists the cell's jumps and is the only code
+that knows them.  H0 is diagonal too, so the generator maps diagonal
+states to diagonal states, and the populations obey the Pauli master
+equation with rates W[b', b] = sum_j rate_j |V_j[b', b]|^2 (Davies 1974;
+Spohn 1977), scattered from the index arrays: at most d entries per
+channel.  A sector's stationary state solves its block of W.
 
 Both power routes read the interband current in the Heisenberg picture,
-tr(N_c L rho) = tr(L*(N_c) rho), and read L*(N_c) off the same population
-block: N_c is diagonal too, so L*(N_c) = diag(W^T n - (1^T W) n) with n
-the diagonal of N_c, exactly, in O(n_terms d^2) and without any d^3
-product.  Only the grand-canonical state depends on the voltage, so
-pv_power_current and pv_power_fast_ansatz take a 1-d array of voltages: a
-sweep builds the generator and L*(N_c) once, then pays O(d^2) per voltage
-on top of validating that voltage's state.
+tr(N_c L rho) = tr(L*(N_c) rho).  N_c is diagonal, so L*(N_c) is the
+diagonal lm = W^T n - (1^T W) n, with n the conduction count of each basis
+state.  Only the grand-canonical state, diagonal as well, depends on the
+voltage, so pv_power_current and pv_power_fast_ansatz take a 1-d array of
+voltages: a sweep forms W and lm once, builds no generator, and pays O(d)
+per voltage on top of validating that voltage's state.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +52,7 @@ from ..gkls import (
     _bordered_solve,
     modulated_family,
 )
-from ..operators import DensityMatrix, dag
+from ..operators import DensityMatrix
 from ..tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -79,8 +79,10 @@ def effective_inverse_temperature(n: float, omega: float) -> float:
     Inverts the Boltzmann ratio of the mode occupation:
     beta[omega] = ln(1 + 1/n) / omega.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if np.isnan(n):
+        raise ValueError(f"occupation n must be a number, got {n}")
     if n <= 0:
         raise ZeroOccupation(
             f"occupation {n} is not positive; the effective temperature diverges"
@@ -150,6 +152,7 @@ class PvSpec:
         object.__setattr__(self, "inter_rates", _rate_matrix(self.inter_rates, (nc, nv), "inter_rates"))
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        _channels(self)  # every Gibbs-ratio reverse rate must be finite
 
     @property
     def n_conduction(self) -> int:
@@ -195,21 +198,44 @@ def _mode_energies(spec: PvSpec) -> np.ndarray:
     return np.array(spec.conduction_energies + spec.valence_energies)
 
 
-def _hop(n_modes: int, src: int, dst: int) -> np.ndarray:
-    """c_dst+ c_src on the 2^n occupation basis, read off the occupation bits.
+def _hop(n_modes: int, src: int, dst: int) -> tuple:
+    """c_dst+ c_src on the 2^n occupation basis as (rows, cols, signs).
 
     A basis state with mode src filled and, once src is emptied, mode dst
     empty goes to the state with src emptied and dst filled; every other
     state goes to 0.  The sign is the Jordan-Wigner parity of both moves,
-    as in operators.fermion_mode, so the matrix is a signed partial
-    permutation, built without any d x d products.
+    as in operators.fermion_mode, so the operator is a signed partial
+    permutation: entry [rows[i], cols[i]] is signs[i], every other is 0.
     """
     b = np.arange(1 << n_modes)
     mid = b ^ (1 << src)
     ok = (((b >> src) & 1) == 1) & (((mid >> dst) & 1) == 0)
     parity = _filled(b, src) + _filled(mid, dst)
-    out = np.zeros((b.size, b.size), dtype=complex)
-    out[(mid | (1 << dst))[ok], b[ok]] = 1.0 - 2.0 * (parity[ok] & 1)
+    return (mid | (1 << dst))[ok], b[ok], 1.0 - 2.0 * (parity[ok] & 1)
+
+
+def _channels(spec: PvSpec) -> list:
+    """The cell's jumps as (src mode, dst mode, rate, bath label), jump c_dst+ c_src.
+
+    Intraband hops in the conduction band, then in the valence band, then
+    interband recombination; each channel is followed by its reverse at the
+    Gibbs ratio of its bath (phonons at beta, photons at beta1).
+    """
+    e = _mode_energies(spec)
+    c, v = range(spec.n_conduction), range(spec.n_conduction, spec.n_modes)
+    blocks = ((c, c, spec.intra_rates_c, "intra_rates_c", spec.beta, "phonon"),
+              (v, v, spec.intra_rates_v, "intra_rates_v", spec.beta, "phonon"),
+              (c, v, spec.inter_rates, "inter_rates", spec.beta1, "photon"))
+    out = []
+    for srcs, dsts, rates, name, beta, label in blocks:
+        for (i, src), (j, dst) in itertools.product(enumerate(srcs), enumerate(dsts)):
+            if src == dst or rates[i, j] == 0:
+                continue
+            with np.errstate(over="ignore"):
+                back = rates[i, j] * np.exp(-beta * (e[src] - e[dst]))
+            if not np.isfinite(back):
+                raise ValueError(f"{name}[{i}, {j}] has a reverse rate that overflows")
+            out += [(src, dst, rates[i, j], label), (dst, src, back, label)]
     return out
 
 
@@ -222,60 +248,37 @@ def build_pv_family(spec: PvSpec) -> GeneratorFamily:
     beta1; each channel comes with its Gibbs-ratio reverse.  H0 and every
     jump are formed from the occupation bits of the basis index.
     """
-    n = spec.n_modes
-    nc = spec.n_conduction
     energies = _mode_energies(spec)
     b = np.arange(spec.dim)
     e0 = np.zeros(spec.dim)
-    for q in range(n):
+    for q in range(spec.n_modes):
         e0 += energies[q] * ((b >> q) & 1)
-    h0 = np.diag(e0).astype(complex)
-
     terms = []
-
-    def intra(band_offset: int, rates: np.ndarray, band_e) -> None:
-        nb = len(band_e)
-        for k in range(nb):
-            for kp in range(nb):
-                if k == kp or rates[k, kp] == 0:
-                    continue
-                hop = _hop(n, band_offset + k, band_offset + kp)
-                terms.append(LindbladTerm(hop, rates[k, kp], "phonon"))
-                back = rates[k, kp] * np.exp(-spec.beta * (band_e[k] - band_e[kp]))
-                terms.append(LindbladTerm(dag(hop), back, "phonon"))
-
-    intra(0, spec.intra_rates_c, spec.conduction_energies)
-    intra(nc, spec.intra_rates_v, spec.valence_energies)
-
-    for k in range(nc):
-        for l in range(spec.n_valence):
-            rate = spec.inter_rates[k, l]
-            if rate == 0:
-                continue
-            drop = _hop(n, k, nc + l)
-            terms.append(LindbladTerm(drop, rate, "photon"))
-            omega_kl = spec.conduction_energies[k] - spec.valence_energies[l]
-            lift_rate = rate * np.exp(-spec.beta1 * omega_kl)
-            terms.append(LindbladTerm(dag(drop), lift_rate, "photon"))
-
+    for src, dst, rate, label in _channels(spec):
+        rows, cols, signs = _hop(spec.n_modes, src, dst)
+        jump = np.zeros((spec.dim, spec.dim), dtype=complex)
+        jump[rows, cols] = signs
+        terms.append(LindbladTerm(jump, rate, label))
     return modulated_family(
-        GklsGenerator(h0, tuple(terms)),
+        GklsGenerator(np.diag(e0).astype(complex), tuple(terms)),
         pv_number_operator(spec),
         spec.amplitude,
         spec.frequency,
     )
 
 
-def _pauli_rates(gen: GklsGenerator) -> np.ndarray:
+def _pauli_rates(spec: PvSpec) -> np.ndarray:
     """W[b', b] = sum_j rate_j |V_j[b', b]|^2, the Pauli rates between basis states.
 
     For the cell's generator the populations decouple from the coherences
     (Davies 1974; Spohn 1977), and W is their whole dynamics:
-    dp/dt = (W - diag(1^T W)) p.
+    dp/dt = (W - diag(1^T W)) p.  Each |V_j|^2 is 1 on the channel's index
+    arrays and 0 elsewhere, so its rate is added there, in channel order.
     """
-    w = np.zeros(gen.hamiltonian.shape)
-    for term in gen.terms:
-        w += term.rate * np.abs(term.jump) ** 2
+    w = np.zeros((spec.dim, spec.dim))
+    for src, dst, rate, _ in _channels(spec):
+        rows, cols, _ = _hop(spec.n_modes, src, dst)
+        w[rows, cols] += rate
     return w
 
 
@@ -340,12 +343,12 @@ def pv_analytic_power(spec: PvSpec, voltage: float = None) -> float:
 
 
 def _over_voltages(spec: PvSpec, voltage, power_at):
-    """power_at(n_c, lm, v) at each voltage, with lm = L*(N_c) built once.
+    """power_at(n, lm, p) at each voltage, with no generator built.
 
-    One family build serves the whole sweep, and L*(N_c) =
-    diag(W^T n - (1^T W) n) is read off its population block (see the
-    module docstring).  A scalar or None voltage runs as a batch of one and
-    returns a float; a 1-d array returns an array.
+    n is the diagonal of N_c and lm that of L*(N_c), both formed once (see
+    the module docstring); p is the diagonal of the validated grand-canonical
+    state at each voltage.  A scalar or None voltage runs as a batch of one
+    and returns a float; a 1-d array returns an array.
     """
     if voltage is None:
         voltages, scalar = [None], True
@@ -354,22 +357,16 @@ def _over_voltages(spec: PvSpec, voltage, power_at):
         if v.ndim > 1:
             raise ShapeError(f"voltage must be a scalar or 1-d array, got shape {v.shape}")
         voltages, scalar = [float(x) for x in v.reshape(-1)], v.ndim == 0
-    family = build_pv_family(spec)
-    n_c = family.drive_observable
-    n = n_c.diagonal().real
-    w = _pauli_rates(family.base)
-    lm = np.diag(w.T @ n - w.sum(axis=0) * n).astype(complex)
-    out = np.array([power_at(n_c, lm, v) for v in voltages], dtype=float)
+    n = _filled(np.arange(spec.dim), spec.n_conduction)
+    w = _pauli_rates(spec)
+    lm = w.T @ n - w.sum(axis=0) * n
+    states = (pv_grand_canonical(spec, 0.0, v).matrix.diagonal().real for v in voltages)
+    out = np.array([power_at(n, lm, p) for p in states], dtype=float)
     return float(out[0]) if scalar else out
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a b) in O(d^2), without forming the product."""
-    return float(np.einsum("ij,ji->", a, b).real)
-
-
 def pv_power_current(spec: PvSpec, voltage=None):
-    """Average power from the assembled generator's charge current.
+    """Average power from the many-body generator's charge current.
 
     Evaluates g^2 beta <N_c>_0 tr(N_c L rho_gc(V)) with the full many-body
     generator: the macroscopic-population form of the fast power formula,
@@ -377,20 +374,25 @@ def pv_power_current(spec: PvSpec, voltage=None):
     state carries the voltage dependence.  Crosses zero at the open-circuit
     voltage for degenerate gaps.
 
-    The current is read in the Heisenberg picture, tr(L*(N_c) rho_gc(V)):
-    only the state depends on V, so ``voltage`` may be a 1-d array and the
-    family build and the one L*(N_c) (each O(n_terms d^2), see the module
-    docstring) are paid once per sweep; each voltage then costs a validated
-    grand-canonical state and two O(d^2) traces.  A scalar or None returns
-    a float, an array an array.
+    The current is read in the Heisenberg picture, tr(L*(N_c) rho_gc(V)),
+    from diagonals formed once per sweep (see the module docstring), so
+    ``voltage`` may be a 1-d array; each voltage costs a validated
+    grand-canonical state and two O(d) sums.  A scalar or None returns a
+    float, an array an array.
     """
     g = spec.amplitude
 
-    def power_at(n_c, lm, v):
-        rho = pv_grand_canonical(spec, 0.0, v).matrix
-        return g * g * spec.beta * _trace_product(n_c, rho) * _trace_product(lm, rho)
+    def power_at(n, lm, p):
+        # the terms cancel at V_oc; einsum keeps the dense trace's rounding there, ddot can give 0.0
+        return g * g * spec.beta * float(np.einsum("i,i", n, p)) * float(np.einsum("i,i", lm, p))
 
     return _over_voltages(spec, voltage, power_at)
+
+
+def _ansatz_slope(beta: float, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Diagonal of -beta (N_c - <N_c>) rho from the diagonals n of N_c and p of rho."""
+    n_rho = n * p
+    return -beta * (n_rho - float(n_rho.sum()) * p)
 
 
 def pv_ansatz_derivative(spec: PvSpec, voltage: float = None) -> np.ndarray:
@@ -403,8 +405,7 @@ def pv_ansatz_derivative(spec: PvSpec, voltage: float = None) -> np.ndarray:
     """
     p = pv_grand_canonical(spec, 0.0, voltage).matrix.diagonal().real
     n = _filled(np.arange(spec.dim), spec.n_conduction)
-    n_rho = n * p
-    return np.diag(-spec.beta * (n_rho - float(n_rho.sum()) * p)).astype(complex)
+    return np.diag(_ansatz_slope(spec.beta, n, p)).astype(complex)
 
 
 def pv_power_fast_ansatz(spec: PvSpec, voltage=None):
@@ -417,14 +418,12 @@ def pv_power_fast_ansatz(spec: PvSpec, voltage=None):
     of the power (the part that changes sign at the open-circuit voltage)
     is what pv_power_current isolates.
 
-    Takes ``voltage`` as pv_power_current does: one family build and one
-    Heisenberg image L*(N_c) per call, then one ansatz derivative and one
-    O(d^2) trace per voltage.
+    Takes ``voltage`` as pv_power_current does.
     """
     g = spec.amplitude
 
-    def power_at(n_c, lm, v):
-        return -0.5 * g * g * _trace_product(pv_ansatz_derivative(spec, v), lm)
+    def power_at(n, lm, p):
+        return -0.5 * g * g * float(_ansatz_slope(spec.beta, n, p) @ lm)
 
     return _over_voltages(spec, voltage, power_at)
 
@@ -433,10 +432,8 @@ def pv_power_fast_ansatz(spec: PvSpec, voltage=None):
 
 def sector_indices(spec: PvSpec, n_electrons: int) -> np.ndarray:
     """Basis indices of the fixed total-charge sector."""
-    if not (0 <= n_electrons <= spec.n_modes):
-        raise InvalidDimension(
-            f"{n_electrons} electrons outside 0..{spec.n_modes}"
-        )
+    if not isinstance(n_electrons, (int, np.integer)) or not (0 <= n_electrons <= spec.n_modes):
+        raise InvalidDimension(f"{n_electrons!r} electrons is not an integer in 0..{spec.n_modes}")
     return np.flatnonzero(_filled(np.arange(spec.dim), spec.n_modes) == n_electrons)
 
 
@@ -457,11 +454,22 @@ def sector_stationary_state(
     the all-ones trace row.
     """
     idx = sector_indices(spec, n_electrons)
-    w = _pauli_rates(build_pv_family(spec).base)[np.ix_(idx, idx)]
+    w = _pauli_rates(spec)[np.ix_(idx, idx)]
     q = w - np.diag(w.sum(axis=0))
     p = np.zeros(spec.dim)
     p[idx] = _bordered_solve(q, np.ones(idx.size), tol)[0].real
     return DensityMatrix(np.diag(p).astype(complex))
+
+
+def _conditioned_weights(spec: PvSpec, n_electrons: int, xi: float, voltage) -> np.ndarray:
+    """Diagonal of the grand-canonical ansatz conditioned on a charge sector."""
+    idx = sector_indices(spec, n_electrons)
+    cond = np.zeros(spec.dim)
+    cond[idx] = _gc_diagonal(spec, xi, voltage)[idx]
+    total = cond.sum()
+    if total <= 0:
+        raise ZeroOccupation(f"sector {n_electrons} carries no ansatz weight")
+    return cond / total
 
 
 def pv_conditioned_ansatz(
@@ -471,14 +479,8 @@ def pv_conditioned_ansatz(
     voltage: float = None,
 ) -> DensityMatrix:
     """Grand-canonical ansatz conditioned on a total-charge sector."""
-    w = _gc_diagonal(spec, xi, voltage)
-    idx = sector_indices(spec, n_electrons)
-    cond = np.zeros_like(w)
-    cond[idx] = w[idx]
-    total = cond.sum()
-    if total <= 0:
-        raise ZeroOccupation(f"sector {n_electrons} carries no ansatz weight")
-    return DensityMatrix(np.diag(cond / total).astype(complex))
+    cond = _conditioned_weights(spec, n_electrons, xi, voltage)
+    return DensityMatrix(np.diag(cond).astype(complex))
 
 
 def pv_floating_voltage(
@@ -492,14 +494,11 @@ def pv_floating_voltage(
     bracketed root finding; the result is the cell's self-consistent
     output voltage for that total charge.
     """
-    n_c = pv_number_operator(spec)
-    target = float(
-        np.trace(n_c @ sector_stationary_state(spec, n_electrons, tol).matrix).real
-    )
+    n = _filled(np.arange(spec.dim), spec.n_conduction)
+    target = float(n @ sector_stationary_state(spec, n_electrons, tol).matrix.diagonal().real)
 
     def mismatch(v: float) -> float:
-        cond = pv_conditioned_ansatz(spec, n_electrons, 0.0, v)
-        return float(np.trace(n_c @ cond.matrix).real) - target
+        return float(n @ _conditioned_weights(spec, n_electrons, 0.0, v)) - target
 
     # the conditioned <N_c> is monotone in V; widen until the root is bracketed
     lo, hi = -abs(spec.gap) * 4.0, abs(spec.gap) * 4.0

@@ -2,12 +2,14 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lindtherm import (
     GklsGenerator,
+    InvalidDimension,
     LindbladTerm,
     ShapeError,
     ZeroOccupation,
@@ -21,6 +23,7 @@ from lindtherm import (
 from lindtherm.cli import main
 from lindtherm.models.pv import (
     PvSpec,
+    _channels,
     _hop,
     _over_voltages,
     _pauli_rates,
@@ -101,6 +104,16 @@ def test_effective_inverse_temperature():
         effective_inverse_temperature(0.0, 1.0)
     with pytest.raises(ValueError):
         effective_inverse_temperature(0.5, -1.0)
+    assert effective_inverse_temperature(np.inf, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("n, omega, name", [
+    (np.nan, 1.0, "occupation"), (1.0, np.nan, "omega"), (1.0, np.inf, "omega"),
+    (1.0, -np.inf, "omega"),
+])
+def test_effective_inverse_temperature_rejects_nan_and_infinite_omega(n, omega, name):
+    with pytest.raises(ValueError, match=name):
+        effective_inverse_temperature(n, omega)
 
 
 def test_spec_validation():
@@ -110,6 +123,10 @@ def test_spec_validation():
         PvSpec((1.0,), (0.0,), 1.0, 0.5, np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         PvSpec((1.0,), (0.0,), 1.0, 0.5, np.array([[-0.1]]))
+    with pytest.raises(ValueError, match=r"intra_rates_c\[0, 1\] has a reverse rate that overflows"):
+        # the uphill hop's Gibbs-ratio reverse is 0.01 e^{38.68 * 29}
+        PvSpec((1.0, 30.0), (0.0,), 38.68, 11.6, np.array([[0.01], [0.01]]),
+               intra_rates_c=np.array([[0.0, 0.01], [0.0, 0.0]]))
     spec = degenerate_2x2()
     assert spec.dim == 16
     assert spec.gap == 1.0
@@ -289,9 +306,18 @@ def test_sector_indices_are_binomial():
     spec = degenerate_2x2()
     sizes = [sector_indices(spec, n).size for n in range(5)]
     assert sizes == [1, 4, 6, 4, 1]
+    assert sector_indices(spec, np.int64(2)).size == 6
 
 
-# --- one generator per sweep ----------------------------------------------------
+@pytest.mark.parametrize("route", [sector_indices, sector_stationary_state,
+                                   pv_conditioned_ansatz, pv_floating_voltage])
+@pytest.mark.parametrize("charge", [1.5, 2.0, -1, 5])
+def test_sector_routes_reject_a_charge_that_is_not_a_sector(route, charge):
+    with pytest.raises(InvalidDimension, match="electrons"):
+        route(degenerate_2x2(), charge)
+
+
+# --- voltage sweeps from the Pauli rates -------------------------------------
 
 def spread_3x2(v=0.5):
     """3+2 cell with spread gaps and intraband hopping in both bands."""
@@ -384,7 +410,7 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def test_pv_sweep_builds_one_generator(tmp_path, monkeypatch):
+def test_pv_sweep_builds_no_generator(tmp_path, monkeypatch):
     builds = _count_calls(monkeypatch, build_pv_family)
     heisenberg = _count_calls(monkeypatch, apply_heisenberg)
     schrodinger = _count_calls(monkeypatch, apply_schrodinger)
@@ -402,30 +428,81 @@ def test_pv_sweep_builds_one_generator(tmp_path, monkeypatch):
         "sweep": {"v_min": 0.1, "v_max": 0.9, "points": 5},
     }))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    # L*(N_c) comes from the population block, not from a direct action
-    assert (len(builds), len(heisenberg), len(schrodinger)) == (1, 0, 0)
+    # W and L*(N_c) come from the channels' index arrays, not from a generator
+    assert (len(builds), len(heisenberg), len(schrodinger)) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2()],
                          ids=["degenerate_2x2", "spread_3x2"])
 def test_population_route_matches_heisenberg_action(spec):
     lms = []
-    _over_voltages(spec, None, lambda n_c, lm, v: lms.append(lm) or 0.0)
+    _over_voltages(spec, None, lambda n, lm, p: lms.append(lm) or 0.0)
     gen = build_pv_family(spec).base
     n_c = pv_number_operator(spec)
     n = n_c.diagonal().real
     ref = apply_heisenberg(gen, n_c)
     assert not (ref - np.diag(ref.diagonal())).any()
-    w = _pauli_rates(gen)
+    w = _pauli_rates(spec)
     scale = w.sum(axis=0).max() * n.max()
-    assert np.max(np.abs(lms[0] - np.diag(ref.diagonal()))) <= 1e-14 * scale
+    assert np.max(np.abs(lms[0] - ref.diagonal())) <= 1e-14 * scale
 
 
 def test_hops_equal_fermion_mode_products():
     for src in range(4):
         for dst in range(4):
             expected = dag(fermion_mode(4, dst)) @ fermion_mode(4, src)
-            assert np.array_equal(_hop(4, src, dst), expected), (src, dst)
+            rows, cols, signs = _hop(4, src, dst)
+            hop = np.zeros((16, 16), dtype=complex)
+            hop[rows, cols] = signs
+            assert np.array_equal(hop, expected), (src, dst)
+
+
+@pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2()],
+                         ids=["degenerate_2x2", "spread_3x2"])
+def test_pauli_rates_equal_the_sum_over_terms(spec):
+    # both cells populate both directions of an intraband pair, so a hop and
+    # the reverse of its partner add into the same entries of W
+    pairs = [(src, dst) for src, dst, _, _ in _channels(spec)]
+    assert len(set(pairs)) < len(pairs)
+    ref = np.zeros((spec.dim, spec.dim))
+    for term in build_pv_family(spec).base.terms:
+        ref += term.rate * np.abs(term.jump) ** 2
+    assert _pauli_rates(spec).tobytes() == ref.tobytes()
+
+
+def test_ten_mode_cell_without_a_generator(monkeypatch):
+    # 5 + 5 modes with degenerate gaps (d = 1024): a dense jump there is
+    # 16 MiB and the cell has 130 of them, so every route below must stay
+    # on the index arrays and the Pauli rates
+    rng = np.random.default_rng(10)
+    spec = PvSpec(
+        conduction_energies=(1.0,) * 5,
+        valence_energies=(0.0,) * 5,
+        beta=1.0 / (KB * 300.0),
+        beta1=1e-3 / KB,
+        inter_rates=0.01 * rng.uniform(0.5, 2.0, (5, 5)),
+        intra_rates_c=0.01 * rng.uniform(0.5, 2.0, (5, 5)) * (1 - np.eye(5)),
+        intra_rates_v=0.01 * rng.uniform(0.5, 2.0, (5, 5)) * (1 - np.eye(5)),
+        mu_c=0.5,
+        amplitude=0.2,
+        frequency=50.0,
+    )
+    voc = open_circuit_voltage(spec)
+    builds = _count_calls(monkeypatch, build_pv_family)
+    tracemalloc.start()
+    try:
+        ness = sector_stationary_state(spec, 5)
+        ansatz = pv_conditioned_ansatz(spec, 5, voltage=voc)
+        assert trace_distance(ness, ansatz) < 1e-12
+        assert abs(pv_floating_voltage(spec, 5) - 0.7) < 1e-8
+        vs = voc + np.array([-0.01, -0.003, 0.004, 0.012])
+        positive = pv_power_current(spec, vs) > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(positive) == [True, True, False, False]
+    assert builds == []
+    assert peak < 256 * 2**20, peak / 2**20
 
 
 # --- charge-sector states from the population block --------------------------
