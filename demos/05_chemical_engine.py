@@ -33,7 +33,7 @@ eta_inf = storage_efficiency(alpha0, spec.gamma_up, spec.gamma_down)
 print("  t      E(t)       E closed   |alpha|    closed     W_e/E")
 for i, t in enumerate(times):
     e = traj.energies[i]
-    w = traj.ergotropy(i)  # from the real co-rotating matrix, against H = omega N
+    w = traj.ergotropy(i)  # from the co-rotating band rows, against H = omega N
     print(f"  {t:4.2f}  {e:9.4f}  {analytic_energy(spec, traj.energies[0], t):9.4f}  "
           f"{abs(traj.amplitudes[i]):.5f}  "
           f"{abs(analytic_amplitude(spec, alpha0, t)):.5f}  {w / e:.4f}")

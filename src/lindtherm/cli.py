@@ -33,6 +33,7 @@ from .gkls import (
 )
 from .engine import power_report
 from .models.chem import (
+    _coherent_amplitudes,
     ChemSpec,
     Chemistry,
     BirthDeathState,
@@ -40,7 +41,6 @@ from .models.chem import (
     analytic_energy,
     birth_death_evolve,
     birth_death_mean,
-    coherent_state,
     evolve_oscillator,
     gillespie_ensemble,
 )
@@ -441,8 +441,11 @@ def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     overflow = _string(config.get("overflow", "truncate"), "overflow",
                        {"raise", "truncate"})
     # every CSV column is invariant under e^{i phi N}, so the run starts from
-    # the real |alpha0|: its bands stay real and propagate as one real basis
-    initial = coherent_state(abs(alpha0), spec.dim)
+    # the real |alpha0|: its bands stay real and propagate as one real basis.
+    # The evolver checks the rank-one start in band storage, so it is passed
+    # as a plain matrix, not a DensityMatrix.
+    psi = _coherent_amplitudes(abs(alpha0), spec.dim).real
+    initial = np.outer(psi, psi)
     traj = evolve_oscillator(spec, initial, times, on_overflow=overflow, tol=tol)
     e0 = float(traj.energies[0])
     e_analytic = analytic_energy(spec, e0, traj.times)

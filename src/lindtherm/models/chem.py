@@ -32,7 +32,7 @@ from math import lgamma
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
+from scipy.linalg import eigvals_banded, lapack
 
 from .. import thermo
 from ..errors import (
@@ -45,7 +45,7 @@ from ..errors import (
     TruncationOverflow,
 )
 from ..gkls import GklsGenerator, LindbladTerm, _propagate, _time_grid
-from ..operators import DensityMatrix, as_operator, fock_annihilation, hermiticity_defect
+from ..operators import DensityMatrix, _square, fock_annihilation, hermiticity_defect
 from ..tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -157,6 +157,15 @@ def coherent_state(alpha: complex, dim: int) -> DensityMatrix:
     cutoff stays stable; the discarded tail must be small enough that the
     renormalization is cosmetic (checked by the caller via dim choice).
     """
+    psi = _coherent_amplitudes(alpha, dim)
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+    """The unit vector |alpha> of ``coherent_state``, as a complex array.
+
+    A real alpha >= 0 gives exactly zero imaginary parts.
+    """
     if dim < 2:
         raise InvalidDimension(f"dim must be >= 2, got {dim}")
     alpha = complex(alpha)
@@ -170,7 +179,7 @@ def coherent_state(alpha: complex, dim: int) -> DensityMatrix:
         phase = np.exp(1j * n * np.angle(alpha))
         psi = np.exp(log_mag) * phase
         psi /= np.linalg.norm(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return psi
 
 
 # --- banded propagation ------------------------------------------------------
@@ -341,7 +350,9 @@ class ChemTrajectory:
     tuple): reading sample i multiplies band k (rho[n + k, n]) by
     e^{-i omega k t_i} and returns a validated DensityMatrix, so a run that
     reads no state builds no lab-frame matrix.  ``ergotropy(i)`` reads the
-    ergotropy of sample i from the co-rotating matrix.  ``truncated`` flags
+    ergotropy of sample i from its co-rotating band rows, by a banded
+    eigensolve of a leading block whose left-out mass is below the rounding
+    of the energy (no dense d x d matrix).  ``truncated`` flags
     that the requested grid was cut short because the top-level population
     crossed the guard.
     """
@@ -369,14 +380,56 @@ class ChemTrajectory:
         return DensityMatrix(_dense(self._bands[i] * phase[:, np.newaxis], self._rows), self._tol)
 
     def ergotropy(self, i: int) -> float:
-        """Ergotropy of sample i against H = omega N, from the co-rotating matrix.
+        """Ergotropy of sample i against H = omega N, from its co-rotating bands.
 
-        H is diagonal and commutes with the rotation, so that matrix has the
-        lab-frame energy and spectrum; a real start keeps it real, which takes
-        the real symmetric eigensolver.
+        H is diagonal and commutes with the rotation, so the co-rotating
+        matrix has the lab-frame energy and spectrum.  The energy E is band 0
+        times omega n, summed in full.  The populations are the eigenvalues
+        of the leading N x N block (``scipy.linalg.eigvals_banded`` on its
+        kept band rows), padded with d - N zeros, for the smallest N whose
+        left-out mass m(N) (see ``_leading_block``) meets
+
+            omega_max m(N) <= eps (|E| + |omega|),
+
+        omega_max = |omega| (d - 1) the largest |level| and eps the float64
+        epsilon.  The left-out entries form a matrix of trace norm at most
+        m(N), so by Lidskii's theorem the sorted spectra of the matrix and of
+        the padded block differ by at most m(N) in l1, and the passive energy
+        by at most omega_max m(N): below the rounding of E itself.  The cut
+        follows from eps and the inputs; a state with mass up to the top
+        level takes N = d.
         """
-        rho = _dense(self._bands[i], self._rows)
-        return thermo.ergotropy(rho, np.diag(self._omega * np.arange(float(rho.shape[0]))))
+        bands, rows = self._bands[i], self._rows
+        d = bands.shape[1]
+        levels = self._omega * np.arange(float(d))
+        energy = float(bands[0].real @ levels)
+        size = _leading_block(bands, rows, abs(levels[-1]),
+                              np.finfo(float).eps * (abs(energy) + abs(self._omega)))
+        populations = np.zeros(d)
+        if size:
+            inside = rows < size
+            ab = np.zeros((rows[inside][-1] + 1, size), dtype=bands.dtype)
+            ab[rows[inside]] = bands[inside, :size]
+            populations[:size] = eigvals_banded(ab, lower=True, overwrite_a_band=True)
+        return thermo._passive_work(energy, populations, levels)
+
+
+def _leading_block(bands: np.ndarray, rows: np.ndarray, weight: float, limit: float) -> int:
+    """Smallest N whose left-out mass m(N) meets weight m(N) <= limit.
+
+    m(N) is the l1 mass of the entries of the hermitian matrix with band rows
+    ``bands`` (band indices ``rows``, see ``_dense``) outside its leading
+    N x N block, an off-diagonal entry counted twice (for its mirror).  Band
+    entry (k, n) sits in matrix row n + k, so one bincount of the per-row
+    masses and a reversed cumulative sum give m for every N; m(d) = 0, so
+    N = d always qualifies.
+    """
+    d = bands.shape[1]
+    mass = np.abs(bands) * np.where(rows > 0, 2.0, 1.0)[:, np.newaxis]
+    in_row = np.arange(d) + rows[:, np.newaxis]  # the padding lands at d and beyond
+    per_row = np.bincount(in_row.reshape(-1), mass.reshape(-1))[:d]
+    tail = np.append(np.cumsum(per_row[::-1])[::-1], 0.0)
+    return int(np.argmax(weight * tail <= limit))
 
 
 def _band_certified(bands: np.ndarray, rows: np.ndarray, tol: Tolerances) -> bool:
@@ -453,7 +506,7 @@ def evolve_oscillator(
     if on_overflow not in ("raise", "truncate"):
         raise ValueError(f"on_overflow must be 'raise' or 'truncate', got {on_overflow!r}")
     t = _time_grid(times)
-    rho0 = as_operator(initial, "initial state")
+    rho0 = _square(initial, "initial state", keep_real=True)
     d = spec.dim
     if rho0.shape != (d, d):
         raise ShapeError(f"initial state shape {rho0.shape} does not match dim {d}")

@@ -351,11 +351,20 @@ def ergotropy(rho, hamiltonian: np.ndarray) -> float:
     if r.shape != h.shape:
         raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
     energy = float(np.sum(r * h.T).real)
-    populations = np.linalg.eigvalsh(hermitize(r))[::-1]
+    populations = np.linalg.eigvalsh(hermitize(r))
     diagonal = np.diagonal(h)
     if np.count_nonzero(h) == np.count_nonzero(diagonal):
-        levels = np.sort(diagonal.real)
+        levels = diagonal.real
     else:
         levels = np.linalg.eigvalsh(hermitize(h))
-    w = energy - float(np.dot(populations, levels))
+    return _passive_work(energy, populations, levels)
+
+
+def _passive_work(energy: float, populations: np.ndarray, levels: np.ndarray) -> float:
+    """energy - sum_i r_i eps_i over r sorted down and eps sorted up, clamped at 0.
+
+    The sorted pairing gives the passive state's energy; negative rounding
+    dust in the difference is clamped to zero.
+    """
+    w = energy - float(np.dot(np.sort(populations)[::-1], np.sort(levels)))
     return max(w, 0.0)

@@ -418,17 +418,34 @@ def test_ergotropy_window_tracks_coherent_energy():
         assert abs(w - abs(traj.amplitudes[i]) ** 2) < 1e-4
 
 
-@pytest.mark.parametrize("dim, alpha, decoherence, t_max, truncated", [
-    (60, 1.5, 0.0, 1.0, False),
-    (60, 1.5 * np.exp(0.7j), 0.0, 1.0, False),
-    (60, 1.5, 0.3, 1.0, False),
-    (12, 1.0, 0.0, 4.0, True),
-], ids=["real", "complex", "decoherence", "truncated"])
-def test_trajectory_ergotropy_matches_lab_frame_states(dim, alpha, decoherence, t_max,
-                                                       truncated):
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Sizes of the leading blocks that ``ChemTrajectory.ergotropy`` solves."""
+    sizes = []
+    solve = chem.eigvals_banded
+
+    def spy(ab, **kwargs):
+        sizes.append(ab.shape[1])
+        return solve(ab, **kwargs)
+
+    monkeypatch.setattr(chem, "eigvals_banded", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("omega, dim, alpha, decoherence, t_max, truncated, uncut", [
+    (1.3, 60, 1.5, 0.0, 1.0, False, False),
+    (1.3, 60, 1.5 * np.exp(0.7j), 0.0, 1.0, False, False),
+    (1.3, 60, 1.5, 0.3, 1.0, False, False),
+    (1.3, 12, 1.0, 0.0, 4.0, True, True),
+    (-1.3, 60, 1.5, 0.0, 1.0, False, False),
+    (1.3, 12, 0.8, 0.0, 0.08, False, True),
+], ids=["real", "complex", "decoherence", "truncated", "negative_omega", "pumped_to_top"])
+def test_trajectory_ergotropy_matches_lab_frame_states(block_sizes, omega, dim, alpha,
+                                                       decoherence, t_max, truncated, uncut):
     # the co-rotating matrix has the lab-frame energy and spectrum, so its
-    # ergotropy is the one of the validated lab-frame state
-    spec = ChemSpec(1.3, 0.5, 0.25, decoherence=decoherence, dim=dim)
+    # ergotropy is the one of the validated lab-frame state; a state with
+    # mass up to the top level is solved whole, with no block cut
+    spec = ChemSpec(omega, 0.5, 0.25, decoherence=decoherence, dim=dim)
     times = np.linspace(0.0, t_max, 17)
     traj = evolve_oscillator(spec, coherent_state(alpha, dim), times, on_overflow="truncate")
     assert traj.truncated == truncated
@@ -436,9 +453,50 @@ def test_trajectory_ergotropy_matches_lab_frame_states(dim, alpha, decoherence, 
     for i in [*range(len(traj.states)), -1]:
         ref = ergotropy(traj.states[i], h)
         assert abs(traj.ergotropy(i) - ref) <= 1e-12 * (1.0 + ref)
+    assert len(block_sizes) == len(traj.states) + 1
+    assert (min(block_sizes) == dim) == uncut
     assert traj.ergotropy(-1) == traj.ergotropy(len(traj.states) - 1)
     with pytest.raises(IndexError):  # a truncated run keeps only its valid samples
         traj.ergotropy(len(traj.states))
+
+
+def test_trajectory_ergotropy_cuts_a_leading_block(block_sizes):
+    # an alpha = 3 start at dim 600 holds its mass in the first ~70 levels,
+    # so the eigensolver sees only a leading block of the samples
+    spec = ChemSpec(1.0, 0.5, 0.25, decoherence=0.05, dim=600)
+    traj = evolve_oscillator(spec, coherent_state(3.0, 600), [0.0, 0.25])
+    h = np.diag(np.arange(600.0))
+    for i in range(2):
+        # the co-rotating matrix: same spectrum and energy, real eigensolver
+        ref = ergotropy(chem._dense(traj._bands[i], traj._rows), h)
+        assert abs(traj.ergotropy(i) - ref) <= 1e-12 * (1.0 + ref)
+    assert len(block_sizes) == 2 and max(block_sizes) < 600
+
+
+def test_leading_block_keeps_mass_exactly_at_the_limit():
+    # matrix rows 0..3 carry the masses 1/2, 1/4, 1/8 and 1/8 + 2 * 1/16
+    # (rho[3, 2] counted with its mirror), so the left-out mass m(N) for
+    # N = 0..4 is 9/8, 5/8, 3/8, 1/4, 0, all exact in binary
+    bands = np.array([[0.5, 0.25, 0.125, 0.125], [0.0, 0.0, -0.0625, 0.0]])
+    rows = np.array([0, 1])
+    assert chem._leading_block(bands, rows, 3.0, 0.75) == 3  # 3 m(3) = 0.75
+    assert chem._leading_block(bands, rows, 3.0, np.nextafter(0.75, 0.0)) == 4
+    assert chem._leading_block(bands, rows, 3.0, 1.125) == 2
+    assert chem._leading_block(bands, rows, 0.0, 0.0) == 0
+
+
+def test_real_matrix_start_gives_the_density_matrix_bands():
+    # a real initial matrix is read in float64, not through a complex copy,
+    # and propagates to the same bands as the validated state
+    spec = ChemSpec(1.0, 0.5, 0.25, decoherence=0.05, dim=60)
+    psi = chem._coherent_amplitudes(2.0, 60).real
+    rho0 = np.outer(psi, psi)
+    times = np.linspace(0.0, 0.5, 5)
+    plain = evolve_oscillator(spec, rho0, times)
+    checked = evolve_oscillator(spec, DensityMatrix(rho0), times)
+    assert plain._bands.dtype == np.float64
+    assert np.array_equal(plain._rows, checked._rows)
+    assert np.array_equal(plain._bands, checked._bands)
 
 
 def test_states_read_like_a_tuple():

@@ -169,13 +169,13 @@ def test_chem_engine_runs_one_real_basis_and_no_generator(tmp_path, monkeypatch)
     for module in (chem, cli):
         monkeypatch.setattr(module, "build_chem_generator",
                             lambda spec: built.append(spec), raising=False)
-    # the samples are certified in band storage and the CSV reads no
-    # lab-frame state, so the only dense check is the initial coherent state's
+    # the start and the samples are certified in band storage and the CSV
+    # reads no lab-frame state, so no dense state check runs
     checked = []
     init = DensityMatrix.__init__
 
     def counted(self, matrix, *args, **kwargs):
-        checked.append(np.array(matrix))
+        checked.append(matrix)
         init(self, matrix, *args, **kwargs)
 
     monkeypatch.setattr(DensityMatrix, "__init__", counted)
@@ -184,9 +184,13 @@ def test_chem_engine_runs_one_real_basis_and_no_generator(tmp_path, monkeypatch)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     monkeypatch.undo()
     assert built == []
-    assert len(seeds) == 1 and not np.imag(seeds[0]).any()
-    assert len(checked) == 1
-    assert np.array_equal(checked[0], chem.coherent_state(3.0, 60).matrix)
+    assert checked == []
+    assert len(seeds) == 1 and not np.iscomplexobj(seeds[0])
+    # the seed is the kept lower bands of the real coherent state, end to end
+    ref = chem.coherent_state(3.0, 60).matrix
+    kept = seeds[0].reshape(-1, 60)
+    bands = [np.append(np.diagonal(ref, -k), np.zeros(k)) for k in range(kept.shape[0])]
+    assert np.array_equal(kept, bands)
 
 
 def test_replicator(tmp_path):
