@@ -4,180 +4,21 @@ bookkeeping, slow-drive engine power formulas, and two worked models
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DetailedBalanceViolation,
-    GridTooCoarse,
-    IdentityViolation,
-    IncompleteAssignment,
-    InvalidDimension,
-    LindthermError,
-    NonUniqueStationary,
-    NotAmplifying,
-    NotAnEigenoperator,
-    NotAState,
-    NotEquilibrium,
-    NotStationary,
-    NumericalDrift,
-    ResolventSingular,
-    ShapeError,
-    SingularLogarithm,
-    SingularWeight,
-    StepTooLarge,
-    SupportError,
-    TruncationOverflow,
-    ZeroOccupation,
-)
-from .tolerances import DEFAULT, Tolerances
-from .operators import (
-    DensityMatrix,
-    as_operator,
-    basis_state,
-    choi_matrix,
-    dag,
-    expectation,
-    fermion_mode,
-    fermion_modes,
-    fock_annihilation,
-    hermiticity_defect,
-    hermitize,
-    left_mul,
-    right_mul,
-    sandwich_mul,
-    trace_distance,
-    trace_preservation_defect,
-    unitality_defect,
-    unvec,
-    vec,
-)
-from .gkls import (
-    DetailedBalanceReport,
-    GeneratorFamily,
-    GklsGenerator,
-    LindbladTerm,
-    Trajectory,
-    apply_heisenberg,
-    apply_schrodinger,
-    davies_terms,
-    detailed_balance_report,
-    evolve,
-    evolve_driven,
-    gibbs_state,
-    heisenberg_super,
-    modulated_family,
-    schrodinger_super,
-    stationary_state,
-    thermal_family,
-    thermal_pair,
-    weighted_inner_product,
-)
-from .thermo import (
-    BathAssignment,
-    HeatCurrentReport,
-    ThermoSample,
-    entropy_production,
-    ergotropy,
-    heat_currents,
-    instantaneous_power,
-    internal_energy,
-    law_residuals,
-    passive_state,
-    relative_entropy,
-    von_neumann_entropy,
-)
-from .engine import (
-    PowerReport,
-    StationaryDerivative,
-    average_power_fast,
-    average_power_resolvent,
-    equilibrium_power_bound,
-    power_report,
-    stationary_derivative,
-)
-from . import models
+from . import errors, tolerances, operators, gkls, thermo, engine, models
+from .errors import *
+from .tolerances import *
+from .operators import *
+from .gkls import *
+from .thermo import *
+from .engine import *
 
 __all__ = [
     "__version__",
-    "ConfigError",
-    "DetailedBalanceViolation",
-    "GridTooCoarse",
-    "IdentityViolation",
-    "IncompleteAssignment",
-    "InvalidDimension",
-    "LindthermError",
-    "NonUniqueStationary",
-    "NotAmplifying",
-    "NotAnEigenoperator",
-    "NotAState",
-    "NotEquilibrium",
-    "NotStationary",
-    "NumericalDrift",
-    "ResolventSingular",
-    "ShapeError",
-    "SingularLogarithm",
-    "SingularWeight",
-    "StepTooLarge",
-    "SupportError",
-    "TruncationOverflow",
-    "ZeroOccupation",
-    "DEFAULT",
-    "Tolerances",
-    "DensityMatrix",
-    "as_operator",
-    "basis_state",
-    "choi_matrix",
-    "dag",
-    "expectation",
-    "fermion_mode",
-    "fermion_modes",
-    "fock_annihilation",
-    "hermiticity_defect",
-    "hermitize",
-    "left_mul",
-    "right_mul",
-    "sandwich_mul",
-    "trace_distance",
-    "trace_preservation_defect",
-    "unitality_defect",
-    "unvec",
-    "vec",
-    "DetailedBalanceReport",
-    "GeneratorFamily",
-    "GklsGenerator",
-    "LindbladTerm",
-    "Trajectory",
-    "apply_heisenberg",
-    "apply_schrodinger",
-    "davies_terms",
-    "detailed_balance_report",
-    "evolve",
-    "evolve_driven",
-    "gibbs_state",
-    "heisenberg_super",
-    "modulated_family",
-    "schrodinger_super",
-    "stationary_state",
-    "thermal_family",
-    "thermal_pair",
-    "weighted_inner_product",
-    "BathAssignment",
-    "HeatCurrentReport",
-    "ThermoSample",
-    "entropy_production",
-    "ergotropy",
-    "heat_currents",
-    "instantaneous_power",
-    "internal_energy",
-    "law_residuals",
-    "passive_state",
-    "relative_entropy",
-    "von_neumann_entropy",
-    "PowerReport",
-    "StationaryDerivative",
-    "average_power_fast",
-    "average_power_resolvent",
-    "equilibrium_power_bound",
-    "power_report",
-    "stationary_derivative",
+    *errors.__all__,
+    *tolerances.__all__,
+    *operators.__all__,
+    *gkls.__all__,
+    *thermo.__all__,
+    *engine.__all__,
     "models",
 ]

@@ -57,8 +57,6 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["main", "run_scenario"]
 
-_SCENARIOS = ("evolve", "pv-sweep", "chem-engine", "replicator", "engine-power")
-
 
 # --- config walking ----------------------------------------------------------
 
@@ -556,7 +554,7 @@ def run_scenario(config: dict, out_dir, seed_override: int = None) -> dict:
         raise ConfigError("top level: expected a JSON object")
     if "scenario" not in config:
         _fail("scenario", "missing required key")
-    scenario = _string(config["scenario"], "scenario", set(_SCENARIOS))
+    scenario = _string(config["scenario"], "scenario", _RUNNERS)
     seed = config.get("seed", 0)
     if seed_override is not None:
         seed = seed_override

@@ -13,19 +13,21 @@ On column-stacked operators (see operators.py for the convention) the
 matrix of L is I (x) G + conj(G) (x) I + sum_j rate_j conj(V_j) (x) V_j, and
 the matrix of L* is its conjugate transpose.
 
-Every generator is one jump table: the scaled jumps sqrt(rate_j) V_j
-stacked as a C-contiguous (n, d, d) array, grouped by bath label so that
-each bath is one slice, with the rate vector beside it.  Everything else
-reads that table.  Flattened to (n, d^2) it is the matrix W whose Gram
-matrix W^T conj(W) is the jump part of the superoperator, up to an index
-permutation; K_b is one GEMM over bath b's slice; and the direct actions
-and per-bath heat currents evaluate the kernel a X + X a+ + sum_j v_j X v_j+
-as two GEMMs per chunk of the table: Y = [v_j X]_j, then
-[Y_1 ... Y_m] [v_1+; ...; v_m+].  ``thermal_family`` writes the Davies
-channels of all its baths straight into one table per xi, from one
-eigendecomposition of H(xi); ``modulated_family`` shares its base
-generator's table across xi.  No LindbladTerm is made on either path:
-a generator built from a table makes its ``terms`` when they are read.
+Every generator is its Hamiltonian plus one channel record, whose jump
+table holds the scaled jumps sqrt(rate_j) V_j stacked as a C-contiguous
+(n, d, d) array, grouped by bath label so that each bath is one slice,
+with the rate vector beside it.  Everything else reads that table.
+Flattened to (n, d^2) it is the matrix W whose Gram matrix W^T conj(W)
+is the jump part of the superoperator, up to an index permutation; K_b
+is one GEMM over bath b's slice; and the direct actions and per-bath
+heat currents evaluate the kernel a X + X a+ + sum_j v_j X v_j+ as two
+GEMMs per chunk of the table: Y = [v_j X]_j, then [Y_1 ... Y_m]
+[v_1+; ...; v_m+].  ``GklsGenerator(hamiltonian, terms)`` stacks its
+terms into a record at construction.  ``thermal_family`` writes the
+Davies channels of all its baths straight into one record per xi, from
+one eigendecomposition of H(xi), and makes no LindbladTerm: its
+generators build ``terms`` when they are read.  ``modulated_family``
+generators share their base generator's record, table and K_b included.
 """
 
 from __future__ import annotations
@@ -116,29 +118,58 @@ def _checked_hermitian(x, name: str) -> np.ndarray:
     return h
 
 
-def _scaled_table(jumps: np.ndarray, rates: np.ndarray, slices: dict) -> tuple:
-    """Check every channel at once, then scale row j of ``jumps`` by sqrt(rate_j) in place."""
-    if not np.isfinite(jumps).all():
-        raise ValueError("jump operator has non-finite entries")
-    bad = ~np.isfinite(rates) | (rates < 0)
-    if bad.any():
-        raise ValueError(f"rate must be finite and nonnegative, got {rates[bad.argmax()]}")
-    jumps *= np.sqrt(rates)[:, None, None]
-    return jumps, rates, slices
+class _Channels:
+    """Jump table, rates and bath slices, shared by the generators that hold it.
+
+    Made from the unscaled rows ``jumps`` (laid out as GklsGenerator says),
+    their ``rates`` and {bath label: slice of the table}: every channel is
+    checked at once, then row j is scaled by sqrt(rate_j) in place.
+    ``terms_of()`` returns the LindbladTerm tuple when ``terms`` is first
+    read; K_b per bath is built on first use, so it exists once per record.
+    """
+
+    def __init__(self, jumps: np.ndarray, rates: np.ndarray, slices: dict, terms_of):
+        if not np.isfinite(jumps).all():
+            raise ValueError("jump operator has non-finite entries")
+        bad = ~np.isfinite(rates) | (rates < 0)
+        if bad.any():
+            raise ValueError(f"rate must be finite and nonnegative, got {rates[bad.argmax()]}")
+        jumps *= np.sqrt(rates)[:, None, None]
+        self.jumps, self.rates, self.slices, self._terms_of = jumps, rates, slices, terms_of
+
+    @cached_property
+    def terms(self) -> tuple:
+        return self._terms_of()
+
+    @cached_property
+    def baths(self) -> dict:
+        """{bath label: (K_b, the bath's slice of the jump table)}.
+
+        K_b = sum of rate V+ V over the bath is one GEMM U^H U with U the
+        slice flattened to (n_b d, d); BLAS is handed U^T, F-contiguous, so
+        nothing is copied.
+        """
+        d = self.jumps.shape[-1]
+        baths = {}
+        for label, sl in self.slices.items():
+            u = self.jumps[sl].reshape(-1, d).T
+            baths[label] = (blas.zgemm(1.0, u, u, trans_b=2).T, self.jumps[sl])
+        return baths
 
 
 class GklsGenerator:
-    """Hamiltonian plus jump channels, held as one jump table.
+    """Hamiltonian plus jump channels, held as one shared channel record.
 
-    The table is sqrt(rate_j) V_j for every channel as one C-contiguous
-    (n, d, d) array, the channels grouped by bath label (in order of first
-    appearance), kept with the rate vector; it costs n d^2 16 bytes.
-    ``GklsGenerator(hamiltonian, terms)`` stacks its LindbladTerm channels
-    into the table on first use.  ``thermal_family`` builds the table of
-    each xi directly and makes ``terms`` only when they are first read;
-    ``modulated_family`` shares its base generator's table.  The d x d
-    matrices K_b (per bath) and G are built from the table on first use
-    and kept.
+    The record (``_Channels``) holds sqrt(rate_j) V_j for every channel as
+    one C-contiguous (n, d, d) jump table, the channels grouped by bath
+    label (in order of first appearance), with the rate vector; the table
+    costs n d^2 16 bytes.  ``GklsGenerator(hamiltonian, terms)`` stacks its
+    LindbladTerm channels into a new record at construction.
+    ``thermal_family`` builds the record of each xi directly from the
+    Davies channels and makes ``terms`` only when they are first read;
+    ``modulated_family`` generators share their base generator's record.
+    The d x d matrices K_b (per bath) live on the record and G on the
+    generator; both are built on first use and kept.
     """
 
     def __init__(self, hamiltonian, terms):
@@ -152,92 +183,43 @@ class GklsGenerator:
                     f"terms[{k}] jump shape {term.jump.shape} does not match "
                     f"hamiltonian shape {h.shape}"
                 )
-        self.hamiltonian, self.terms = h, terms
-
-    @classmethod
-    def _from_table(cls, hamiltonian, jumps, rates, slices, terms_of) -> GklsGenerator:
-        """Generator of unscaled channel rows ``jumps`` (scaled in place).
-
-        ``rates`` and ``slices`` are as in the table; ``terms_of()`` returns
-        the LindbladTerm tuple, called when ``terms`` is first read.
-        """
-        gen = cls.__new__(cls)
-        gen.hamiltonian = _checked_hermitian(hamiltonian, "hamiltonian")
-        gen._table = _scaled_table(jumps, rates, slices)
-        gen._terms_of = terms_of
-        return gen
-
-    @cached_property
-    def terms(self) -> tuple:
-        """The LindbladTerm channels, in the order they were given."""
-        return self._terms_of()
-
-    @cached_property
-    def _table(self) -> tuple:
-        """(jump table, rate vector, {bath label: slice of the table})."""
         groups = {}
-        for term in self.terms:
+        for term in terms:
             groups.setdefault(term.bath_label, []).append(term)
         grouped = [t for ts in groups.values() for t in ts]
         slices, j = {}, 0
         for label, ts in groups.items():
             slices[label] = slice(j, j + len(ts))
             j += len(ts)
-        return _scaled_table(
-            np.array([t.jump for t in grouped], dtype=complex).reshape(-1, self.dim, self.dim),
-            np.array([t.rate for t in grouped], dtype=float), slices,
+        self.hamiltonian, self._channels = h, _Channels(
+            np.array([t.jump for t in grouped], dtype=complex).reshape(-1, *h.shape),
+            np.array([t.rate for t in grouped], dtype=float), slices, lambda: terms,
         )
 
-    @property
-    def _jumps(self) -> np.ndarray:
-        return self._table[0]
+    @classmethod
+    def _of(cls, hamiltonian: np.ndarray, channels: _Channels) -> GklsGenerator:
+        """Generator of ``channels`` under ``hamiltonian``, already checked hermitian."""
+        gen = cls.__new__(cls)
+        gen.hamiltonian, gen._channels = hamiltonian, channels
+        return gen
 
-    @property
-    def _rates(self) -> np.ndarray:
-        return self._table[1]
+    terms = property(lambda self: self._channels.terms,
+                     doc="The LindbladTerm channels, in the order they were given.")
+    _jumps = property(lambda self: self._channels.jumps)
+    _rates = property(lambda self: self._channels.rates)
+    _baths = property(lambda self: self._channels.baths)
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
     def bath_labels(self) -> tuple:
-        return tuple(self._table[2])
-
-    @cached_property
-    def _baths(self) -> dict:
-        """{bath label: (K_b, the bath's slice of the jump table)}.
-
-        K_b = sum of rate V+ V over the bath is one GEMM U^H U with U the
-        slice flattened to (n_b d, d); BLAS is handed U^T, F-contiguous, so
-        nothing is copied.
-        """
-        jumps, _, slices = self._table
-        baths = {}
-        for label, sl in slices.items():
-            u = jumps[sl].reshape(-1, self.dim).T
-            baths[label] = (blas.zgemm(1.0, u, u, trans_b=2).T, jumps[sl])
-        return baths
+        return tuple(self._channels.slices)
 
     @cached_property
     def _g(self) -> np.ndarray:
         """G = -iH - K/2, so that L(X) = G X + X G+ + sum rate V X V+."""
         return -1j * self.hamiltonian - 0.5 * sum(k for k, _ in self._baths.values())
-
-
-class _Shifted(GklsGenerator):
-    """The channels of ``base`` under another Hamiltonian.
-
-    Its terms, jump table and K_b are those of ``base``, built there once
-    when first needed; only G is its own.
-    """
-
-    def __init__(self, base: GklsGenerator, hamiltonian):
-        self.hamiltonian = _checked_hermitian(hamiltonian, "hamiltonian")
-        self._base = base
-
-    terms = property(lambda self: self._base.terms)
-    _table = property(lambda self: self._base._table)
-    _baths = property(lambda self: self._base._baths)
 
 
 @dataclass(frozen=True)
@@ -608,10 +590,11 @@ def thermal_family(
 
     def generator_of(xi: float) -> GklsGenerator:
         h = h0 + xi * m
-        return GklsGenerator._from_table(
-            h, *_davies_table(h, spec),
-            lambda: tuple(t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl)),
-        )
+        table = _davies_table(h, spec)
+        # H is checked before the rows, so a non-finite H(xi) is reported as such
+        return GklsGenerator._of(_checked_hermitian(h, "hamiltonian"), _Channels(
+            *table, lambda: tuple(t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl)),
+        ))
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
 
@@ -624,12 +607,14 @@ def modulated_family(
 ) -> GeneratorFamily:
     """Family where xi shifts the Hamiltonian only: H0 + xi M, frozen terms.
 
-    Every generator shares ``gen``'s jump table and K_b; only G is rebuilt.
+    Every generator shares ``gen``'s channel record, so its jump table and
+    K_b; only G is rebuilt.
     """
     m = as_operator(m, "drive observable")
 
     def generator_of(xi: float) -> GklsGenerator:
-        return _Shifted(gen, gen.hamiltonian + xi * m)
+        return GklsGenerator._of(_checked_hermitian(gen.hamiltonian + xi * m, "hamiltonian"),
+                                 gen._channels)
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
 
@@ -651,6 +636,16 @@ def _factor(a: np.ndarray, limit: float, error, what: str):
     return lambda b: lapack.zgetrs(lu, piv, b)[0]
 
 
+def _check_stationary(what: str, image: np.ndarray, tol: Tolerances):
+    """Raise NotStationary unless ``what``'s generator image has norm <= tol.stationarity."""
+    resid = float(np.linalg.norm(image))
+    if resid > tol.stationarity:
+        raise NotStationary(
+            f"{what} has generator-image norm {resid:.3e} "
+            f"(tolerance {tol.stationarity:.1e})"
+        )
+
+
 def _bordered_solve(s: np.ndarray, trace: np.ndarray, tol: Tolerances) -> tuple:
     """(x, solve): the kernel vector of s with trace . x = 1, and the solver.
 
@@ -670,12 +665,7 @@ def _bordered_solve(s: np.ndarray, trace: np.ndarray, tol: Tolerances) -> tuple:
     b = np.zeros(s.shape[0], dtype=complex)
     b[0] = scale
     x = solve(b)
-    resid = float(np.linalg.norm(s @ x))
-    if resid > tol.stationarity:
-        raise NotStationary(
-            f"stationary candidate has generator-image norm {resid:.3e} "
-            f"(tolerance {tol.stationarity:.1e})"
-        )
+    _check_stationary("stationary candidate", s @ x, tol)
     return x, solve
 
 
@@ -842,12 +832,7 @@ def detailed_balance_report(
     become plain matrix symmetry.
     """
     w = as_operator(rho_bar, "reference state")
-    resid = float(np.linalg.norm(apply_schrodinger(gen, w)))
-    if resid > tol.stationarity:
-        raise NotStationary(
-            f"reference state has generator-image norm {resid:.3e} "
-            f"(tolerance {tol.stationarity:.1e})"
-        )
+    _check_stationary("reference state", apply_schrodinger(gen, w), tol)
     vals, vecs = np.linalg.eigh(hermitize(w))
     if float(vals[0]) <= 1e-12:
         raise SingularWeight(

@@ -1,65 +1,7 @@
 """Reference models: two-band photovoltaic cell, chemical engine/replicator."""
 
-from .pv import (
-    PvSpec,
-    effective_inverse_temperature,
-    build_pv_family,
-    pv_number_operator,
-    pv_grand_canonical,
-    pv_analytic_power,
-    pv_power_current,
-    pv_power_fast_ansatz,
-    pv_ansatz_derivative,
-    open_circuit_voltage,
-    sector_indices,
-    sector_stationary_state,
-    pv_conditioned_ansatz,
-    pv_floating_voltage,
-)
-from .chem import (
-    ChemSpec,
-    Chemistry,
-    BirthDeathState,
-    ChemTrajectory,
-    GillespieStats,
-    build_chem_generator,
-    coherent_state,
-    evolve_oscillator,
-    analytic_energy,
-    analytic_amplitude,
-    storage_efficiency,
-    birth_death_evolve,
-    birth_death_mean,
-    gillespie_ensemble,
-)
+from . import pv, chem
+from .pv import *
+from .chem import *
 
-__all__ = [
-    "PvSpec",
-    "effective_inverse_temperature",
-    "build_pv_family",
-    "pv_number_operator",
-    "pv_grand_canonical",
-    "pv_analytic_power",
-    "pv_power_current",
-    "pv_power_fast_ansatz",
-    "pv_ansatz_derivative",
-    "open_circuit_voltage",
-    "sector_indices",
-    "sector_stationary_state",
-    "pv_conditioned_ansatz",
-    "pv_floating_voltage",
-    "ChemSpec",
-    "Chemistry",
-    "BirthDeathState",
-    "ChemTrajectory",
-    "GillespieStats",
-    "build_chem_generator",
-    "coherent_state",
-    "evolve_oscillator",
-    "analytic_energy",
-    "analytic_amplitude",
-    "storage_efficiency",
-    "birth_death_evolve",
-    "birth_death_mean",
-    "gillespie_ensemble",
-]
+__all__ = [*pv.__all__, *chem.__all__]

@@ -32,7 +32,7 @@ from math import lgamma
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigvals_banded, lapack
+from scipy.linalg import lapack
 
 from .. import thermo
 from ..errors import (
@@ -350,9 +350,9 @@ class ChemTrajectory:
     tuple): reading sample i multiplies band k (rho[n + k, n]) by
     e^{-i omega k t_i} and returns a validated DensityMatrix, so a run that
     reads no state builds no lab-frame matrix.  ``ergotropy(i)`` reads the
-    ergotropy of sample i from its co-rotating band rows, by a banded
-    eigensolve of a leading block whose left-out mass is below the rounding
-    of the energy (no dense d x d matrix).  ``truncated`` flags
+    ergotropy of sample i from its co-rotating band rows, by a dense
+    eigensolve of only a leading block whose left-out mass is below the
+    rounding of the energy.  ``truncated`` flags
     that the requested grid was cut short because the top-level population
     crossed the guard.
     """
@@ -385,9 +385,9 @@ class ChemTrajectory:
         H is diagonal and commutes with the rotation, so the co-rotating
         matrix has the lab-frame energy and spectrum.  The energy E is band 0
         times omega n, summed in full.  The populations are the eigenvalues
-        of the leading N x N block (``scipy.linalg.eigvals_banded`` on its
-        kept band rows), padded with d - N zeros, for the smallest N whose
-        left-out mass m(N) (see ``_leading_block``) meets
+        of the leading N x N block (a dense ``eigvalsh`` of the block built
+        from its kept band rows), padded with d - N zeros, for the smallest
+        N whose left-out mass m(N) (see ``_leading_block``) meets
 
             omega_max m(N) <= eps (|E| + |omega|),
 
@@ -408,9 +408,7 @@ class ChemTrajectory:
         populations = np.zeros(d)
         if size:
             inside = rows < size
-            ab = np.zeros((rows[inside][-1] + 1, size), dtype=bands.dtype)
-            ab[rows[inside]] = bands[inside, :size]
-            populations[:size] = eigvals_banded(ab, lower=True, overwrite_a_band=True)
+            populations[:size] = np.linalg.eigvalsh(_dense(bands[inside, :size], rows[inside]))
         return thermo._passive_work(energy, populations, levels)
 
 

@@ -20,7 +20,6 @@ from .errors import (
     GridTooCoarse,
     IncompleteAssignment,
     LindthermError,
-    NotStationary,
     ShapeError,
     SingularLogarithm,
     SupportError,
@@ -29,6 +28,7 @@ from .gkls import (
     GeneratorFamily,
     GklsGenerator,
     Trajectory,
+    _check_stationary,
     _gkls_action,
     apply_schrodinger,
     stationary_state,
@@ -167,12 +167,7 @@ def entropy_production(
     """
     r = as_operator(rho, "state")
     rb = as_operator(rho_bar, "state")
-    resid = float(np.linalg.norm(apply_schrodinger(gen, rb)))
-    if resid > tol.stationarity:
-        raise NotStationary(
-            f"reference state has generator-image norm {resid:.3e} "
-            f"(tolerance {tol.stationarity:.1e})"
-        )
+    _check_stationary("reference state", apply_schrodinger(gen, rb), tol)
     log_r = _matrix_log(r, tol.log_floor, "state")
     log_rb = _matrix_log(rb, tol.log_floor, "stationary state")
     flow = apply_schrodinger(gen, r)

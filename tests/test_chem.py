@@ -422,13 +422,13 @@ def test_ergotropy_window_tracks_coherent_energy():
 def block_sizes(monkeypatch):
     """Sizes of the leading blocks that ``ChemTrajectory.ergotropy`` solves."""
     sizes = []
-    solve = chem.eigvals_banded
+    leading_block = chem._leading_block
 
-    def spy(ab, **kwargs):
-        sizes.append(ab.shape[1])
-        return solve(ab, **kwargs)
+    def spy(*args):
+        sizes.append(leading_block(*args))
+        return sizes[-1]
 
-    monkeypatch.setattr(chem, "eigvals_banded", spy)
+    monkeypatch.setattr(chem, "_leading_block", spy)
     return sizes
 
 

@@ -415,9 +415,10 @@ def test_davies_families_build_tables_without_terms(monkeypatch):
     power_report(GeneratorFamily(counted, fam.drive_observable, fam.amplitude, fam.frequency))
     assert made == []
     assert len(eighs) == len(generators) > 1
-    # a modulated family shares its base generator's table and K_b
+    # a modulated family shares its base generator's channel record, table and K_b
     base = fam.generator_of(0.0)
     mod = modulated_family(base, m, amplitude=0.3, frequency=2.0).generator_of(0.2)
+    assert mod._channels is base._channels
     assert mod._jumps is base._jumps
     assert all(mod._baths[k][0] is base._baths[k][0] for k in base.bath_labels())
     assert made == []
@@ -538,6 +539,16 @@ def test_family_rejects_non_finite_drive_observable(value):
     m = np.diag([0.0, 0.2, value])
     with pytest.raises(ShapeError, match="drive observable has non-finite entries"):
         GeneratorFamily(lambda xi: gen, m, 0.3, 2.0)
+
+
+def test_thermal_family_names_a_non_finite_hamiltonian():
+    # H(xi) = H0 + xi M overflows: the error names the Hamiltonian, not the
+    # jump rows that its eigendecomposition filled with NaN
+    x = unit(0, 1, 3) + unit(1, 2, 3) + unit(0, 2, 3)
+    fam = thermal_family(np.diag([0.0, 0.5, 1.0]), np.diag([1e308, 0.0, -1e308]),
+                         [(x + dag(x), 1.0, 0.5, "cold")], amplitude=0.3, frequency=2.0)
+    with np.errstate(all="ignore"), pytest.raises(ShapeError, match="hamiltonian has non-finite"):
+        fam.generator_of(5.0)
 
 
 def test_driven_zero_amplitude_matches_static():
