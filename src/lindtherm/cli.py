@@ -359,9 +359,6 @@ def _write_manifest(out_dir: Path, scenario: str, config: dict, outputs, extras)
 # --- scenarios ---------------------------------------------------------------
 
 def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
-    _check_keys(config, "", {"scenario", "seed", "tolerances", "model", "drive",
-                             "initial", "grid"},
-                {"scenario", "model", "initial", "grid"})
     gen, baths = _model(config["model"], "model", tol)
     if not baths:
         _fail("model.baths", "evolve needs at least one bath assignment")
@@ -395,8 +392,6 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
 
 
 def _run_pv_sweep(config: dict, out_dir: Path, seed: int, tol: Tolerances):
-    _check_keys(config, "", {"scenario", "seed", "tolerances", "pv", "sweep"},
-                {"scenario", "pv", "sweep"})
     spec = _pv_spec(config["pv"], "pv")
     sw = config["sweep"]
     _check_keys(sw, "sweep", {"v_min", "v_max", "points"}, {"v_min", "v_max", "points"})
@@ -428,9 +423,6 @@ def _run_pv_sweep(config: dict, out_dir: Path, seed: int, tol: Tolerances):
 
 
 def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
-    _check_keys(config, "", {"scenario", "seed", "tolerances", "chem",
-                             "initial_alpha", "grid", "overflow"},
-                {"scenario", "chem", "initial_alpha", "grid"})
     spec = _chem_spec(config["chem"], "chem")
     alpha0 = _complex_entry(config["initial_alpha"], "initial_alpha")
     if not np.isfinite(alpha0):
@@ -467,10 +459,6 @@ def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
 
 
 def _run_replicator(config: dict, out_dir: Path, seed: int, tol: Tolerances):
-    _check_keys(config, "", {"scenario", "seed", "tolerances", "gamma_up",
-                             "gamma_down", "n0", "n_max", "grid", "trajectories"},
-                {"scenario", "gamma_up", "gamma_down", "n0", "n_max", "grid",
-                 "trajectories"})
     gu = _number(config["gamma_up"], "gamma_up", minimum=0.0)
     gd = _number(config["gamma_down"], "gamma_down", minimum=0.0)
     n0 = _integer(config["n0"], "n0", minimum=0)
@@ -499,9 +487,6 @@ def _run_replicator(config: dict, out_dir: Path, seed: int, tol: Tolerances):
 
 
 def _run_engine_power(config: dict, out_dir: Path, seed: int, tol: Tolerances):
-    _check_keys(config, "", {"scenario", "seed", "tolerances", "model", "drive",
-                             "beta"},
-                {"scenario", "model", "drive"})
     gen, _ = _model(config["model"], "model", tol)
     m, g, om = _drive(config["drive"], "drive", gen.dim, tol)
     family = modulated_family(gen, m, g, om)
@@ -520,12 +505,15 @@ def _run_engine_power(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     return ["power_report.csv"], extras
 
 
+# scenario: (runner, its optional keys, its required keys); every scenario
+# also takes "scenario" (required), "seed" and "tolerances"
 _RUNNERS = {
-    "evolve": _run_evolve,
-    "pv-sweep": _run_pv_sweep,
-    "chem-engine": _run_chem_engine,
-    "replicator": _run_replicator,
-    "engine-power": _run_engine_power,
+    "evolve": (_run_evolve, {"drive"}, {"model", "initial", "grid"}),
+    "pv-sweep": (_run_pv_sweep, set(), {"pv", "sweep"}),
+    "chem-engine": (_run_chem_engine, {"overflow"}, {"chem", "initial_alpha", "grid"}),
+    "replicator": (_run_replicator, set(),
+                   {"gamma_up", "gamma_down", "n0", "n_max", "grid", "trajectories"}),
+    "engine-power": (_run_engine_power, {"beta"}, {"model", "drive"}),
 }
 
 
@@ -565,7 +553,10 @@ def run_scenario(config: dict, out_dir, seed_override: int = None) -> dict:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs, extras = _RUNNERS[scenario](resolved, out, seed, tol)
+    runner, optional, required = _RUNNERS[scenario]
+    _check_keys(resolved, "", {"scenario", "seed", "tolerances"} | optional | required,
+                {"scenario"} | required)
+    outputs, extras = runner(resolved, out, seed, tol)
     return _write_manifest(out, scenario, resolved, outputs, extras)
 
 

@@ -408,32 +408,32 @@ def thermal_pair(
 ) -> tuple:
     """Gibbs-ratio pair of terms: (A, rate) and (A+, rate e^{-beta omega}).
 
-    When ``hamiltonian`` is supplied, A is checked to be a lowering
-    eigenoperator, [H, A] = -omega A, within the relative tolerance.
+    When ``hamiltonian`` is supplied, it is checked hermitian, and A is
+    checked to be a lowering eigenoperator, [H, A] = -omega A, within the
+    relative tolerance, on all its entries in H's eigenbasis as one group.
     """
     a = as_operator(a, "jump operator")
     if base_rate <= 0:
         raise ValueError(f"base_rate must be positive, got {base_rate}")
     if hamiltonian is not None:
-        h = as_operator(hamiltonian, "hamiltonian")
-        _check_eigenoperators(h, a[None], np.array([bohr_frequency]), tol)
+        vals, vecs = np.linalg.eigh(hermitize(_checked_hermitian(hamiltonian, "hamiltonian")))
+        _check_eigenoperators(np.zeros(a.size, dtype=int), (dag(vecs) @ a @ vecs).ravel(),
+                              (vals - vals[:, None]).ravel(), np.array([bohr_frequency]), tol)
     down = LindbladTerm(a, base_rate, bath_label)
     up = LindbladTerm(dag(a), base_rate * np.exp(-beta * bohr_frequency), bath_label)
     return down, up
 
 
-def _check_eigenoperators(h: np.ndarray, a: np.ndarray, w: np.ndarray, tol: Tolerances):
+def _check_eigenoperators(group: np.ndarray, values: np.ndarray, gaps: np.ndarray,
+                          w: np.ndarray, tol: Tolerances):
     """Raise NotAnEigenoperator unless ||[H, A_k] + w_k A_k||_F <= tol.eigenoperator ||A_k||_F.
 
-    ``a`` is a (k, d, d) stack; the first failing A_k is reported.
+    A_k is given by its entries in H's eigenbasis: values[e], at Bohr gap
+    gaps[e] = E_j - E_i, belongs to A_{group[e]}, where [H, A_k] + w_k A_k
+    holds (w_k - gaps[e]) values[e].  The first failing A_k is reported.
     """
-    r = h @ a
-    r -= a @ h
-    r += w[:, None, None] * a
-    resid, scale = (
-        np.sqrt(np.einsum("kx,kx->k", v, v))  # Frobenius norms over real and imaginary parts
-        for v in (r.reshape(len(r), -1).view(float), a.reshape(len(a), -1).view(float))
-    )
+    resid, scale = (np.sqrt(np.bincount(group, np.abs(x) ** 2, minlength=w.size))
+                    for x in ((w[group] - gaps) * values, values))
     bad = (scale == 0) | (resid > tol.eigenoperator * scale)
     if bad.any():
         k = bad.argmax()
@@ -453,7 +453,8 @@ def _bohr_split(vals: np.ndarray, vecs: np.ndarray, vd: np.ndarray, coupling: np
     The coupling's nonzero eigenbasis entries (i, j), sorted stably by their
     gap vals[j] - vals[i], form one group wherever neighbouring gaps lie
     within _FREQ_TOL, valued at the group's first gap in row-major order.
-    Sorted, the groups run negative, zero (|w| <= _FREQ_TOL), positive.
+    Sorted, the groups run negative, zero (|w| <= _FREQ_TOL), positive; each
+    positive A_w is checked on its entries to satisfy [H, A_w] = -w A_w.
     Returns (zero, group, rows, cols, values, w): the lab-frame
     zero-frequency jumps with their identity component removed (that
     component is dynamically inert), each kept when its norm exceeds 1e-12;
@@ -484,7 +485,9 @@ def _bohr_split(vals: np.ndarray, vecs: np.ndarray, vd: np.ndarray, coupling: np
             zero.append(vecs @ block @ vd)
     first = group.searchsorted(p0)
     pos = order[first:]
-    return zero, group[first:] - p0, rows[pos], cols[pos], at[rows[pos], cols[pos]], w[p0:]
+    values = at[rows[pos], cols[pos]]
+    _check_eigenoperators(group[first:] - p0, values, gaps[pos], w[p0:], DEFAULT)
+    return zero, group[first:] - p0, rows[pos], cols[pos], values, w[p0:]
 
 
 def _davies_table(h: np.ndarray, couplings) -> tuple:
@@ -494,9 +497,9 @@ def _davies_table(h: np.ndarray, couplings) -> tuple:
     eigendecomposition of H serves them all.  Each coupling gives its
     zero-frequency jump at base_rate, then for each positive gap w, in
     ascending order, A_w at base_rate and A_w+ at base_rate e^{-beta w}.
-    The lab-frame blocks vecs (block) vecs+ are formed a chunk at a time
-    as stacked products and written into one preallocated table, where
-    each A_w is checked as an eigenoperator, [H, A_w] = -w A_w.  Returns
+    Each A_w is checked as an eigenoperator by ``_bohr_split``; the
+    lab-frame blocks vecs (block) vecs+ are formed a chunk at a time as
+    stacked products and written into one preallocated table.  Returns
     (jumps, rates, slices): the (n, d, d) table, its rates, and {label:
     slice} for the labels with channels, rows grouped by label in order of
     first appearance.
@@ -532,7 +535,6 @@ def _davies_table(h: np.ndarray, couplings) -> tuple:
                 blocks[group[e] - lo, rows[e], cols[e]] = values[e]
                 down = jumps[j + 2 * lo:j + 2 * hi:2]
                 np.matmul(vecs @ blocks, vd, out=down)
-                _check_eigenoperators(h, down, w[lo:hi], DEFAULT)
                 np.conjugate(down.transpose(0, 2, 1), out=jumps[j + 2 * lo + 1:j + 2 * hi:2])
             j += 2 * w.size
         if j > first:  # as for terms, a bath without channels has no label
@@ -558,7 +560,7 @@ def davies_terms(
     stationary for the resulting channel set.  These are the rows of
     ``thermal_family``'s jump table for one coupling.
     """
-    h = as_operator(hamiltonian, "hamiltonian")
+    h = _checked_hermitian(hamiltonian, "hamiltonian")
     a = as_operator(coupling, "coupling")
     jumps, rates, _ = _davies_table(h, [(a, beta, base_rate, bath_label)])
     return [LindbladTerm(v, r, bath_label) for v, r in zip(jumps, rates)]
@@ -589,12 +591,10 @@ def thermal_family(
     ]
 
     def generator_of(xi: float) -> GklsGenerator:
-        h = h0 + xi * m
-        table = _davies_table(h, spec)
-        # H is checked before the rows, so a non-finite H(xi) is reported as such
-        return GklsGenerator._of(_checked_hermitian(h, "hamiltonian"), _Channels(
-            *table, lambda: tuple(t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl)),
-        ))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing H(xi) is named
+            h = _checked_hermitian(h0 + xi * m, "hamiltonian")  # before its eigendecomposition
+        return GklsGenerator._of(h, _Channels(*_davies_table(h, spec), lambda: tuple(
+            t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl))))
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
 

@@ -33,7 +33,7 @@ diagonal lm = W^T n - (1^T W) n, with n the conduction count of each basis
 state.  Only the grand-canonical state, diagonal as well, depends on the
 voltage, so pv_power_current and pv_power_fast_ansatz take a 1-d array of
 voltages: a sweep forms W and lm once, builds no generator, and pays O(d)
-per voltage on top of validating that voltage's state.
+per voltage for its population vector (_gc_diagonal), with no DensityMatrix.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import InvalidDimension, NumericalDrift, ShapeError, ZeroOccupation
 from ..gkls import (
@@ -293,6 +292,8 @@ def _single_particle_weights(spec: PvSpec, xi: float, voltage) -> np.ndarray:
 
 
 def _gc_diagonal(spec: PvSpec, xi: float, voltage) -> np.ndarray:
+    """Grand-canonical populations: products of 1s and e^{-beta eps} over their
+    sum, which is >= 1 (the empty state's weight), so a finite p is a state."""
     eps = _single_particle_weights(spec, xi, voltage)
     w = np.ones(1)
     # an overflowing weight is reported below, by the voltage that caused it
@@ -317,10 +318,8 @@ def pv_grand_canonical(spec: PvSpec, xi: float = 0.0, voltage: float = None) -> 
 
 
 def _fermi_occupations(spec: PvSpec, voltage) -> tuple:
-    mu_c = spec.mu_c if voltage is None else spec.mu_v + voltage
-    f_c = 1.0 / (np.exp(spec.beta * (np.array(spec.conduction_energies) - mu_c)) + 1.0)
-    f_v = 1.0 / (np.exp(spec.beta * (np.array(spec.valence_energies) - spec.mu_v)) + 1.0)
-    return f_c, f_v
+    f = 1.0 / (np.exp(spec.beta * _single_particle_weights(spec, 0.0, voltage)) + 1.0)
+    return f[: spec.n_conduction], f[spec.n_conduction:]
 
 
 def pv_analytic_power(spec: PvSpec, voltage: float = None) -> float:
@@ -346,9 +345,9 @@ def _over_voltages(spec: PvSpec, voltage, power_at):
     """power_at(n, lm, p) at each voltage, with no generator built.
 
     n is the diagonal of N_c and lm that of L*(N_c), both formed once (see
-    the module docstring); p is the diagonal of the validated grand-canonical
-    state at each voltage.  A scalar or None voltage runs as a batch of one
-    and returns a float; a 1-d array returns an array.
+    the module docstring); p is the grand-canonical population vector of
+    _gc_diagonal at each voltage.  A scalar or None voltage runs as a batch
+    of one and returns a float; a 1-d array returns an array.
     """
     if voltage is None:
         voltages, scalar = [None], True
@@ -360,8 +359,7 @@ def _over_voltages(spec: PvSpec, voltage, power_at):
     n = _filled(np.arange(spec.dim), spec.n_conduction)
     w = _pauli_rates(spec)
     lm = w.T @ n - w.sum(axis=0) * n
-    states = (pv_grand_canonical(spec, 0.0, v).matrix.diagonal().real for v in voltages)
-    out = np.array([power_at(n, lm, p) for p in states], dtype=float)
+    out = np.array([power_at(n, lm, _gc_diagonal(spec, 0.0, v)) for v in voltages], dtype=float)
     return float(out[0]) if scalar else out
 
 
@@ -376,8 +374,8 @@ def pv_power_current(spec: PvSpec, voltage=None):
 
     The current is read in the Heisenberg picture, tr(L*(N_c) rho_gc(V)),
     from diagonals formed once per sweep (see the module docstring), so
-    ``voltage`` may be a 1-d array; each voltage costs a validated
-    grand-canonical state and two O(d) sums.  A scalar or None returns a
+    ``voltage`` may be a 1-d array; each voltage costs its grand-canonical
+    population vector and two O(d) sums.  A scalar or None returns a
     float, an array an array.
     """
     g = spec.amplitude
@@ -403,7 +401,7 @@ def pv_ansatz_derivative(spec: PvSpec, voltage: float = None) -> np.ndarray:
     Both N_c and rho are diagonal, so N_c rho and <N_c> come from their
     diagonals in O(d).
     """
-    p = pv_grand_canonical(spec, 0.0, voltage).matrix.diagonal().real
+    p = _gc_diagonal(spec, 0.0, voltage)
     n = _filled(np.arange(spec.dim), spec.n_conduction)
     return np.diag(_ansatz_slope(spec.beta, n, p)).astype(complex)
 
@@ -494,6 +492,7 @@ def pv_floating_voltage(
     bracketed root finding; the result is the cell's self-consistent
     output voltage for that total charge.
     """
+    from scipy.optimize import brentq  # imported here, not by every import of lindtherm
     n = _filled(np.arange(spec.dim), spec.n_conduction)
     target = float(n @ sector_stationary_state(spec, n_electrons, tol).matrix.diagonal().real)
 

@@ -118,7 +118,7 @@ def test_schrodinger_super_matches_termwise_reference():
 
 def test_schrodinger_super_temporaries_stay_superoperator_sized():
     # ~1100 jumps at d = 24: the jump table (n d^2 complex, ~10 MB) is
-    # built once by the first call and kept; a later assembly must not copy it
+    # built at construction and kept; a later assembly must not copy it
     gen = _two_bath_model(np.random.default_rng(26), 24)
     assert len(gen.terms) > 1000
     schrodinger_super(gen)
@@ -547,8 +547,22 @@ def test_thermal_family_names_a_non_finite_hamiltonian():
     x = unit(0, 1, 3) + unit(1, 2, 3) + unit(0, 2, 3)
     fam = thermal_family(np.diag([0.0, 0.5, 1.0]), np.diag([1e308, 0.0, -1e308]),
                          [(x + dag(x), 1.0, 0.5, "cold")], amplitude=0.3, frequency=2.0)
-    with np.errstate(all="ignore"), pytest.raises(ShapeError, match="hamiltonian has non-finite"):
+    with pytest.raises(ShapeError, match="hamiltonian has non-finite"):
         fam.generator_of(5.0)
+
+
+def test_davies_builders_name_a_non_hermitian_hamiltonian():
+    # H is checked before its eigendecomposition, so its hermiticity defect
+    # is reported rather than the eigenoperator residual that it causes
+    h0 = np.diag([0.0, 1.0, 2.5]) + np.diag([1e-3, 1e-3], 1)
+    x = unit(0, 1, 3) + unit(1, 2, 3) + unit(0, 2, 3)
+    match = "hamiltonian hermiticity defect 1.000e-03"
+    with pytest.raises(ShapeError, match=match):
+        thermal_family(h0, np.zeros((3, 3)), [(x + dag(x), 1.0, 0.5, "b")], 0.3, 2.0)
+    with pytest.raises(ShapeError, match=match):
+        davies_terms(h0, x + dag(x), 1.0)
+    with pytest.raises(ShapeError, match=match):
+        thermal_pair(unit(0, 1, 3), 0.9, 1.0, 1.0, hamiltonian=h0)
 
 
 def test_driven_zero_amplitude_matches_static():

@@ -1,5 +1,9 @@
 """Each package re-exports its modules' public names, each listed once."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import lindtherm
 import lindtherm.models
 from lindtherm import engine, errors, gkls, operators, thermo, tolerances
@@ -37,3 +41,12 @@ def test_every_listed_name_is_its_defining_modules_own_object():
             obj = getattr(mod, name)
             home = getattr(obj, "__module__", mod.__name__)
             assert home == mod.__name__, (mod.__name__, name, home)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize pulls in several scipy subpackages; only the PV floating
+    # voltage needs it, so importing the package and its CLI must not load it
+    code = "import sys, lindtherm, lindtherm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(lindtherm.__file__).parents[1])
+    assert out.stdout.strip() == "False"

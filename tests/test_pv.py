@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lindtherm import (
+    DensityMatrix,
     GklsGenerator,
     InvalidDimension,
     LindbladTerm,
@@ -432,9 +433,23 @@ def test_pv_sweep_builds_no_generator(tmp_path, monkeypatch):
         },
         "sweep": {"v_min": 0.1, "v_max": 0.9, "points": 5},
     }))
+    # the populations stay vectors: no voltage wraps its state in a DensityMatrix
+    checked = []
+    init = DensityMatrix.__init__
+
+    def counted(self, matrix, *args, **kwargs):
+        checked.append(matrix)
+        init(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counted)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    spec = degenerate_2x2()
+    pv_power_fast_ansatz(spec, np.linspace(0.1, 0.9, 5))
+    pv_ansatz_derivative(spec, 0.5)
+    monkeypatch.undo()
     # W and L*(N_c) come from the channels' index arrays, not from a generator
     assert (len(builds), len(heisenberg), len(schrodinger)) == (0, 0, 0)
+    assert checked == []
 
 
 @pytest.mark.parametrize("spec", [degenerate_2x2(big_gamma=0.01), spread_3x2()],
