@@ -251,11 +251,12 @@ class GeneratorFamily:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         object.__setattr__(self, "base", self.generator_of(0.0))
         h0 = self.base.hamiltonian
-        comm = h0 @ m - m @ h0
-        if np.linalg.norm(comm) > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm does not commute
+            comm = np.linalg.norm(h0 @ m - m @ h0)
+        if not comm <= 1e-10:
             warnings.warn(
                 "drive observable does not commute with the static hamiltonian "
-                f"(||[H0, M]|| = {np.linalg.norm(comm):.3e}); the perturbative "
+                f"(||[H0, M]|| = {comm:.3e}); the perturbative "
                 "power formulas are derived under [H0, M] = 0",
                 stacklevel=2,
             )
@@ -299,48 +300,67 @@ class Trajectory:
 
 # --- superoperator assembly -------------------------------------------------
 
-def _two_sided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X + X B on column-stacked operators: I (x) A + B^T (x) I.
+# bounds on chunked temporaries: superoperator stacks, and cache-sized direct-action products
+_CHUNK_BYTES, _ACTION_BYTES = 16 << 20, 1 << 19
 
-    Both Kronecker products are diagonals of the result's (d, d, d, d)
-    reshape, so each is added into a zeroed array through one writable
-    diagonal view, with no d^2 x d^2 temporary.
+
+def _two_sided(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Add the matrix of X -> A X + X B on column-stacked operators into s.
+
+    I (x) A + B^T (x) I, for matrices or stacks a, b and s: both Kronecker
+    products are diagonals of s's (k, d, d, d, d) reshape, each added
+    through one writable diagonal view, with no d^2 x d^2 temporary.
     """
-    d = a.shape[0]
-    s = np.zeros((d * d, d * d), dtype=complex)
-    s4 = s.reshape(d, d, d, d)
-    left = np.einsum("kakb->kab", s4)  # s4[k, a, k, b] = A[a, b]
-    left += a
-    right = np.einsum("aibi->iab", s4)  # s4[a, i, b, i] = B[b, a]
-    right += b.T
+    d = a.shape[-1]
+    s5 = s.reshape(-1, d, d, d, d)
+    left = np.einsum("nkakb->nkab", s5)  # s5[n, k, a, k, b] = A_n[a, b]
+    left += a.reshape(-1, 1, d, d)
+    right = np.einsum("naibi->niab", s5)  # s5[n, a, i, b, i] = B_n[b, a]
+    right += np.swapaxes(b, -1, -2).reshape(-1, 1, d, d)
     return s
+
+
+def _first_uses(keys) -> tuple:
+    """(ids, firsts): each key's index among the distinct keys, and their first uses."""
+    index = {}
+    ids = np.array([index.setdefault(k, len(index)) for k in keys], dtype=int)
+    return ids, np.unique(ids, return_index=True)[1]
+
+
+def _superops(gens, d: int):
+    """Generator matrices of ``gens`` (dimension d), as (k, d^2, d^2) chunks of <= _CHUNK_BYTES.
+
+    The jump part sum_j rate_j conj(V_j) (x) V_j permutes the hermitian Gram
+    matrix R = W^T conj(W) of the jump table flattened to W, (n, d^2): once
+    per channel record, one rank-n update (BLAS zherk, reading W^T without
+    a copy) gives its upper triangle U, and R = U + (U - diag U)^H is added
+    through two permuted views of U.  I (x) G + conj(G) (x) I: ``_two_sided``.
+    """
+    step = max(1, _CHUNK_BYTES // (16 * d ** 4))
+    for lo in range(0, len(gens), step):
+        chunk = gens[lo:lo + step]
+        s = np.zeros((len(chunk), d * d, d * d), dtype=complex)
+        ids, firsts = _first_uses([id(gen._channels) for gen in chunk])
+        for rec, first in enumerate(firsts):  # the jump part once per channel record
+            jumps = chunk[first]._jumps
+            if len(jumps):
+                s4 = s[first].reshape(d, d, d, d)
+                # u[(a, b), (c, e)] = sum_j V_j[a, b] conj(V_j[c, e]) for (a, b) <= (c, e);
+                # the kron entry [(i, k), (l, m)] is R[(k, m), (i, l)]: the upper part is
+                # read through u.T, the strict lower one through conj(u).T, diagonal cleared
+                u = blas.zherk(1.0, jumps.reshape(-1, d * d).T)
+                s4 += u.T.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+                np.fill_diagonal(u, 0.0)
+                np.conjugate(u, out=u)
+                s4 += u.T.reshape(d, d, d, d).transpose(2, 0, 3, 1)
+                s[np.flatnonzero(ids == rec)[1:]] = s[first]
+        g = np.array([gen._g for gen in chunk])
+        yield _two_sided(g, dag(g), s)
 
 
 def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
-    """Full generator matrix acting on vectorized states.
-
-    The Hamiltonian part I (x) G + conj(G) (x) I comes from ``_two_sided``.
-    The jump part sum_j rate_j conj(V_j) (x) V_j is an index permutation of
-    the hermitian Gram matrix R = W^T conj(W) of the jump table flattened
-    to W, shape (n, d^2).  One rank-n update (BLAS zherk, reading W^T
-    without a copy) gives its upper triangle U, and R = U + (U - diag U)^H
-    is added in place through two permuted views of U.
-    """
-    g = gen._g
-    s = _two_sided(g, dag(g))
-    if len(gen._jumps):
-        d = gen.dim
-        s4 = s.reshape(d, d, d, d)
-        # u[(a, b), (c, e)] = sum_j V_j[a, b] conj(V_j[c, e]) for (a, b) <= (c, e),
-        # pairs in row-major order.  The kron entry [(i, k), (l, m)] is
-        # R[(k, m), (i, l)]: its upper part is read through u.T, its strict
-        # lower part through the transpose of conj(u) with the diagonal cleared
-        u = blas.zherk(1.0, gen._jumps.reshape(-1, d * d).T)
-        s4 += u.T.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        np.fill_diagonal(u, 0.0)
-        np.conjugate(u, out=u)
-        s4 += u.T.reshape(d, d, d, d).transpose(2, 0, 3, 1)
-    return s
+    """Full generator matrix acting on vectorized states: ``_superops`` of one generator."""
+    return next(_superops([gen], gen.dim))[0]
 
 
 def heisenberg_super(gen: GklsGenerator) -> np.ndarray:
@@ -348,31 +368,30 @@ def heisenberg_super(gen: GklsGenerator) -> np.ndarray:
     return dag(schrodinger_super(gen))
 
 
-# temporaries of one chunk of the jump table in _gkls_action stay below this
-_CHUNK_BYTES = 16 << 20
-
-
 def _gkls_action(a: np.ndarray, x: np.ndarray, jumps: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """a X + X a+ + sum_j v_j X v_j+ with v_j = jumps[j], or jumps[j]+ if adjoint.
 
+    X is one (d, d) operator or a (k, d, d) stack, with one a or one per X_i.
     ``jumps`` is a C-contiguous (n, d, d) stack, summed in chunks whose
-    temporaries stay below _CHUNK_BYTES.  Per chunk, one batched product
-    P_j = Y u_j and one GEMM over the stacked index (j, row) give
-    sum_j P_j^T conj(u_j) = sum_j u_j^T Y^T conj(u_j).  For L, u_j = V_j^T
-    (copied out) and Y = X^T, so the GEMM is [V_1 X ... V_m X] times
-    [V_1+; ...; V_m+]; for L*, u_j = V_j in place and Y = X, which gives
-    the transpose of sum_j V_j+ X V_j.
+    temporaries stay below _ACTION_BYTES (or one copy of the X stack).  Per
+    chunk, one batched product P_j = Y u_j (the Y_i stacked as rows of Y)
+    and one GEMM over the stacked index (j, row) give sum_j u_j^T Y_i^T
+    conj(u_j) for every i: [V_1 X_i ... V_m X_i]_i [V_1+; ...; V_m+] for L,
+    with u_j = V_j^T copied out and Y_i = X_i^T; (sum_j V_j+ X_i V_j)^T
+    for L*, with u_j = V_j in place and Y_i = X_i.
     """
     out = a @ x + x @ dag(a)
-    d = x.shape[0]
-    y = x if adjoint else x.T
-    step = max(1, _CHUNK_BYTES // (32 * d * d))
+    d = x.shape[-1]
+    xs = x.reshape(-1, d, d)
+    y = (xs.transpose(1, 0, 2) if adjoint else xs.transpose(2, 0, 1)).reshape(-1, d)
+    step = max(1, _ACTION_BYTES // (32 * x.size))
     for lo in range(0, len(jumps), step):
         u = jumps[lo:lo + step]
         if not adjoint:
             u = np.ascontiguousarray(u.transpose(0, 2, 1))
-        z = blas.zgemm(1.0, np.matmul(y, u).reshape(-1, d).T, u.reshape(-1, d).T, trans_b=2)
-        out += z.T if adjoint else z
+        z = blas.zgemm(1.0, np.matmul(y, u).reshape(-1, len(y)).T, u.reshape(-1, d).T,
+                       trans_b=2).reshape(xs.shape)
+        out += (z.swapaxes(1, 2) if adjoint else z).reshape(out.shape)
     return out
 
 
@@ -566,6 +585,12 @@ def davies_terms(
     return [LindbladTerm(v, r, bath_label) for v, r in zip(jumps, rates)]
 
 
+def _shifted(h0: np.ndarray, xi: float, m: np.ndarray) -> np.ndarray:
+    """H(xi) = H0 + xi M, checked hermitian; an overflowing sum is named as non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked_hermitian(h0 + xi * m, "hamiltonian")
+
+
 def thermal_family(
     h0: np.ndarray,
     m: np.ndarray,
@@ -591,8 +616,7 @@ def thermal_family(
     ]
 
     def generator_of(xi: float) -> GklsGenerator:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing H(xi) is named
-            h = _checked_hermitian(h0 + xi * m, "hamiltonian")  # before its eigendecomposition
+        h = _shifted(h0, xi, m)
         return GklsGenerator._of(h, _Channels(*_davies_table(h, spec), lambda: tuple(
             t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl))))
 
@@ -613,8 +637,7 @@ def modulated_family(
     m = as_operator(m, "drive observable")
 
     def generator_of(xi: float) -> GklsGenerator:
-        return GklsGenerator._of(_checked_hermitian(gen.hamiltonian + xi * m, "hamiltonian"),
-                                 gen._channels)
+        return GklsGenerator._of(_shifted(gen.hamiltonian, xi, m), gen._channels)
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
 
@@ -636,14 +659,24 @@ def _factor(a: np.ndarray, limit: float, error, what: str):
     return lambda b: lapack.zgetrs(lu, piv, b)[0]
 
 
-def _check_stationary(what: str, image: np.ndarray, tol: Tolerances):
-    """Raise NotStationary unless ``what``'s generator image has norm <= tol.stationarity."""
-    resid = float(np.linalg.norm(image))
-    if resid > tol.stationarity:
-        raise NotStationary(
-            f"{what} has generator-image norm {resid:.3e} "
-            f"(tolerance {tol.stationarity:.1e})"
-        )
+def _at(sample: int, exc: Exception) -> Exception:
+    """``exc``, marked as raised by sample ``sample`` of a stack (see ``law_residuals``)."""
+    exc.sample = sample
+    return exc
+
+
+def _raise_first(bad: np.ndarray, error):
+    """Raise error(j), marked with j, at the first sample j whose ``bad`` flag is set."""
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise _at(j, error(j))
+
+
+def _check_stationary(what: str, images: np.ndarray, tol: Tolerances):
+    """Raise NotStationary at the first stacked generator image of norm > tol.stationarity."""
+    resid = np.linalg.norm(images.reshape(len(images), -1), axis=1)
+    _raise_first(resid > tol.stationarity, lambda j: NotStationary(
+        f"{what} has generator-image norm {resid[j]:.3e} (tolerance {tol.stationarity:.1e})"))
 
 
 def _bordered_solve(s: np.ndarray, trace: np.ndarray, tol: Tolerances) -> tuple:
@@ -665,7 +698,7 @@ def _bordered_solve(s: np.ndarray, trace: np.ndarray, tol: Tolerances) -> tuple:
     b = np.zeros(s.shape[0], dtype=complex)
     b[0] = scale
     x = solve(b)
-    _check_stationary("stationary candidate", s @ x, tol)
+    _check_stationary("stationary candidate", (s @ x)[None], tol)
     return x, solve
 
 
@@ -679,14 +712,12 @@ def _stationary_factored(s: np.ndarray, tol: Tolerances) -> tuple:
 def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Unique stationary state by one bordered linear solve.
 
-    Trace preservation makes row 0 of the generator matrix L redundant, so
-    it is replaced by the trace functional scaled by ||L||_1 (by 1 when
-    L = 0, as for a one-level system) and the system is solved against
-    that scale times e_0.  A kernel of dimension other than one makes that
-    system singular: its reciprocal condition estimate below tol.kernel_cut
-    raises NonUniqueStationary.  The solution is checked against
-    ||L rho||_F <= tol.stationarity, hermitized and validated as a state
-    with positivity 1e-8.
+    Row 0 of the generator matrix L, redundant under trace preservation, is
+    replaced by the trace functional scaled by ||L||_1 (by 1 when L = 0).  A
+    kernel of dimension other than one (condition estimate below
+    tol.kernel_cut) raises NonUniqueStationary, ||L rho||_F above
+    tol.stationarity NotStationary; rho is hermitized and validated with
+    positivity 1e-8.
     """
     return _stationary_factored(schrodinger_super(gen), tol)[0]
 
@@ -703,27 +734,35 @@ def _time_grid(times, points: int = 1) -> np.ndarray:
     return t
 
 
-def _propagate(v0: np.ndarray, t: np.ndarray, keys, matrix_of, accept) -> list:
+def _propagate(v0: np.ndarray, t: np.ndarray, keys, matrices_of, accept) -> list:
     """[accept(v_i, i) for i = 1 .. len(t) - 1] along a piecewise-constant linear flow.
 
-    Step i maps v_{i-1} to v_i = expm(matrix_of(keys[i-1]) dt_i) v_{i-1}; one
-    exponential is built per distinct (key, dt) pair.  ``accept`` checks the
-    vector (raising to stop the flow) and returns what the caller keeps.
+    Step i maps v_{i-1} to v_i = expm(S(keys[i-1]) dt_i) v_{i-1}, one
+    exponential per distinct (key, dt) pair.  ``matrices_of(ks)`` yields
+    the S of the pairs' keys ks, in order of first use, as new stacked
+    chunks, each exponentiated by one stacked ``expm``; a propagator is kept
+    while a later step uses it.  ``accept`` checks the vector (raising to
+    stop the flow) and returns what the caller keeps.
     """
-    props = {}
-    out = []
-    v = v0
-    for i in range(1, t.size):
-        dt = t[i] - t[i - 1]
-        key = (round(float(keys[i - 1]), 15), round(float(dt), 15))
-        if key not in props:
-            props[key] = expm(matrix_of(keys[i - 1]) * dt)
-        v = props[key] @ v
-        out.append(accept(v, i))
+    dt = np.diff(t)
+    ids, firsts = _first_uses([(round(float(k), 15), round(float(h), 15)) for k, h in zip(keys, dt)])
+    last = dict(zip(ids, range(len(ids))))  # the last step of each pair
+    props, out, v, i, lo = {}, [], v0, 0, 0
+    for chunk in matrices_of([keys[j] for j in firsts]):
+        hi = lo + len(chunk)
+        chunk *= dt[firsts[lo:hi], None, None]
+        props.update(zip(range(lo, hi), expm(chunk)))
+        while i < len(ids) and ids[i] < hi:
+            v = props[ids[i]] @ v
+            i += 1
+            out.append(accept(v, i))
+        # copied out, a kept propagator frees the rest of its chunk
+        props = {p: e if p < lo else e.copy() for p, e in props.items() if last[p] >= i}
+        lo = hi
     return out
 
 
-def _state_flow(rho0: DensityMatrix, dim: int, t, keys, superop_of, tol: Tolerances) -> tuple:
+def _state_flow(rho0: DensityMatrix, dim: int, t, keys, superops_of, tol: Tolerances) -> tuple:
     """States of a piecewise-constant GKLS flow, each validated against ``tol``."""
     if rho0.dim != dim:
         raise ShapeError(f"initial state has dimension {rho0.dim}, the generator {dim}")
@@ -734,7 +773,7 @@ def _state_flow(rho0: DensityMatrix, dim: int, t, keys, superop_of, tol: Toleran
         except NotAState as exc:
             raise NumericalDrift(f"state invariant violated at step {i}: {exc}") from exc
 
-    return (rho0, *_propagate(vec(rho0.matrix), t, keys, superop_of, accept))
+    return (rho0, *_propagate(vec(rho0.matrix), t, keys, superops_of, accept))
 
 
 def evolve(
@@ -747,8 +786,8 @@ def evolve(
     and a violation raises NumericalDrift carrying the step index.
     """
     t = _time_grid(times)
-    s = schrodinger_super(gen)
-    return Trajectory(t, _state_flow(rho0, gen.dim, t, np.zeros(t.size - 1), lambda xi: s, tol))
+    return Trajectory(t, _state_flow(rho0, gen.dim, t, np.zeros(t.size - 1),
+                                     lambda xis: _superops([gen] * len(xis), gen.dim), tol))
 
 
 def evolve_driven(
@@ -757,9 +796,10 @@ def evolve_driven(
     """Piecewise-frozen propagation of the driven family.
 
     On each step the generator is frozen at the midpoint drive value
-    xi(t_mid) and exponentiated.  The step size must satisfy
-    dt <= min(0.05/Omega, 0.1/max rate) for the freeze to be a faithful
-    quasi-static approximation.  States are validated as in ``evolve``.
+    xi(t_mid); the generators of the distinct (xi, dt) midpoints are built
+    in chunks, each exponentiated by one stacked ``expm``.  The step size
+    must satisfy dt <= min(0.05/Omega, 0.1/max rate) for the freeze to be a
+    faithful quasi-static approximation.  States are validated as in ``evolve``.
     """
     t = _time_grid(times, points=2)
     bound = 0.05 / family.frequency
@@ -773,9 +813,8 @@ def evolve_driven(
             f"(Omega = {family.frequency}, max rate = {mr})"
         )
     mids = family.xi(0.5 * (t[1:] + t[:-1]))
-    states = _state_flow(
-        rho0, family.base.dim, t, mids, lambda xi: schrodinger_super(family.generator_of(xi)), tol
-    )
+    states = _state_flow(rho0, family.base.dim, t, mids, lambda xis: _superops(
+        [family.generator_of(xi) for xi in xis], family.base.dim), tol)
     return Trajectory(t, states, xi_midpoints=mids)
 
 
@@ -832,7 +871,7 @@ def detailed_balance_report(
     become plain matrix symmetry.
     """
     w = as_operator(rho_bar, "reference state")
-    _check_stationary("reference state", apply_schrodinger(gen, w), tol)
+    _check_stationary("reference state", apply_schrodinger(gen, w)[None], tol)
     vals, vecs = np.linalg.eigh(hermitize(w))
     if float(vals[0]) <= 1e-12:
         raise SingularWeight(
@@ -852,7 +891,7 @@ def detailed_balance_report(
         optimize=True,
     ).reshape(d * d, d * d, order="F")
     m = root_inv @ h @ root
-    ham_gns = _two_sided(1j * h, -1j * m)
+    ham_gns = _two_sided(1j * h, -1j * m, np.zeros((d * d, d * d), dtype=complex))
     dis_gns -= ham_gns
 
     r_d = 0.5 * float(np.linalg.norm(dis_gns - dag(dis_gns)))

@@ -292,8 +292,8 @@ def _krylov_samples(factors, gamma, b, tau, target, scale, out) -> np.ndarray:
                 raise NumericalDrift("band propagation: Krylov projection is singular") from None
             if not np.isfinite(small).all():
                 raise NumericalDrift("band propagation: Krylov projection is not finite")
-            u = np.array([e1[:m], *_propagate(
-                e1[:m], tau, np.zeros(tau.size - 1), lambda _: small, lambda x, i: x)])
+            u = np.array([e1[:m], *_propagate(e1[:m], tau, np.zeros(tau.size - 1), lambda ks: [
+                np.repeat(small[None], len(ks), 0)], lambda x, i: x)])
             if not np.isfinite(u).all():
                 raise NumericalDrift("band propagation overflowed: non-finite samples")
             norms = np.hypot(scale, beta * np.linalg.norm(u, axis=1))
@@ -714,7 +714,8 @@ def birth_death_evolve(
             )
         return BirthDeathState(p, float(t[i]), slack)
 
-    return [first, *_propagate(p0.probs, t, np.zeros(t.size - 1), lambda _: mat, accept)]
+    return [first, *_propagate(p0.probs, t, np.zeros(t.size - 1),
+                               lambda ks: [np.repeat(mat[None], len(ks), 0)], accept)]
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,13 @@ __all__ = [
 
 
 def dag(x: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return x.conj().T
+    """Hermitian adjoint, of each matrix of a stack."""
+    return np.swapaxes(x.conj(), -1, -2)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
-    """Project onto the hermitian part, (X + X†)/2."""
-    return 0.5 * (x + x.conj().T)
+    """Project onto the hermitian part, (X + X†)/2, of each matrix of a stack."""
+    return 0.5 * (x + dag(x))
 
 
 def hermiticity_defect(x: np.ndarray) -> float:

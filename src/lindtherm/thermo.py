@@ -3,6 +3,8 @@
 Internal energy, output power, per-bath heat currents, von Neumann and
 relative entropies, entropy production against a stationary reference,
 First/Second Law residuals on a sampled trajectory, and passivity/ergotropy.
+U, P, the heat currents, S and sigma are each the batch of one of a private
+function on stacked (n, d, d) arrays, which ``law_residuals`` runs on a grid.
 
 Sign conventions: heat current J_k = tr(H L_k(rho)) counts energy flowing
 from bath k into the system as positive; power P = -tr(rho dH/dt) counts
@@ -28,12 +30,15 @@ from .gkls import (
     GeneratorFamily,
     GklsGenerator,
     Trajectory,
+    _at,
     _check_stationary,
+    _first_uses,
     _gkls_action,
-    apply_schrodinger,
-    stationary_state,
+    _raise_first,
+    _stationary_factored,
+    _superops,
 )
-from .operators import DensityMatrix, _square, as_operator, dag, hermiticity_defect, hermitize
+from .operators import DensityMatrix, _square, as_operator, dag, hermitize
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -83,29 +88,52 @@ class ThermoSample:
     second_law_residual: float
 
 
+def _traces(r: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
+    """tr(rho_i X_i) over stacks of one shape, each X_i (called ``name``) checked hermitian."""
+    if r.shape != x.shape:
+        raise _at(0, ShapeError(f"state shape {r.shape[1:]} does not match {name} {x.shape[1:]}"))
+    _raise_first(np.abs(x - dag(x)).max(axis=(1, 2)) > DEFAULT.hermiticity,
+                 lambda j: ShapeError(f"{name} is not hermitian"))
+    return np.einsum("nij,nji->n", r, x)
+
+
+def _energies(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    val = _traces(r, h, "hamiltonian")
+    _raise_first(np.abs(val.imag) > 1e-12 * np.maximum(1.0, np.abs(val)),
+                 lambda j: ShapeError(f"energy has imaginary part {val[j].imag:.3e}"))
+    return val.real
+
+
 def internal_energy(rho, hamiltonian: np.ndarray) -> float:
     """U = tr(rho H)."""
-    r = as_operator(rho, "state")
-    h = as_operator(hamiltonian, "hamiltonian")
-    if r.shape != h.shape:
-        raise ShapeError(f"state shape {r.shape} does not match hamiltonian {h.shape}")
-    if hermiticity_defect(h) > DEFAULT.hermiticity:
-        raise ShapeError("hamiltonian is not hermitian")
-    val = complex(np.trace(r @ h))
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val)):
-        raise ShapeError(f"energy has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    r, h = as_operator(rho, "state"), as_operator(hamiltonian, "hamiltonian")
+    return float(_energies(r[None], h[None])[0])
 
 
 def instantaneous_power(rho, dh_dt: np.ndarray) -> float:
     """P = -tr(rho dH/dt), positive when the system does work on the drive."""
-    r = as_operator(rho, "state")
-    d = as_operator(dh_dt, "dH/dt")
-    if r.shape != d.shape:
-        raise ShapeError(f"state shape {r.shape} does not match dH/dt {d.shape}")
-    if hermiticity_defect(d) > DEFAULT.hermiticity:
-        raise ShapeError("dH/dt is not hermitian")
-    return -float(np.trace(r @ d).real)
+    r, d = as_operator(rho, "state"), as_operator(dh_dt, "dH/dt")
+    return -float(_traces(r[None], d[None], "dH/dt")[0].real)
+
+
+def _bath_flows(gens: list, baths, r: np.ndarray) -> np.ndarray:
+    """flows[i, b] = L_b(rho_i) = -{K_b, rho_i}/2 + sum_(j in b) v_j rho_i v_j+ of generator i."""
+    labels = [b.bath_label for b in baths]
+    if len(set(labels)) != len(labels):
+        dup = sorted({l for l in labels if labels.count(l) > 1})
+        raise _at(0, IncompleteAssignment(f"bath labels claimed more than once: {dup}"))
+    flows = np.zeros((len(r), len(labels)) + r.shape[1:], dtype=complex)
+    ids, firsts = _first_uses([id(gen._channels) for gen in gens])
+    for rec, first in enumerate(firsts):
+        idx, own = ids == rec, gens[first]._baths
+        missing = sorted(set(own) - set(labels))
+        if missing:
+            raise _at(first, IncompleteAssignment(
+                f"generator terms with unassigned labels: {missing}"))
+        for b, label in enumerate(labels):
+            if label in own:
+                flows[idx, b] = _gkls_action(-0.5 * own[label][0], r[idx], own[label][1])
+    return flows
 
 
 def heat_currents(
@@ -119,37 +147,26 @@ def heat_currents(
     BathAssignment; anything uncovered or doubly covered raises
     IncompleteAssignment.
     """
-    r = as_operator(rho, "state")
-    labels = [b.bath_label for b in baths]
-    if len(set(labels)) != len(labels):
-        dup = sorted({l for l in labels if labels.count(l) > 1})
-        raise IncompleteAssignment(f"bath labels claimed more than once: {dup}")
-    missing = sorted(set(gen.bath_labels()) - set(labels))
-    if missing:
-        raise IncompleteAssignment(f"generator terms with unassigned labels: {missing}")
-    per_bath = {}
-    for bath in baths:
-        # L_b(rho) = -(K_b rho + rho K_b)/2 + sum over bath b of rate V rho V+
-        k, jumps = gen._baths.get(bath.bath_label, (np.zeros_like(r), gen._jumps[:0]))
-        flow = _gkls_action(-0.5 * k, r, jumps)
-        per_bath[bath.bath_label] = float(np.trace(gen.hamiltonian @ flow).real)
-    total = float(sum(per_bath.values()))
-    return HeatCurrentReport(per_bath=per_bath, total=total)
+    flows = _bath_flows([gen], baths, as_operator(rho, "state")[None])[0]
+    currents = np.einsum("ij,bji->b", gen.hamiltonian, flows).real
+    per_bath = {b.bath_label: float(j) for b, j in zip(baths, currents)}
+    return HeatCurrentReport(per_bath=per_bath, total=float(sum(per_bath.values())))
 
 
-def _log_spectrum(m: np.ndarray, floor: float, what: str):
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    if float(vals[0]) <= floor:
-        raise SingularLogarithm(
-            f"{what} has eigenvalue {float(vals[0]):.3e} at or below the "
-            f"logarithm floor {floor:.1e}"
-        )
-    return vals, vecs
-
-
-def _matrix_log(m: np.ndarray, floor: float, what: str) -> np.ndarray:
-    vals, vecs = _log_spectrum(m, floor, what)
-    return (vecs * np.log(vals)) @ dag(vecs)
+def _sigmas(ref_images, flow, spectra, ref_spectra, tol: Tolerances) -> np.ndarray:
+    """-tr[L_i(rho_i) (ln rho_i - ln rho_bar_i)] from L_i(rho_bar_i), L_i(rho_i), both spectra."""
+    _check_stationary("reference state", ref_images, tol)
+    logs = []
+    for (vals, vecs), what in ((spectra, "state"), (ref_spectra, "stationary state")):
+        _raise_first(vals[:, 0] <= tol.log_floor, lambda j: SingularLogarithm(
+            f"{what} has eigenvalue {float(vals[j, 0]):.3e} at or below the "
+            f"logarithm floor {tol.log_floor:.1e}"))
+        logs.append((vecs * np.log(vals)[:, None, :]) @ dag(vecs))
+    sigma = -np.einsum("nij,nji->n", flow, logs[0] - logs[1]).real
+    _raise_first(sigma < -1e-10, lambda j: LindthermError(
+        f"entropy production {sigma[j]:.3e} below -1e-10; "
+        "stationarity or positivity preconditions are broken"))
+    return sigma
 
 
 def entropy_production(
@@ -165,28 +182,22 @@ def entropy_production(
     for any GKLS generator; a violation beyond -1e-10 means the inputs
     broke a precondition and raises.
     """
-    r = as_operator(rho, "state")
-    rb = as_operator(rho_bar, "state")
-    _check_stationary("reference state", apply_schrodinger(gen, rb), tol)
-    log_r = _matrix_log(r, tol.log_floor, "state")
-    log_rb = _matrix_log(rb, tol.log_floor, "stationary state")
-    flow = apply_schrodinger(gen, r)
-    sigma = -float(np.trace(flow @ (log_r - log_rb)).real)
-    if sigma < -1e-10:
-        raise LindthermError(
-            f"entropy production {sigma:.3e} below -1e-10; "
-            "stationarity or positivity preconditions are broken"
-        )
-    return sigma
+    pair = np.array([as_operator(rho_bar, "state"), as_operator(rho, "state")])
+    images = _gkls_action(gen._g, pair, gen._jumps)
+    vals, vecs = np.linalg.eigh(hermitize(pair))
+    return float(_sigmas(images[:1], images[1:], (vals[1:], vecs[1:]), (vals[:1], vecs[:1]),
+                         tol)[0])
+
+
+def _entropies(vals: np.ndarray) -> np.ndarray:
+    """-sum p ln p over each row of eigenvalues, on those above DEFAULT.log_floor."""
+    logs = np.log(np.where(vals > DEFAULT.log_floor, vals, 1.0))
+    return np.maximum(-np.sum(vals * logs, axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho) -> float:
     """S = -tr(rho ln rho), with 0 ln 0 = 0 on the kernel."""
-    r = as_operator(rho, "state")
-    vals = np.linalg.eigvalsh(hermitize(r))
-    pos = vals[vals > DEFAULT.log_floor]
-    s = -float(np.sum(pos * np.log(pos)))
-    return max(s, 0.0)
+    return float(_entropies(np.linalg.eigvalsh(hermitize(as_operator(rho, "state")))))
 
 
 def relative_entropy(rho1, rho2, tol: Tolerances = DEFAULT) -> float:
@@ -201,35 +212,21 @@ def relative_entropy(rho1, rho2, tol: Tolerances = DEFAULT) -> float:
         raise ShapeError(f"states differ in shape: {r1.shape} vs {r2.shape}")
     vals1 = np.linalg.eigvalsh(hermitize(r1))
     pos1 = vals1[vals1 > tol.log_floor]
-    term1 = float(np.sum(pos1 * np.log(pos1)))
     vals2, vecs2 = np.linalg.eigh(hermitize(r2))
     inside = vals2 > tol.log_floor
-    if not np.all(inside):
-        overlap = np.einsum(
-            "ij,jk,ki->i", dag(vecs2[:, ~inside]), r1, vecs2[:, ~inside]
-        ).real
-        worst = float(np.max(overlap)) if overlap.size else 0.0
-        if worst > 1e-12:
-            raise SupportError(
-                f"first state carries weight {worst:.3e} outside the "
-                "support of the second"
-            )
-    vk = vecs2[:, inside]
-    diag = np.einsum("ij,jk,ki->i", dag(vk), r1, vk).real
-    term2 = float(np.sum(diag * np.log(vals2[inside])))
-    return term1 - term2
+    weights = np.einsum("ji,jk,ki->i", vecs2.conj(), r1, vecs2).real  # on rho2's eigenvectors
+    worst = float(weights[~inside].max(initial=0.0))
+    if worst > 1e-12:
+        raise SupportError(
+            f"first state carries weight {worst:.3e} outside the support of the second")
+    term2 = float(np.sum(weights[inside] * np.log(vals2[inside])))
+    return float(np.sum(pos1 * np.log(pos1))) - term2
 
 
 # --- law bookkeeping ---------------------------------------------------------
 
 def _gradient(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    if t.size < 3:
-        return np.gradient(y, t, edge_order=1)
-    return np.gradient(y, t, edge_order=2)
-
-
-def _first_law_residuals(u, j_tot, p, t):
-    return _gradient(np.asarray(u), np.asarray(t)) - np.asarray(j_tot) + np.asarray(p)
+    return np.gradient(y, t, edge_order=1 if t.size < 3 else 2)
 
 
 def law_residuals(
@@ -251,42 +248,76 @@ def law_residuals(
     the first-law residual is recomputed on the half-resolution subgrid;
     if coarsening does not grow the residual (it must, once discretization
     error dominates roundoff), the grid is declared too coarse to trust.
+
+    The grid is evaluated as stacked arrays: U and P as einsums, each
+    bath's flow as one stacked kernel per channel record, S and both
+    logarithms from one batched ``eigh``, rho_bar from one bordered solve
+    per distinct round(xi, 14) on generator matrices built in chunks below
+    ``gkls._CHUNK_BYTES``, and sigma from L(rho) = -i[H, rho] plus the bath
+    flows.  Every per-sample check runs on every sample; a failure raises
+    at the first failing sample and, within it, the first failing check in
+    the order energy, power, currents, stationary state, sigma.
     """
-    t = trajectory.times
-    n = t.size
-    betas = {b.bath_label: b.beta for b in baths}
-    g, om, m = family.amplitude, family.frequency, family.drive_observable
+    t, states = trajectory.times, trajectory.states
+    om, xi = family.frequency, family.xi(t)
+    end, failure = t.size, None
 
-    u = np.empty(n)
-    p = np.empty(n)
-    s = np.empty(n)
-    sig = np.empty(n)
-    j_tot = np.empty(n)
-    bj = np.empty(n)
-    currents = []
-    ness_cache = {}
-    for i in range(n):
-        xi = family.xi(t[i])
-        gen = family.generator_of(xi)
-        rho = trajectory.states[i]
-        u[i] = internal_energy(rho, gen.hamiltonian)
-        p[i] = instantaneous_power(rho, g * om * np.cos(om * t[i]) * m)
-        rep = heat_currents(gen, baths, rho)
-        currents.append(rep.per_bath)
-        j_tot[i] = rep.total
-        bj[i] = sum(betas[k] * v for k, v in rep.per_bath.items())
-        s[i] = von_neumann_entropy(rho)
-        key = round(float(xi), 14)
-        if key not in ness_cache:
-            ness_cache[key] = stationary_state(gen, tol)
-        sig[i] = entropy_production(gen, rho, ness_cache[key], tol)
+    def upto(check):
+        # check(e) on the first e = end samples; a failure at sample j is kept and cuts e to j
+        nonlocal end, failure
+        while True:
+            try:
+                return check(end)
+            except LindthermError as exc:
+                end, failure = getattr(exc, "sample", 0), exc
+                if end == 0:
+                    raise
 
-    first = _first_law_residuals(u, j_tot, p, t)
-    second = _gradient(s, t) - bj
+    def generators(e):
+        out = []
+        for j in range(e):
+            try:
+                out.append(family.generator_of(xi[j]))
+            except LindthermError as exc:
+                raise _at(j, exc)
+        return out
 
+    def stationary(e):
+        kidx, starts = _first_uses([round(float(x), 14) for x in xi[:e]])
+        rbar = []
+        for chunk in _superops([gens[j] for j in starts], r.shape[-1]):
+            for sup in chunk:
+                try:
+                    rbar.append(_stationary_factored(sup, tol)[0].matrix)
+                except LindthermError as exc:
+                    raise _at(starts[len(rbar)], exc)
+        return np.array(rbar), kidx
+
+    gens = upto(generators)
+    r = np.array([rho.matrix for rho in states[:end]])
+    h = np.array([gen.hamiltonian for gen in gens[:end]])
+    dh = (family.amplitude * om * np.cos(om * t))[:, None, None] * family.drive_observable
+    u = upto(lambda e: _energies(r[:e], h[:e]))
+    p = -upto(lambda e: _traces(r[:e], dh[:e], "dH/dt")).real
+    flows = upto(lambda e: _bath_flows(gens[:e], baths, r[:e]))
+    rbar, kidx = upto(stationary)
+    n, rb = end, rbar[kidx]
+    images = -1j * (h[:n] @ rb - rb @ h[:n]) + _bath_flows(gens[:n], baths, rb).sum(axis=1)
+    flow = -1j * (h[:n] @ r[:n] - r[:n] @ h[:n]) + flows[:n].sum(axis=1)
+    vals, vecs = np.linalg.eigh(hermitize(np.concatenate([r[:n], rbar])))
+    sig = upto(lambda e: _sigmas(images[:e], flow[:e], (vals[:e], vecs[:e]),
+                                 (vals[n + kidx[:e]], vecs[n + kidx[:e]]), tol))
+    if failure is not None:
+        raise failure
+
+    currents = np.einsum("nij,nbji->nb", h, flows).real
+    j_tot = currents.sum(axis=1)
+    s = _entropies(vals[:n])
+    first = _gradient(u, t) - j_tot + p
+    second = _gradient(s, t) - currents @ np.array([b.beta for b in baths], dtype=float)
     if grid_check and n >= 7:
         fine = float(np.max(np.abs(first[2:-2])))
-        coarse_r = _first_law_residuals(u[::2], j_tot[::2], p[::2], t[::2])
+        coarse_r = _gradient(u[::2], t[::2]) - j_tot[::2] + p[::2]
         coarse = float(np.max(np.abs(coarse_r[1:-1])))
         if fine > 1e-10 and coarse < 2.0 * fine:
             raise GridTooCoarse(
@@ -294,21 +325,10 @@ def law_residuals(
                 f"the full-resolution residual {fine:.3e}; the grid does not "
                 "resolve the drive"
             )
-
-    return [
-        ThermoSample(
-            time=float(t[i]),
-            energy=float(u[i]),
-            power=float(p[i]),
-            currents=currents[i],
-            current_total=float(j_tot[i]),
-            entropy=float(s[i]),
-            sigma=float(sig[i]),
-            first_law_residual=float(first[i]),
-            second_law_residual=float(second[i]),
-        )
-        for i in range(n)
-    ]
+    labels = [b.bath_label for b in baths]
+    return [ThermoSample(*row) for row in zip(
+        t.tolist(), u.tolist(), p.tolist(), [dict(zip(labels, c)) for c in currents.tolist()],
+        j_tot.tolist(), s.tolist(), sig.tolist(), first.tolist(), second.tolist())]
 
 
 # --- passivity ---------------------------------------------------------------

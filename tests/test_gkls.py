@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from lindtherm import (
+    BathAssignment,
     DensityMatrix,
     GeneratorFamily,
     DEFAULT,
@@ -31,6 +32,7 @@ from lindtherm import (
     gibbs_state,
     heisenberg_super,
     hermitize,
+    law_residuals,
     left_mul,
     modulated_family,
     power_report,
@@ -551,6 +553,17 @@ def test_thermal_family_names_a_non_finite_hamiltonian():
         fam.generator_of(5.0)
 
 
+def test_modulated_family_names_a_non_finite_hamiltonian():
+    # as for thermal_family, an overflowing H(xi) is named, with no RuntimeWarning
+    m = np.diag([1e308, 0.0, -1e308])
+    fam = modulated_family(GklsGenerator(np.diag([0.0, 0.5, 0.9]), ()), m, 0.3, 2.0)
+    with pytest.raises(ShapeError, match="hamiltonian has non-finite"):
+        fam.generator_of(5.0)
+    # [H0, M] overflows too: a non-finite norm counts as not commuting
+    with pytest.warns(UserWarning, match="does not commute"):
+        modulated_family(GklsGenerator(np.diag([0.0, 1.0, 2.5]), ()), m, 0.3, 2.0)
+
+
 def test_davies_builders_name_a_non_hermitian_hamiltonian():
     # H is checked before its eigendecomposition, so its hermiticity defect
     # is reported rather than the eigenoperator residual that it causes
@@ -595,6 +608,52 @@ def test_driven_records_midpoints_and_guards_step():
     assert np.allclose(traj.xi_midpoints, 0.3 * np.sin(2.0 * mids), atol=1e-14)
     with pytest.raises(StepTooLarge):
         evolve_driven(fam, rho0, np.linspace(0.0, 1.0, 6))
+
+
+@pytest.mark.parametrize("kind", ["modulated", "thermal"])
+def test_evolve_driven_matches_a_propagator_per_step(kind):
+    # reference: one schrodinger_super and expm per distinct (xi, dt), step by step
+    rng = np.random.default_rng(41)
+    gen, _ = random_thermal_model(rng, 3)
+    m = np.diag(rng.uniform(-0.5, 0.5, 3))
+    if kind == "modulated":
+        fam = modulated_family(gen, m, 0.3, 2.0)
+    else:
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        fam = thermal_family(gen.hamiltonian, m, [(x + dag(x), 1.0, 0.6, "b")], 0.3, 2.0)
+    times = np.concatenate([np.linspace(0.0, 0.2, 21), [0.205, 0.21, 0.22]])
+    traj = evolve_driven(fam, DensityMatrix(random_state(rng, 3)), times)
+    v, props = vec(traj.states[0].matrix), {}
+    for i, xi in enumerate(traj.xi_midpoints, 1):
+        dt = times[i] - times[i - 1]
+        key = (round(float(xi), 15), round(float(dt), 15))
+        if key not in props:
+            props[key] = expm(schrodinger_super(fam.generator_of(xi)) * dt)
+        v = props[key] @ v
+        assert np.max(np.abs(traj.states[i].matrix - unvec(v))) <= 1e-13
+
+
+def test_driven_temporaries_stay_below_one_superoperator_stack():
+    # 400 distinct midpoints at d = 12: all their generator matrices at once
+    # would be 400 * 144^2 * 16 B = 133 MB; chunks keep the peak well below
+    rng = np.random.default_rng(5)
+    gen, beta = random_thermal_model(rng, 12)
+    fam = modulated_family(gen, np.diag(rng.uniform(-0.5, 0.5, 12)), 0.3, 1.0)
+    rho0 = DensityMatrix(random_state(rng, 12))
+    times = np.linspace(0.0, 10.0, 401)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        traj = evolve_driven(fam, rho0, times)
+        evolve_peak = tracemalloc.get_traced_memory()[1] - entry
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        law_residuals(traj, fam, [BathAssignment("bath", beta)])
+        law_peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert evolve_peak < 64 << 20
+    assert law_peak < 64 << 20
 
 
 def test_driven_convergence_under_refinement():

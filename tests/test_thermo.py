@@ -2,21 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindtherm import (
+    DEFAULT,
     BathAssignment,
     DensityMatrix,
+    GeneratorFamily,
     GklsGenerator,
     GridTooCoarse,
     IncompleteAssignment,
     LindbladTerm,
+    LindthermError,
+    NonUniqueStationary,
     NotStationary,
     ShapeError,
+    SingularLogarithm,
     SupportError,
     Trajectory,
     basis_state,
+    dag,
     entropy_production,
     ergotropy,
+    evolve,
     evolve_driven,
     gibbs_state,
     heat_currents,
@@ -24,6 +33,7 @@ from lindtherm import (
     internal_energy,
     instantaneous_power,
     law_residuals,
+    modulated_family,
     passive_state,
     relative_entropy,
     schrodinger_super,
@@ -203,6 +213,116 @@ def test_thermo_sample_fields():
     assert s.time == 0.0
     assert set(s.currents) == {"cold", "hot"}
     assert np.isfinite(s.energy) and np.isfinite(s.entropy)
+
+
+# --- the stacked grid against the per-sample functions ---------------------------
+
+def _per_sample(traj, family, baths, tol=DEFAULT):
+    """The loop that law_residuals evaluates as one batch: the public per-state functions."""
+    ness, rows = {}, []
+    g, om = family.amplitude, family.frequency
+    for t, rho in zip(traj.times, traj.states):
+        xi = family.xi(t)
+        gen = family.generator_of(xi)
+        u = internal_energy(rho, gen.hamiltonian)
+        p = instantaneous_power(rho, g * om * np.cos(om * t) * family.drive_observable)
+        rep = heat_currents(gen, baths, rho)
+        s = von_neumann_entropy(rho)
+        key = round(float(xi), 14)
+        if key not in ness:
+            ness[key] = stationary_state(gen, tol)
+        rows.append((u, p, rep.per_bath, rep.total, s, entropy_production(gen, rho, ness[key], tol)))
+    return rows
+
+
+def _grid_case(kind, d, seed):
+    """(trajectory, family, baths) of a static, modulated or two-bath thermal family."""
+    rng = np.random.default_rng(seed)
+    gen, beta = random_thermal_model(rng, d)
+    m = np.diag(rng.uniform(-0.5, 0.5, d))
+    rho0 = DensityMatrix(random_state(rng, d))
+    times = np.linspace(0.0, 0.1, 11)
+    baths = [BathAssignment("bath", beta)]
+    if kind == "static":
+        fam = GeneratorFamily(lambda xi: gen, np.zeros((d, d)), 0.0, 1.0)
+        return evolve(gen, rho0, times), fam, baths
+    if kind == "modulated":
+        fam = modulated_family(gen, m, 0.3, 2.0)
+    else:
+        x, y = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in "xy")
+        fam = thermal_family(gen.hamiltonian, m, [(x + dag(x), 2.0, 0.6, "cold"),
+                                                  (y + dag(y), 0.5, 0.5, "hot")], 0.3, 2.0)
+        baths = [BathAssignment("cold", 2.0), BathAssignment("hot", 0.5)]
+    return evolve_driven(fam, rho0, times), fam, baths
+
+
+def _assert_matches_loop(traj, fam, baths):
+    samples = law_residuals(traj, fam, baths, grid_check=False)
+    rows = _per_sample(traj, fam, baths)
+    assert len(samples) == len(rows)
+    for sample, (u, p, per_bath, total, s, sigma) in zip(samples, rows):
+        assert list(sample.currents) == list(per_bath)
+        pairs = [(sample.energy, u), (sample.power, p), (sample.current_total, total),
+                 (sample.entropy, s), (sample.sigma, sigma)]
+        for got, want in pairs + [(sample.currents[k], v) for k, v in per_bath.items()]:
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("kind", ["static", "modulated", "thermal"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_law_residuals_matches_the_sample_loop(kind, d):
+    _assert_matches_loop(*_grid_case(kind, d, 100 + d))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3, 4]),
+       kind=st.sampled_from(["static", "modulated", "thermal"]))
+def test_law_residuals_matches_the_sample_loop_on_drawn_models(seed, d, kind):
+    _assert_matches_loop(*_grid_case(kind, d, seed))
+
+
+def _raises_as_the_loop(traj, fam, baths):
+    """The error law_residuals raises, checked to be the loop's, class and message."""
+    with pytest.raises(LindthermError) as loop:
+        _per_sample(traj, fam, baths)
+    with pytest.raises(LindthermError) as batch:
+        law_residuals(traj, fam, baths)
+    assert type(batch.value) is type(loop.value)
+    assert str(batch.value) == str(loop.value)
+    return batch.value
+
+
+def test_law_residuals_jump_free_model_has_no_unique_stationary_state():
+    gen = GklsGenerator(np.diag([0.0, 1.0]), ())
+    fam = GeneratorFamily(lambda xi: gen, np.zeros((2, 2)), 0.0, 1.0)
+    traj = evolve(gen, DensityMatrix(random_state(np.random.default_rng(51), 2)),
+                  np.linspace(0.0, 0.1, 11))
+    assert isinstance(_raises_as_the_loop(traj, fam, []), NonUniqueStationary)
+
+
+def test_law_residuals_names_a_pure_state_sample():
+    traj, fam, baths = _grid_case("modulated", 3, 52)
+    states = list(traj.states)
+    states[4] = basis_state(3, 0)
+    err = _raises_as_the_loop(Trajectory(traj.times, states), fam, baths)
+    assert isinstance(err, SingularLogarithm)
+    assert str(err).startswith("state has eigenvalue")
+
+
+@pytest.mark.parametrize("pure, error", [(2, SingularLogarithm), (10, NonUniqueStationary)])
+def test_law_residuals_reports_the_first_failing_sample(pure, error):
+    # from sample 8 on (xi > 0.2) the generator has no jumps, so its stationary
+    # state is not unique; the pure state fails sigma's logarithm check
+    # at its own sample: the earlier of the two failures is raised
+    rng = np.random.default_rng(53)
+    gen, beta = random_thermal_model(rng, 3)
+    bare = GklsGenerator(gen.hamiltonian, ())
+    fam = GeneratorFamily(lambda xi: bare if xi > 0.2 else gen, np.diag([0.0, 0.1, 0.3]),
+                          0.3, 2.0)
+    states = [DensityMatrix(random_state(rng, 3)) for _ in range(11)]
+    states[pure] = basis_state(3, 1)
+    traj = Trajectory(np.linspace(0.0, 0.5, 11), states)
+    assert isinstance(_raises_as_the_loop(traj, fam, [BathAssignment("bath", beta)]), error)
 
 
 # --- passivity and ergotropy ------------------------------------------------------
