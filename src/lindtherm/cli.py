@@ -27,6 +27,8 @@ from .gkls import (
     GeneratorFamily,
     GklsGenerator,
     LindbladTerm,
+    _Channels,
+    _checked_hermitian,
     evolve,
     evolve_driven,
     modulated_family,
@@ -182,6 +184,25 @@ def _complex_matrix(node, path: str) -> np.ndarray:
     return _finite_matrix(out, path)
 
 
+def _stacked_matrices(nodes: list, shape: tuple) -> np.ndarray:
+    """The matrices ``nodes`` as one complex (n, *shape) array by one np.array, or None.
+
+    None unless each node is a matrix of ``shape``, all entries numbers or
+    all [re, im] pairs of numbers (one type scan), and finite; the
+    matrix-by-matrix walk then names the first bad row or entry.
+    """
+    try:
+        out = np.array(nodes, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    entries = chain.from_iterable(chain.from_iterable(nodes))
+    if out.shape == (len(nodes), *shape, 2):
+        out, entries = out.view(complex)[..., 0], chain.from_iterable(entries)
+    if out.shape != (len(nodes), *shape) or not _entry_types([entries]) <= _NUMBERS:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def _number_list(node, path: str) -> list:
     if not isinstance(node, list) or not node:
         _fail(path, "expected a nonempty list of numbers")
@@ -223,19 +244,21 @@ def _model(node, path: str, tol: Tolerances):
     h = _complex_matrix(node["hamiltonian"], f"{path}.hamiltonian")
     if h.shape[0] == h.shape[1]:
         h = _hermitian_part(h, f"{path}.hamiltonian", tol)
-    if not isinstance(node["terms"], list):
+    items = node["terms"]
+    if not isinstance(items, list):
         _fail(f"{path}.terms", "expected a list")
-    terms = []
-    for i, item in enumerate(node["terms"]):
+    # all jumps in one np.array; if that fails, the term-by-term walk names the bad entry
+    jumps = _stacked_matrices([item.get("jump") if isinstance(item, dict) else None
+                               for item in items], h.shape)
+    terms, rates, labels = [], [], []
+    for i, item in enumerate(items):
         tp = f"{path}.terms[{i}]"
         _check_keys(item, tp, {"jump", "rate", "bath"}, {"jump", "rate"})
-        terms.append(
-            LindbladTerm(
-                _complex_matrix(item["jump"], f"{tp}.jump"),
-                _number(item["rate"], f"{tp}.rate", minimum=0.0),
-                _string(item.get("bath", ""), f"{tp}.bath") if "bath" in item else "",
-            )
-        )
+        rates.append(_number(item["rate"], f"{tp}.rate", minimum=0.0))
+        labels.append(_string(item["bath"], f"{tp}.bath") if "bath" in item else "")
+        if jumps is None:
+            jump = _complex_matrix(item["jump"], f"{tp}.jump")
+            terms.append(LindbladTerm(jump, rates[i], labels[i]))
     baths = []
     for i, item in enumerate(node.get("baths", [])):
         bp = f"{path}.baths[{i}]"
@@ -245,7 +268,15 @@ def _model(node, path: str, tol: Tolerances):
                            _number(item["beta"], f"{bp}.beta"))
         )
     try:
-        gen = GklsGenerator(h, tuple(terms))
+        if jumps is None:
+            gen = GklsGenerator(h, tuple(terms))
+        else:  # the terms are made from the config when first read
+            gen = GklsGenerator._of(_checked_hermitian(h, "hamiltonian"), _Channels(
+                jumps, np.array(rates), labels, lambda: tuple(map(
+                    LindbladTerm, _stacked_matrices([item["jump"] for item in items], h.shape),
+                    rates, labels))))
+    except NumericalDrift as exc:
+        raise NumericalDrift(f"{path}.{exc}") from None
     except LindthermError as exc:
         _fail(path, str(exc))
     return gen, baths

@@ -7,13 +7,15 @@ stationary states rho_bar[xi], the leading-order time-averaged power is
                      R = Omega^2 (Omega^2 + (L*[0])^2)^(-1)
     fast form:       P = -(g^2/2) tr( rho_bar'[0] * L*[0] M )
 
-the second being the high-frequency limit of the first.  One bordered LU
-of the assembled L[0] (gkls.stationary_state's route) gives rho_bar[0] and
+the second being the high-frequency limit of the first.  One bordered
+factorization of L[0] (gkls.stationary_state's route) gives rho_bar[0] and
 then rho_bar'[0] from the first-order stationarity identity
 L'[0] rho_bar[0] + L[0] rho_bar'[0] = 0, tr rho_bar'[0] = 0.  As
 R L* = (Omega^2/2) [(L* + i Omega)^(-1) + (L* - i Omega)^(-1)] and L* preserves
-hermiticity, one LU solve of (L* + i Omega) y = M, L* the adjoint of L[0],
-gives the resolvent form as -(g^2/2) Omega^2 Re tr(rho_bar'[0] y).
+hermiticity, one factored solve of (L* + i Omega) y = M, L* the adjoint of
+L[0], gives the resolvent form as -(g^2/2) Omega^2 Re tr(rho_bar'[0] y).
+Both factorizations go by L[0]'s blocks (gkls._Blocks): one dense block for
+a generator of terms, small blocks in H's eigenbasis for a Davies family.
 """
 
 from __future__ import annotations
@@ -27,21 +29,17 @@ from .errors import (
     LindthermError,
     NotEquilibrium,
     NotStationary,
-    ResolventSingular,
 )
 from .gkls import (
     GeneratorFamily,
     GklsGenerator,
-    _factor,
-    _stationary_factored,
-    apply_heisenberg,
-    apply_schrodinger,
+    _action,
+    _blocks,
     detailed_balance_report,
     gibbs_state,
-    schrodinger_super,
     weighted_inner_product,
 )
-from .operators import as_operator, dag, hermitize, unvec, vec
+from .operators import as_operator, hermitize, unvec, vec
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -64,7 +62,9 @@ class StationaryDerivative:
     ``richardson_gap`` is its distance to the step-delta/2 solution (an
     O(delta^2) error estimate, rounding when L is affine in xi);
     ``identity_residual`` is ||L'[0] rho_bar[0] + L[0] rho_bar'[0]||_F with
-    the independent step-delta/2 L'[0].  ``base_superop`` is L[0]'s matrix.
+    the independent step-delta/2 L'[0].  ``stationary_rcond`` and
+    ``stationarity_residual`` are the health of rho_bar[0]'s bordered solve,
+    and ``blocks`` is L[0] as gkls._Blocks, in whose basis the factors act.
     """
 
     rho_prime: np.ndarray
@@ -72,7 +72,9 @@ class StationaryDerivative:
     identity_residual: float
     delta: float
     richardson_gap: float
-    base_superop: np.ndarray = field(default=None, repr=False, compare=False)
+    stationary_rcond: float = None
+    stationarity_residual: float = None
+    blocks: object = field(default=None, repr=False, compare=False)
 
 
 def stationary_derivative(
@@ -82,10 +84,11 @@ def stationary_derivative(
 ) -> StationaryDerivative:
     """Derivative of the stationary state at xi = 0 from one factorization.
 
-    L[0] is assembled and its bordered system factored once; the factors
+    L[0]'s bordered system is factored once, by its blocks; the factors
     solve for rho_bar, then for rho' at steps delta and delta/2 in one back
     substitution, with L'[0] rho_bar a symmetric difference of the direct
-    actions L[+-h] rho_bar.  An identity residual above
+    actions L[+-h] rho_bar (in their own eigenbases for a Davies family, so
+    no lab-frame table is built).  An identity residual above
     tol.identity_residual raises IdentityViolation.
     """
     if delta is None:
@@ -94,14 +97,14 @@ def stationary_derivative(
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
 
-    s = schrodinger_super(family.base)
-    state, solve = _stationary_factored(s, tol)
+    blocks = _blocks(family.base)
+    state, solve, rcond, stationarity = blocks.stationary(tol)
     rho_0 = state.matrix
 
     def l_prime(h: float) -> np.ndarray:
-        up = apply_schrodinger(family.generator_of(h), rho_0)
-        down = apply_schrodinger(family.generator_of(-h), rho_0)
-        return vec((up - down) / (2.0 * h))
+        up = _action(family.generator_of(h), rho_0)
+        down = _action(family.generator_of(-h), rho_0)
+        return vec(blocks.basis((up - down) / (2.0 * h)))
 
     lp = np.stack([l_prime(delta), l_prime(delta / 2.0)], axis=1)
     rhs = -lp
@@ -109,7 +112,7 @@ def stationary_derivative(
     x = solve(rhs)
     prime, prime_half = (hermitize(unvec(x[:, k])) for k in (0, 1))
     gap = float(np.linalg.norm(prime - prime_half))
-    residual = float(np.linalg.norm(lp[:, 1] + s @ vec(prime)))
+    residual = float(np.linalg.norm(lp[:, 1] + vec(blocks.apply(prime))))
     if residual > tol.identity_residual:
         raise IdentityViolation(
             f"first-order stationarity identity residual {residual:.3e} exceeds "
@@ -117,17 +120,19 @@ def stationary_derivative(
             "discontinuous"
         )
     return StationaryDerivative(
-        rho_prime=prime,
+        rho_prime=blocks.lab(prime),
         rho_bar=rho_0,
         identity_residual=residual,
         delta=delta,
         richardson_gap=gap,
-        base_superop=s,
+        stationary_rcond=rcond,
+        stationarity_residual=stationarity,
+        blocks=blocks,
     )
 
 
 def _fast_value(family: GeneratorFamily, sd: StationaryDerivative) -> float:
-    lm = apply_heisenberg(family.base, family.drive_observable)
+    lm = _action(family.base, family.drive_observable, adjoint=True)
     g = family.amplitude
     return -0.5 * g * g * float(np.trace(sd.rho_prime @ lm).real)
 
@@ -136,14 +141,14 @@ def _resolvent_value(
     family: GeneratorFamily,
     sd: StationaryDerivative,
     tol: Tolerances,
-) -> float:
-    ls = dag(sd.base_superop)  # L*[0]: the adjoint of the assembled L[0]
+) -> tuple:
+    """(P resolvent, the resolvent system's reciprocal condition estimate)."""
     om = family.frequency
-    ls[np.diag_indices_from(ls)] += 1j * om
-    y = _factor(ls, np.sqrt(tol.resolvent_condition), ResolventSingular,
-                "resolvent system L* + i Omega")(vec(family.drive_observable))
+    solve, rcond = sd.blocks.resolvent(om, tol)  # L*[0] + i Omega, block by block
+    y = unvec(solve(vec(sd.blocks.basis(family.drive_observable))))
     g = family.amplitude
-    return -0.5 * g * g * om * om * float(np.trace(sd.rho_prime @ unvec(y)).real)
+    value = float(np.trace(sd.blocks.basis(sd.rho_prime) @ y).real)
+    return -0.5 * g * g * om * om * value, rcond
 
 
 def average_power_fast(
@@ -163,7 +168,7 @@ def average_power_resolvent(
 ) -> float:
     """Average power with the full frequency-dependent resolvent factor."""
     sd = stationary_derivative(family, delta, tol)
-    return _resolvent_value(family, sd, tol)
+    return _resolvent_value(family, sd, tol)[0]
 
 
 def equilibrium_power_bound(
@@ -195,7 +200,7 @@ def equilibrium_power_bound(
             f"{report.hamiltonian_antihermiticity_defect:.3e}, "
             f"{report.commutator_norm:.3e})"
         )
-    form = weighted_inner_product(m, apply_heisenberg(gen, m), gibbs, tol)
+    form = weighted_inner_product(m, _action(gen, m, adjoint=True), gibbs, tol)
     value = 0.5 * amplitude * amplitude * beta * float(form.real)
     if value > 1e-12:
         raise LindthermError(
@@ -208,12 +213,17 @@ def equilibrium_power_bound(
 @dataclass(frozen=True)
 class PowerReport:
     """Both power evaluations plus diagnostics; single_bath carries the
-    equilibrium bound when an inverse temperature was supplied."""
+    equilibrium bound when an inverse temperature was supplied.  The solves'
+    health: the stationary solve's reciprocal condition estimate and its
+    residual ||L rho_bar||_F, and the resolvent system's condition estimate."""
 
     p_bar_resolvent: float
     p_bar_fast: float
     identity_residual: float
     single_bath: float = None
+    stationary_rcond: float = None
+    stationarity_residual: float = None
+    resolvent_rcond: float = None
 
     @property
     def accepted(self) -> bool:
@@ -229,7 +239,7 @@ def power_report(
     """Evaluate both power formulas off one shared stationary derivative."""
     sd = stationary_derivative(family, delta, tol)
     fast = _fast_value(family, sd)
-    resolvent = _resolvent_value(family, sd, tol)
+    resolvent, resolvent_rcond = _resolvent_value(family, sd, tol)
     single = None
     if beta is not None:
         single = equilibrium_power_bound(
@@ -244,4 +254,7 @@ def power_report(
         p_bar_fast=fast,
         identity_residual=sd.identity_residual,
         single_bath=single,
+        stationary_rcond=sd.stationary_rcond,
+        stationarity_residual=sd.stationarity_residual,
+        resolvent_rcond=resolvent_rcond,
     )

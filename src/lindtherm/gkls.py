@@ -13,28 +13,36 @@ On column-stacked operators (see operators.py for the convention) the
 matrix of L is I (x) G + conj(G) (x) I + sum_j rate_j conj(V_j) (x) V_j, and
 the matrix of L* is its conjugate transpose.
 
-Every generator is its Hamiltonian plus one channel record, whose jump
+A generator of terms is its Hamiltonian plus one channel record, whose jump
 table holds the scaled jumps sqrt(rate_j) V_j stacked as a C-contiguous
 (n, d, d) array, grouped by bath label so that each bath is one slice,
-with the rate vector beside it.  Everything else reads that table.
-Flattened to (n, d^2) it is the matrix W whose Gram matrix W^T conj(W)
-is the jump part of the superoperator, up to an index permutation; K_b
-is one GEMM over bath b's slice; and the direct actions and per-bath
-heat currents evaluate the kernel a X + X a+ + sum_j v_j X v_j+ as two
-GEMMs per chunk of the table: Y = [v_j X]_j, then [Y_1 ... Y_m]
-[v_1+; ...; v_m+].  ``GklsGenerator(hamiltonian, terms)`` stacks its
-terms into a record at construction.  ``thermal_family`` writes the
-Davies channels of all its baths straight into one record per xi, from
-one eigendecomposition of H(xi), and makes no LindbladTerm: its
-generators build ``terms`` when they are read.  ``modulated_family``
-generators share their base generator's record, table and K_b included.
+with the rate vector beside it.  Flattened to (n, d^2) it is the matrix W
+whose Gram matrix W^T conj(W) is the jump part of the superoperator, up to
+an index permutation; K_b is one GEMM over bath b's slice; and the direct
+actions and per-bath heat currents evaluate the kernel a X + X a+ + sum_j
+v_j X v_j+ as two GEMMs per chunk of the table: Y = [v_j X]_j, then [Y_1
+... Y_m] [v_1+; ...; v_m+].  ``GklsGenerator(hamiltonian, terms)`` stacks
+its terms into a record at construction; ``modulated_family`` generators
+share their base generator's record, table and K_b included.  Their
+stationary states and engine solves take one dense d^2 x d^2 LU.
+
+A ``thermal_family`` generator instead holds a Davies record: the
+eigendecomposition of H(xi), from which every bath's Bohr entries are read
+in that eigenbasis, with one rate per table row.  Such a generator commutes
+with [H, .], so its matrix splits into blocks of the operator entries (i, j)
+of one Bohr gap E_i - E_j (distinct gaps: the populations, and a 1 x 1
+block per coherence).  Its stationary state, the engine's solves and
+detailed balance go block by block (``_Blocks``), acting in the eigenbasis
+(``_action``), with no d^2 x d^2 matrix.  Its channel record and ``terms``
+are built only when ``terms``, ``_jumps`` or ``_baths`` is read: by the
+public direct actions, the propagators and the heat currents.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import blas, expm, lapack
@@ -45,6 +53,7 @@ from .errors import (
     NotAState,
     NotStationary,
     NumericalDrift,
+    ResolventSingular,
     ShapeError,
     SingularWeight,
     StepTooLarge,
@@ -121,21 +130,38 @@ def _checked_hermitian(x, name: str) -> np.ndarray:
 class _Channels:
     """Jump table, rates and bath slices, shared by the generators that hold it.
 
-    Made from the unscaled rows ``jumps`` (laid out as GklsGenerator says),
-    their ``rates`` and {bath label: slice of the table}: every channel is
-    checked at once, then row j is scaled by sqrt(rate_j) in place.
-    ``terms_of()`` returns the LindbladTerm tuple when ``terms`` is first
-    read; K_b per bath is built on first use, so it exists once per record.
+    Made from the unscaled rows ``jumps`` (n, d, d), finite, their finite
+    ``rates`` >= 0 and bath ``labels``: the rows are grouped by label, in
+    order of first appearance and stably (``slices``, {label: slice of the
+    table}), then row j is scaled by sqrt(rate_j) in place.  Should d^2
+    sum_(j <= k) rate_j ||V_j||_F^2, a bound on L's one-norm, overflow
+    first at row k, NumericalDrift names terms[k]'s rate or jump, whichever
+    factor is larger.  ``terms_of()`` returns the LindbladTerm tuple when
+    ``terms`` is first read; K_b per bath is built on first use, so it
+    exists once per record.
     """
 
-    def __init__(self, jumps: np.ndarray, rates: np.ndarray, slices: dict, terms_of):
-        if not np.isfinite(jumps).all():
-            raise ValueError("jump operator has non-finite entries")
-        bad = ~np.isfinite(rates) | (rates < 0)
+    def __init__(self, jumps: np.ndarray, rates: np.ndarray, labels, terms_of):
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.einsum("nij,nij->n", jumps.conj(), jumps).real
+            bad = ~np.isfinite(np.cumsum(rates * norms) * jumps.shape[-1] ** 2)
         if bad.any():
-            raise ValueError(f"rate must be finite and nonnegative, got {rates[bad.argmax()]}")
+            k = int(bad.argmax())
+            raise NumericalDrift(
+                f"terms[{k}].{'rate' if rates[k] >= norms[k] else 'jump'}: the generator's "
+                f"scale d^2 sum_j rate_j ||V_j||^2 overflows at rate {rates[k]:.3e}, "
+                f"||V||^2 {norms[k]:.3e}"
+            )
+        first = {}
+        key = np.array([first.setdefault(label, len(first)) for label in labels], dtype=int)
+        order = np.argsort(key, kind="stable")
+        if np.any(order != np.arange(key.size)):
+            jumps, rates = jumps[order], rates[order]
+        ends = np.cumsum(np.bincount(key, minlength=len(first)))
+        self.slices = {label: slice(int(ends[k - 1]) if k else 0, int(ends[k]))
+                       for label, k in first.items()}
         jumps *= np.sqrt(rates)[:, None, None]
-        self.jumps, self.rates, self.slices, self._terms_of = jumps, rates, slices, terms_of
+        self.jumps, self.rates, self._terms_of = jumps, rates, terms_of
 
     @cached_property
     def terms(self) -> tuple:
@@ -164,13 +190,16 @@ class GklsGenerator:
     one C-contiguous (n, d, d) jump table, the channels grouped by bath
     label (in order of first appearance), with the rate vector; the table
     costs n d^2 16 bytes.  ``GklsGenerator(hamiltonian, terms)`` stacks its
-    LindbladTerm channels into a new record at construction.
-    ``thermal_family`` builds the record of each xi directly from the
-    Davies channels and makes ``terms`` only when they are first read;
+    LindbladTerm channels into a new record at construction;
     ``modulated_family`` generators share their base generator's record.
-    The d x d matrices K_b (per bath) live on the record and G on the
-    generator; both are built on first use and kept.
+    A ``thermal_family`` generator holds a Davies record (``_Davies``) in
+    the eigenbasis of its Hamiltonian, and builds its channel record, and
+    ``terms``, only when they are first read.  The d x d matrices K_b (per
+    bath) live on the record and G on the generator; both are built on
+    first use and kept.
     """
+
+    _davies = None
 
     def __init__(self, hamiltonian, terms):
         h = _checked_hermitian(hamiltonian, "hamiltonian")
@@ -183,30 +212,30 @@ class GklsGenerator:
                     f"terms[{k}] jump shape {term.jump.shape} does not match "
                     f"hamiltonian shape {h.shape}"
                 )
-        groups = {}
-        for term in terms:
-            groups.setdefault(term.bath_label, []).append(term)
-        grouped = [t for ts in groups.values() for t in ts]
-        slices, j = {}, 0
-        for label, ts in groups.items():
-            slices[label] = slice(j, j + len(ts))
-            j += len(ts)
         self.hamiltonian, self._channels = h, _Channels(
-            np.array([t.jump for t in grouped], dtype=complex).reshape(-1, *h.shape),
-            np.array([t.rate for t in grouped], dtype=float), slices, lambda: terms,
+            np.array([t.jump for t in terms], dtype=complex).reshape(-1, *h.shape),
+            np.array([t.rate for t in terms], dtype=float), [t.bath_label for t in terms],
+            lambda: terms,
         )
 
     @classmethod
-    def _of(cls, hamiltonian: np.ndarray, channels: _Channels) -> GklsGenerator:
-        """Generator of ``channels`` under ``hamiltonian``, already checked hermitian."""
+    def _of(cls, hamiltonian: np.ndarray, channels: _Channels = None, davies=None) -> GklsGenerator:
+        """Generator of ``channels`` or ``davies`` under ``hamiltonian``, already checked hermitian."""
         gen = cls.__new__(cls)
-        gen.hamiltonian, gen._channels = hamiltonian, channels
+        gen.hamiltonian, gen._davies = hamiltonian, davies
+        if channels is not None:
+            gen._channels = channels
         return gen
+
+    @cached_property
+    def _channels(self) -> _Channels:
+        davies = self._davies
+        return _Channels(davies.table(), davies.rates, davies.labels, davies.terms_of)
 
     terms = property(lambda self: self._channels.terms,
                      doc="The LindbladTerm channels, in the order they were given.")
     _jumps = property(lambda self: self._channels.jumps)
-    _rates = property(lambda self: self._channels.rates)
+    _rates = property(lambda self: (self._davies or self._channels).rates)
     _baths = property(lambda self: self._channels.baths)
 
     @property
@@ -214,7 +243,7 @@ class GklsGenerator:
         return self.hamiltonian.shape[0]
 
     def bath_labels(self) -> tuple:
-        return tuple(self._channels.slices)
+        return tuple((self._davies or self._channels).slices)
 
     @cached_property
     def _g(self) -> np.ndarray:
@@ -396,13 +425,27 @@ def _gkls_action(a: np.ndarray, x: np.ndarray, jumps: np.ndarray, adjoint: bool 
 
 
 def apply_schrodinger(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
-    """L(X) by direct matrix products (no superoperator assembly)."""
+    """L(X) by direct matrix products with the lab-frame jump table (no superoperator
+    assembly); a ``thermal_family`` generator builds its table on the first call."""
     return _gkls_action(gen._g, as_operator(x), gen._jumps)
 
 
 def apply_heisenberg(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
-    """L*(X) by direct matrix products."""
+    """L*(X) by direct matrix products, as ``apply_schrodinger``."""
     return _gkls_action(dag(gen._g), as_operator(x), gen._jumps, adjoint=True)
+
+
+def _action(gen: GklsGenerator, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """L(X), or L*(X), of a lab-frame operator X, as the block solves see the generator.
+
+    A Davies generator acts as U D(U+ X U) U+ in its Hamiltonian's
+    eigenbasis U, whether or not its table exists, and builds none; a
+    generator of terms as ``apply_schrodinger``/``apply_heisenberg``.
+    """
+    davies, x = gen._davies, as_operator(x)
+    if davies is None:
+        return _gkls_action(dag(gen._g) if adjoint else gen._g, x, gen._jumps, adjoint)
+    return davies.lab(davies.apply(davies.basis(x), adjoint))
 
 
 # --- thermal building blocks -------------------------------------------------
@@ -474,8 +517,8 @@ def _bohr_split(vals: np.ndarray, vecs: np.ndarray, vd: np.ndarray, coupling: np
     within _FREQ_TOL, valued at the group's first gap in row-major order.
     Sorted, the groups run negative, zero (|w| <= _FREQ_TOL), positive; each
     positive A_w is checked on its entries to satisfy [H, A_w] = -w A_w.
-    Returns (zero, group, rows, cols, values, w): the lab-frame
-    zero-frequency jumps with their identity component removed (that
+    Returns (zero, group, rows, cols, values, w): the zero-frequency jumps
+    in the eigenbasis with their identity component removed (that
     component is dynamically inert), each kept when its norm exceeds 1e-12;
     and the entries of the positive groups, sorted by group, entry e
     belonging to group[e], whose gap is w[group[e]].
@@ -501,64 +544,12 @@ def _bohr_split(vals: np.ndarray, vecs: np.ndarray, vd: np.ndarray, coupling: np
         block[rows[g], cols[g]] = at[rows[g], cols[g]]
         block -= (np.trace(block) / d) * np.eye(d)
         if np.linalg.norm(block) > 1e-12:
-            zero.append(vecs @ block @ vd)
+            zero.append(block)
     first = group.searchsorted(p0)
     pos = order[first:]
     values = at[rows[pos], cols[pos]]
     _check_eigenoperators(group[first:] - p0, values, gaps[pos], w[p0:], DEFAULT)
     return zero, group[first:] - p0, rows[pos], cols[pos], values, w[p0:]
-
-
-def _davies_table(h: np.ndarray, couplings) -> tuple:
-    """The unscaled Davies channels of several baths of H, as one table.
-
-    ``couplings`` holds (coupling, beta, base_rate, bath label); one
-    eigendecomposition of H serves them all.  Each coupling gives its
-    zero-frequency jump at base_rate, then for each positive gap w, in
-    ascending order, A_w at base_rate and A_w+ at base_rate e^{-beta w}.
-    Each A_w is checked as an eigenoperator by ``_bohr_split``; the
-    lab-frame blocks vecs (block) vecs+ are formed a chunk at a time as
-    stacked products and written into one preallocated table.  Returns
-    (jumps, rates, slices): the (n, d, d) table, its rates, and {label:
-    slice} for the labels with channels, rows grouped by label in order of
-    first appearance.
-    """
-    d = h.shape[0]
-    vals, vecs = np.linalg.eigh(hermitize(h))
-    vd = dag(vecs)
-    baths = {}
-    for a, beta, base_rate, label in couplings:
-        if a.shape != h.shape:
-            raise ShapeError(f"coupling shape {a.shape} does not match {h.shape}")
-        baths.setdefault(label, []).append((_bohr_split(vals, vecs, vd, a), beta, base_rate))
-    n = sum(len(s[0]) + 2 * s[5].size for parts in baths.values() for s, _, _ in parts)
-    jumps = np.empty((n, d, d), dtype=complex)
-    rates = np.empty(n)
-    slices = {}
-    step = max(1, _CHUNK_BYTES // (16 * d * d))
-    j = 0
-    for label, parts in baths.items():
-        first = j
-        for (zero, group, rows, cols, values, w), beta, base_rate in parts:
-            for block in zero:
-                jumps[j], rates[j] = block, base_rate
-                j += 1
-            if w.size and base_rate <= 0:
-                raise ValueError(f"base_rate must be positive, got {base_rate}")
-            rates[j:j + 2 * w.size:2] = base_rate
-            rates[j + 1:j + 2 * w.size:2] = base_rate * np.exp(-beta * w)
-            for lo in range(0, w.size, step):
-                hi = min(lo + step, w.size)
-                e = slice(*group.searchsorted((lo, hi)))
-                blocks = np.zeros((hi - lo, d, d), dtype=complex)
-                blocks[group[e] - lo, rows[e], cols[e]] = values[e]
-                down = jumps[j + 2 * lo:j + 2 * hi:2]
-                np.matmul(vecs @ blocks, vd, out=down)
-                np.conjugate(down.transpose(0, 2, 1), out=jumps[j + 2 * lo + 1:j + 2 * hi:2])
-            j += 2 * w.size
-        if j > first:  # as for terms, a bath without channels has no label
-            slices[label] = slice(first, j)
-    return jumps, rates, slices
 
 
 def davies_terms(
@@ -580,9 +571,8 @@ def davies_terms(
     ``thermal_family``'s jump table for one coupling.
     """
     h = _checked_hermitian(hamiltonian, "hamiltonian")
-    a = as_operator(coupling, "coupling")
-    jumps, rates, _ = _davies_table(h, [(a, beta, base_rate, bath_label)])
-    return [LindbladTerm(v, r, bath_label) for v, r in zip(jumps, rates)]
+    davies = _Davies(h, [(as_operator(coupling, "coupling"), beta, base_rate, bath_label)])
+    return [LindbladTerm(v, r, bath_label) for v, r in zip(davies.table(), davies.rates)]
 
 
 def _shifted(h0: np.ndarray, xi: float, m: np.ndarray) -> np.ndarray:
@@ -604,9 +594,9 @@ def thermal_family(
     bath_label).  The Davies decomposition is rebuilt at every xi, so each
     bath's Gibbs state of H(xi) is exactly stationary for its own channel
     set at that xi: one eigendecomposition of H(xi) serves every bath, and
-    the channels go straight into the generator's jump table.  A
-    generator's ``terms``, when read, are ``davies_terms`` of each coupling
-    in turn.
+    the generator holds the channels as its Davies record, in that
+    eigenbasis.  A generator's ``terms``, when read, are ``davies_terms`` of
+    each coupling in turn.
     """
     h0 = as_operator(h0, "h0")
     m = as_operator(m, "drive observable")
@@ -617,7 +607,7 @@ def thermal_family(
 
     def generator_of(xi: float) -> GklsGenerator:
         h = _shifted(h0, xi, m)
-        return GklsGenerator._of(h, _Channels(*_davies_table(h, spec), lambda: tuple(
+        return GklsGenerator._of(h, davies=_Davies(h, spec, lambda: tuple(
             t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl))))
 
     return GeneratorFamily(generator_of, m, amplitude, frequency)
@@ -644,19 +634,36 @@ def modulated_family(
 
 # --- stationary states -------------------------------------------------------
 
-def _factor(a: np.ndarray, limit: float, error, what: str):
-    """One LU factorization of a, returned as its solver b -> a^(-1) b.
+_NONE = np.zeros(0, dtype=int)  # no entries: no 1 x 1 blocks
 
-    a is overwritten when it is Fortran-ordered.  Raises ``error`` when a is
-    exactly singular or its one-norm reciprocal condition estimate (LAPACK
-    ?gecon) is below 1/limit; NaN fails too.
+
+def _factor(blocks: list, limit: float, error, what: str, lam: np.ndarray, index: list,
+            single: np.ndarray) -> tuple:
+    """(solve, rcond): an LU per block and 1 x 1 blocks ``lam`` of a block-diagonal matrix.
+
+    Block k (overwritten if Fortran-ordered) acts on the entries index[k],
+    lam on ``single``; solve(b) takes a vector or a column stack.  rcond, the
+    one-norm estimate min_k 1/||A_k^-1|| / max_k ||A_k|| from LAPACK ?gecon,
+    raises ``error`` below 1/limit, or on NaN; an exactly singular block
+    counts as 0.
     """
-    anorm = np.linalg.norm(a, 1)
-    lu, piv, info = lapack.zgetrf(a, overwrite_a=True)
-    rcond = lapack.zgecon(lu, anorm)[0] if info == 0 else 0.0
+    norms = [np.linalg.norm(a, 1) for a in blocks]
+    lus = [lapack.zgetrf(a, overwrite_a=True) for a in blocks]
+    inverse = [lapack.zgecon(lu[0], n)[0] * n if lu[2] == 0 else 0.0 for lu, n in zip(lus, norms)]
+    if lam.size:
+        norms, inverse = norms + [np.abs(lam).max()], inverse + [np.abs(lam).min()]
+    rcond = float(min(inverse) / max(norms) if np.isfinite(norms + inverse).all() else np.nan)
     if not rcond * limit >= 1:
         raise error(f"{what}: reciprocal condition estimate {rcond:.3e} below {1 / limit:.1e}")
-    return lambda b: lapack.zgetrs(lu, piv, b)[0]
+
+    def solve(b):
+        x = np.empty_like(b)
+        for idx, (lu, piv, _) in zip(index, lus):
+            x[idx] = lapack.zgetrs(lu, piv, b[idx])[0]
+        if lam.size:
+            x[single] = (b[single].T / lam).T
+        return x
+    return solve, rcond
 
 
 def _at(sample: int, exc: Exception) -> Exception:
@@ -672,41 +679,105 @@ def _raise_first(bad: np.ndarray, error):
         raise _at(j, error(j))
 
 
-def _check_stationary(what: str, images: np.ndarray, tol: Tolerances):
-    """Raise NotStationary at the first stacked generator image of norm > tol.stationarity."""
+def _check_stationary(what: str, images: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Norms of stacked generator images; NotStationary at the first > tol.stationarity."""
     resid = np.linalg.norm(images.reshape(len(images), -1), axis=1)
     _raise_first(resid > tol.stationarity, lambda j: NotStationary(
         f"{what} has generator-image norm {resid[j]:.3e} (tolerance {tol.stationarity:.1e})"))
+    return resid
 
 
-def _bordered_solve(s: np.ndarray, trace: np.ndarray, tol: Tolerances) -> tuple:
-    """(x, solve): the kernel vector of s with trace . x = 1, and the solver.
+def _bordered_solve(blocks: list, trace: np.ndarray, tol: Tolerances, *split) -> tuple:
+    """(x, solve, rcond, residual): the kernel vector x of blocks[0] with trace . x = 1.
 
-    Row 0 of s, redundant when s preserves the trace functional ``trace``,
-    is replaced by that functional scaled by ||s||_1 (by 1 when s = 0, whose
-    kernel is unique only in dimension one), and the system is factored
-    once; solve(b) is y with s[1:] y = b[1:] and scale * trace . y = b[0],
-    for one right-hand side or a column stack.  A reciprocal condition
-    estimate below tol.kernel_cut raises NonUniqueStationary, and
-    ||s x|| > tol.stationarity raises NotStationary.
+    Row 0 of blocks[0], redundant when it preserves the trace functional
+    ``trace``, is replaced by that functional scaled by the largest block
+    one-norm (by 1 when every block is 0, whose kernel is unique only in
+    dimension one), and the blocks are factored once by ``_factor``
+    (``split``: its lam, index and single; by default blocks[0] is the
+    whole matrix).  solve(b) is y with the other rows of the system and
+    scale * trace . y = b[0], for one right-hand side or a column stack.  A
+    reciprocal condition estimate below tol.kernel_cut raises
+    NonUniqueStationary, and ||blocks[0] x|| > tol.stationarity raises
+    NotStationary; rcond and that residual are returned.
     """
-    scale = float(np.linalg.norm(s, 1)) or 1.0
-    a = np.array(s, dtype=complex, order="F")
-    a[0] = scale * trace
-    solve = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
-                    "bordered stationary system")
-    b = np.zeros(s.shape[0], dtype=complex)
+    lam, index, single = split or (_NONE, (slice(None),), _NONE)
+    norms = [np.linalg.norm(s, 1) for s in blocks] + ([np.abs(lam).max()] if lam.size else [])
+    scale = float(max(norms)) or 1.0
+    a = [np.array(s, dtype=complex, order="F") for s in blocks]
+    a[0][0] = scale * trace
+    solve, rcond = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
+                           "bordered stationary system", lam, index, single)
+    b = np.zeros(sum(map(len, blocks)) + lam.size, dtype=complex)
     b[0] = scale
     x = solve(b)
-    _check_stationary("stationary candidate", (s @ x)[None], tol)
-    return x, solve
+    residual = _check_stationary("stationary candidate", (blocks[0] @ x[index[0]])[None], tol)[0]
+    return x, solve, rcond, float(residual)
 
 
-def _stationary_factored(s: np.ndarray, tol: Tolerances) -> tuple:
-    """(state, solve) of the generator matrix s; see ``stationary_state``."""
-    dim = int(round(np.sqrt(s.shape[0])))
-    x, solve = _bordered_solve(s, vec(np.eye(dim)), tol)
-    return DensityMatrix(hermitize(unvec(x)), tol.with_(positivity=1e-8)), solve
+@lru_cache(maxsize=16)
+def _state_tol(tol: Tolerances) -> Tolerances:
+    """A stationary state's tolerances: ``tol`` with positivity 1e-8, formed once per ``tol``."""
+    return tol.with_(positivity=1e-8)
+
+
+def _accumulate(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The complex sums of ``values`` over equal ``index`` in 0 .. n - 1."""
+    return np.bincount(index, values.real, n) + 1j * np.bincount(index, values.imag, n)
+
+
+def _sided(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The matrix of X -> A X + X B on the operator entries (i[p], j[p])."""
+    return a[np.ix_(i, i)] * (j[:, None] == j) + (i[:, None] == i) * b[np.ix_(j, j)].T
+
+
+class _Blocks:
+    """A generator matrix as invariant blocks, operators held in the basis ``u`` (None: lab).
+
+    ``split`` is (index, mats, single, lam): mats[k] acts on the stacked
+    entries index[k], block 0 on entry 0 and the diagonal (the trace), and
+    lam on the 1 x 1 blocks ``single``.  Here ``matrix`` is one block.
+    """
+
+    u = None
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix, self.dim = matrix, round(matrix.shape[0] ** 0.5)
+        self.split = [slice(None)], [matrix], _NONE, _NONE
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L(X) of an operator X in the blocks' basis."""
+        return unvec(self.matrix @ vec(x))
+
+    def basis(self, x: np.ndarray) -> np.ndarray:
+        """The lab-frame operator x in the blocks' basis."""
+        return x if self.u is None else dag(self.u) @ x @ self.u
+
+    def lab(self, x: np.ndarray) -> np.ndarray:
+        """The lab-frame operator of x, an operator in the blocks' basis."""
+        return x if self.u is None else self.u @ x @ dag(self.u)
+
+    def stationary(self, tol: Tolerances) -> tuple:
+        """(state, solve, rcond, residual): ``stationary_state`` and its bordered solver."""
+        index, mats, single, lam = self.split
+        x, solve, rcond, residual = _bordered_solve(mats, np.eye(self.dim).ravel()[index[0]], tol,
+                                                    lam, index, single)
+        state = DensityMatrix(hermitize(self.lab(unvec(x))), _state_tol(tol))
+        return state, solve, rcond, residual
+
+    def resolvent(self, omega: float, tol: Tolerances) -> tuple:
+        """(solve, rcond) of L* + i omega; rcond^-2 above tol.resolvent_condition raises."""
+        index, mats, single, lam = self.split
+        shifted = [dag(m) for m in mats]
+        for a in shifted:
+            a[np.diag_indices_from(a)] += 1j * omega
+        return _factor(shifted, np.sqrt(tol.resolvent_condition), ResolventSingular,
+                       "resolvent system L* + i Omega", lam.conj() + 1j * omega, index, single)
+
+
+def _blocks(gen: GklsGenerator) -> _Blocks:
+    """gen's matrix as blocks: its Davies record's, else one dense block."""
+    return gen._davies or _Blocks(schrodinger_super(gen))
 
 
 def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMatrix:
@@ -717,9 +788,134 @@ def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMa
     kernel of dimension other than one (condition estimate below
     tol.kernel_cut) raises NonUniqueStationary, ||L rho||_F above
     tol.stationarity NotStationary; rho is hermitized and validated with
-    positivity 1e-8.
+    positivity 1e-8.  A Davies generator solves by its blocks (``_Blocks``):
+    the bordered system is its population block.
     """
-    return _stationary_factored(schrodinger_super(gen), tol)[0]
+    return _blocks(gen).stationary(tol)[0]
+
+
+def _row_pairs(rows: np.ndarray) -> tuple:
+    """(e, f): every pair of entries in one row, for entries sorted by row."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    sizes = np.diff(np.append(starts, rows.size))
+    size = np.repeat(sizes, sizes)
+    e = np.repeat(np.arange(rows.size), size)
+    return e, np.arange(e.size) - np.repeat(np.cumsum(size) - size - np.repeat(starts, sizes), size)
+
+
+class _Davies(_Blocks):
+    """The Davies channels of baths (coupling, beta, base_rate, label) of H, in its eigenbasis.
+
+    Each coupling gives its zero-frequency jump, then per positive gap w,
+    ascending, A_w and A_w+ (rows ``up``) at base_rate and base_rate
+    e^{-beta w}: table rows, kept as row-sorted entries (row, a, b, v).  L's
+    blocks are the entries i + d j whose gaps vals[i] - vals[j] chain within
+    _FREQ_TOL (all one should L couple two).  Should d^2 sum_j rate_j
+    ||A_j||^2 overflow, NumericalDrift names the bath where it first does.
+    """
+
+    def __init__(self, h: np.ndarray, couplings, terms_of=None):
+        self.vals, self.u = np.linalg.eigh(hermitize(h))
+        self.dim, vd, baths = h.shape[0], dag(self.u), {}
+        for c, beta, base_rate, label in couplings:
+            if c.shape != h.shape:
+                raise ShapeError(f"coupling shape {c.shape} does not match {h.shape}")
+            if not np.isfinite(c).all():
+                raise ValueError("jump operator has non-finite entries")
+            split = _bohr_split(self.vals, self.u, vd, c)
+            baths.setdefault(label, []).append((split, beta, base_rate))
+        rates, ups, self.slices, self.terms_of = [np.zeros(0)], [np.zeros(0, int)], {}, terms_of
+        pieces, j = [(np.zeros(0, int),) * 3 + (np.zeros(0, complex),)], 0
+        for label, parts in baths.items():
+            first = j
+            for (zero, group, rows, cols, values, w), beta, base_rate in parts:
+                if w.size and base_rate <= 0:
+                    raise ValueError(f"base_rate must be positive, got {base_rate}")
+                for block in zero:
+                    a, b = block.nonzero()
+                    pieces.append((np.full(a.size, j), a, b, block[a, b]))
+                    j += 1
+                down = j + 2 * group
+                pieces += [(down, rows, cols, values), (down + 1, cols, rows, values.conj())]
+                ups.append(j + 1 + 2 * np.arange(w.size))
+                rates += [np.full(len(zero), base_rate), np.column_stack(
+                    [np.full(w.size, base_rate), base_rate * np.exp(-beta * w)]).ravel()]
+                j += 2 * w.size
+            if j > first:  # as for terms, a bath without channels has no label
+                self.slices[label] = slice(first, j)
+        self.labels = [label for label, sl in self.slices.items() for _ in range(sl.start, sl.stop)]
+        self.rates, self.up = np.concatenate(rates), np.concatenate(ups)
+        bad = ~np.isfinite(self.rates) | (self.rates < 0)
+        if bad.any():
+            raise ValueError(f"rate must be finite and nonnegative, got {self.rates[bad.argmax()]}")
+        r, a, b, v = map(np.concatenate, zip(*pieces))
+        order = np.argsort(r, kind="stable")
+        self.row, self.a, self.b, self.v = r[order], a[order], b[order], v[order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.bincount(self.row, np.abs(self.v) ** 2, self.rates.size)
+            bad = ~np.isfinite(np.cumsum(self.rates * norms) * self.dim ** 2)
+        if bad.any():
+            raise NumericalDrift(f"bath {self.labels[bad.argmax()]!r}: the generator's scale "
+                                 "d^2 sum_j rate_j ||V_j||^2 overflows")
+
+    def table(self) -> np.ndarray:
+        """The unscaled lab-frame rows u A u+, a chunk at a time as stacked products into one
+        preallocated (n, d, d) table, A_w+ as A_w's adjoint."""
+        d, ud = self.dim, dag(self.u)
+        jumps = np.empty((self.rates.size, d, d), dtype=complex)
+        step = max(1, _CHUNK_BYTES // (16 * d * d))
+        for lo in range(0, len(jumps), step):
+            hi = min(lo + step, len(jumps))
+            e = slice(*self.row.searchsorted((lo, hi)))
+            blocks = np.zeros((hi - lo, d, d), dtype=complex)
+            blocks[self.row[e] - lo, self.a[e], self.b[e]] = self.v[e]
+            np.matmul(self.u @ blocks, ud, out=jumps[lo:hi])
+            up = self.up[(self.up >= lo) & (self.up < hi)]
+            jumps[up] = dag(jumps[up - 1])
+        return jumps
+
+    @cached_property
+    def _parts(self) -> tuple:
+        """(G, t, s, val): G = -iE - K/2 and sum_v conj(v) (x) v, val at [t, s] from
+        the pairs of entries in a scaled row v; pairs at diagonal targets sum to K."""
+        d, v = self.dim, self.v * np.sqrt(self.rates[self.row])
+        e, f = _row_pairs(self.row)
+        val, (a, b) = v[e] * v[f].conj(), (self.a, self.b)
+        on = a[e] == a[f]
+        k = _accumulate(b[f][on] * d + b[e][on], val[on], d * d).reshape(d, d)
+        return -1j * np.diag(self.vals) - 0.5 * k, a[e] + d * a[f], b[e] + d * b[f], val
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """L(X), or L*(X), of an operator X in the eigenbasis."""
+        g, t, s, val = self._parts
+        if adjoint:
+            g, t, s, val = dag(g), s, t, val.conj()
+        return g @ x + x @ dag(g) + unvec(_accumulate(t, val * vec(x)[s], self.dim ** 2))
+
+    @cached_property
+    def split(self) -> tuple:
+        (g, t, s, val), d = self._parts, self.dim
+        gaps = (self.vals[:, None] - self.vals).ravel(order="F")
+        order = gaps.argsort(kind="stable")
+        blk = np.empty(d * d, dtype=int)
+        blk[order] = np.concatenate([[0], np.cumsum(np.diff(gaps[order]) > _FREQ_TOL)])
+        at, (gi, gk) = blk.reshape(d, d, order="F"), np.nonzero(g - np.diag(g.diagonal()))
+        if np.any(blk[t] != blk[s]) or np.any(at[gi] != at[gk]) or np.any(at[:, gi] != at[:, gk]):
+            blk[:] = 0  # the gaps do not separate L: one block
+        sizes = np.bincount(blk)
+        by, ends = np.argsort(blk, kind="stable"), np.cumsum(sizes)
+        index = [by[ends[k] - sizes[k]:ends[k]]
+                 for k in [blk[0]] + [k for k in np.flatnonzero(sizes > 1) if k != blk[0]]]
+        single = np.flatnonzero((sizes[blk] == 1) & (blk != blk[0]))
+        by_t = np.argsort(blk[t], kind="stable")
+        starts, pos, mats = blk[t][by_t], np.empty(d * d, dtype=int), []
+        for idx in index:
+            n, e = idx.size, by_t[slice(*starts.searchsorted([blk[idx[0]], blk[idx[0]] + 1]))]
+            pos[idx] = np.arange(n)
+            mats.append(_sided(g, dag(g), idx % d, idx // d)
+                        + _accumulate(pos[t[e]] * n + pos[s[e]], val[e], n * n).reshape(n, n))
+        lam = _accumulate(t[t == s], val[t == s], d * d)[single]
+        return index, mats, single, lam + g.diagonal()[single % d] + g.diagonal().conj()[single // d]
 
 
 # --- propagation -------------------------------------------------------------
@@ -857,6 +1053,41 @@ class DetailedBalanceReport:
         )
 
 
+class _RowMix:
+    """R(b)[p, q] = [i_p = i_q] b[j_q, j_p], the matrix of Y -> Y b on the operator entries
+    (i[p], j[p]) of a set that Y -> Y b keeps.
+
+    R(b) mixes the entries of one row i by b's submatrix on their columns,
+    so the entries are grouped by row, and the rows with m entries form one
+    (count, m) group each: R(b) z is one batched product per group, O(d^5)
+    on all d^2 entries and O(n^2) on n entries with one per row, and R(b)
+    itself is a scatter of the groups' submatrices.
+    """
+
+    def __init__(self, i: np.ndarray, j: np.ndarray):
+        order = np.lexsort((j, i))
+        starts = np.flatnonzero(np.diff(i[order], prepend=-1))
+        sizes = np.diff(np.append(starts, i.size))
+        self.j, self.groups = j, [order[starts[sizes == m][:, None] + np.arange(m)]
+                                  for m in np.unique(sizes)]
+
+    def _sub(self, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """R(b) on group p: b[j_(p[g, c]), j_(p[g, a])] at [g, a, c]."""
+        return b[self.j[p][:, None, :], self.j[p][:, :, None]]
+
+    def times(self, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """R(b) z."""
+        z, out = np.ascontiguousarray(z), np.empty(z.shape, dtype=complex)
+        for p in self.groups:
+            out[p] = self._sub(b, p) @ z[p]
+        return out
+
+    def add_to(self, b: np.ndarray, out: np.ndarray):
+        """out += R(b)."""
+        for p in self.groups:
+            out[p[:, :, None], p[:, None, :]] += self._sub(b, p)
+
+
 def detailed_balance_report(
     gen: GklsGenerator,
     rho_bar: DensityMatrix,
@@ -868,43 +1099,54 @@ def detailed_balance_report(
     positive.  The Heisenberg generator is split into Hamiltonian and
     dissipative parts; both are conjugated into the orthonormal frame of
     the rho_bar-weighted scalar product, where hermiticity statements
-    become plain matrix symmetry.
+    become plain matrix symmetry.  This runs on the generator's blocks
+    (``_Blocks``), which right multiplication by rho_bar^(1/2) keeps when
+    rho_bar lies in the stationary block: for a Davies generator, rho_bar's
+    norm outside that block (coherences between levels of distinct
+    energies) above tol.stationarity raises NotStationary.
     """
     w = as_operator(rho_bar, "reference state")
-    _check_stationary("reference state", apply_schrodinger(gen, w)[None], tol)
-    vals, vecs = np.linalg.eigh(hermitize(w))
+    _check_stationary("reference state", _action(gen, w)[None], tol)
+    blocks = _blocks(gen)
+    index, mats, single, lam = blocks.split
+    d = gen.dim
+    full = vec(blocks.basis(w))
+    p = np.zeros_like(full)
+    p[index[0]] = full[index[0]]
+    off = float(np.linalg.norm(full - p))
+    if off > tol.stationarity:
+        raise NotStationary(f"reference state has norm {off:.3e} outside the stationary "
+                            f"block (tolerance {tol.stationarity:.1e})")
+    vals, vecs = np.linalg.eigh(hermitize(unvec(p)))
     if float(vals[0]) <= 1e-12:
         raise SingularWeight(
             f"stationary state minimum eigenvalue {float(vals[0]):.3e} not > 1e-12"
         )
     root = (vecs * np.sqrt(vals)) @ dag(vecs)
     root_inv = (vecs * (1.0 / np.sqrt(vals))) @ dag(vecs)
-    d = gen.dim
-    h = gen.hamiltonian
+    h = blocks.basis(gen.hamiltonian)
 
-    # T S T^-1 with T = right multiplication by root is one O(d^5)
-    # contraction.  The Hamiltonian part X -> i[H, X] of S maps to
-    # Y -> i(H Y - Y M), M = root^-1 H root; the dissipative part is the rest.
-    dis_gns = np.einsum(
-        "aj,iakb,lb->ijkl",
-        root, heisenberg_super(gen).reshape(d, d, d, d, order="F"), root_inv,
-        optimize=True,
-    ).reshape(d * d, d * d, order="F")
+    # T S T^-1 with T = right multiplication by root, S the matrix of L*; the
+    # Hamiltonian part X -> i[H, X] of S maps to Y -> i(H Y - Y M), M = root^-1
+    # H root, and the dissipative part is the rest.  Per block, T, T^-1 and
+    # Y -> Y M mix the entries of one row (``_RowMix`` on (i, j)), Y -> H Y
+    # those of one column (on (j, i), with H^T); and z R(b) = (R(b^T) z^T)^T
     m = root_inv @ h @ root
-    ham_gns = _two_sided(1j * h, -1j * m, np.zeros((d * d, d * d), dtype=complex))
-    dis_gns -= ham_gns
-
-    r_d = 0.5 * float(np.linalg.norm(dis_gns - dag(dis_gns)))
-    r_h = 0.5 * float(np.linalg.norm(ham_gns + dag(ham_gns)))
-    # ham_gns D - D ham_gns is i times four O(d^5) contractions of D with H
-    # and M: on q[j, i, l, k] = D[i + d j, k + d l], ham_gns D acts on the
-    # operator index (i, j) and D ham_gns on (k, l)
-    q = dis_gns.reshape(d, d, d, d)
-    comm = (h @ q.reshape(d, d, -1)).reshape(q.shape)
-    comm -= (m.T @ q.reshape(d, -1)).reshape(q.shape)
-    comm -= (q.reshape(-1, d) @ h).reshape(q.shape)
-    comm += m @ q
-    r_c = float(np.linalg.norm(comm))
+    squares = np.zeros(3)
+    for idx, s in zip(index, mats):
+        i, j = np.divmod(np.arange(d * d)[idx], d)[::-1]
+        right, left = _RowMix(i, j), _RowMix(j, i)
+        ham = np.zeros_like(s)
+        right.add_to(-1j * m, ham)
+        left.add_to(1j * h.T, ham)
+        dis = right.times(root, right.times(root_inv.T, s.conj()).T) - ham
+        comm = right.times(-1j * m, dis) + left.times(1j * h.T, dis)
+        comm -= (right.times(-1j * m.T, dis.T) + left.times(1j * h, dis.T)).T
+        squares += (np.linalg.norm(dis - dag(dis)) ** 2 / 4,
+                    np.linalg.norm(ham + dag(ham)) ** 2 / 4, np.linalg.norm(comm) ** 2)
+    hv = 1j * (h.diagonal()[single % d] - m.diagonal()[single // d])
+    squares += (np.sum((lam.conj() - hv).imag ** 2), np.sum(hv.real ** 2), 0.0)
+    r_d, r_h, r_c = np.sqrt(squares).tolist()
     return DetailedBalanceReport(
         dissipative_hermiticity_defect=r_d,
         hamiltonian_antihermiticity_defect=r_h,

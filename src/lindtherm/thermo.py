@@ -30,12 +30,12 @@ from .gkls import (
     GeneratorFamily,
     GklsGenerator,
     Trajectory,
+    _Blocks,
     _at,
     _check_stationary,
     _first_uses,
     _gkls_action,
     _raise_first,
-    _stationary_factored,
     _superops,
 )
 from .operators import DensityMatrix, _square, as_operator, dag, hermitize
@@ -288,7 +288,7 @@ def law_residuals(
         for chunk in _superops([gens[j] for j in starts], r.shape[-1]):
             for sup in chunk:
                 try:
-                    rbar.append(_stationary_factored(sup, tol)[0].matrix)
+                    rbar.append(_Blocks(sup).stationary(tol)[0].matrix)
                 except LindthermError as exc:
                     raise _at(starts[len(rbar)], exc)
         return np.array(rbar), kidx

@@ -475,6 +475,31 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert "TruncationOverflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["evolve", "engine-power"])
+@pytest.mark.parametrize("term", [0, 1])
+@pytest.mark.parametrize("key", ["rate", "jump"])
+def test_overflowing_channel_names_its_key(tmp_path, capsys, scenario, term, key):
+    # the channel record's scale d^2 sum rate ||V||^2 overflows before any
+    # superoperator, propagator or solve sees it, and the message names the
+    # larger factor: a rate of 1e308, or a jump entry of 1e200 at rate 1; any
+    # RuntimeWarning would fail this test
+    config = _evolve_config()
+    item = config["model"]["terms"][term]
+    if key == "rate":
+        item["rate"] = 1e308
+    else:
+        item["rate"], item["jump"] = 1.0, [[0.0, 1e200], [0.0, 0.0]]
+    if scenario == "engine-power":
+        config = {"scenario": scenario, "model": config["model"],
+                  "drive": {"observable": [[0.0, 0.0], [0.0, 0.3]], "amplitude": 0.4,
+                            "frequency": 5.0}}
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical error: NumericalDrift: model.terms[{term}].{key}: ")
+    assert "RuntimeWarning" not in err
+
+
 def test_overflowing_evolve_grid_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", _evolve_config(grid={"t_max": 1e300, "steps": 50}))
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3

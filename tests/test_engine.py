@@ -1,5 +1,7 @@
 """Perturbative engine power: both formulas, their identity, and the bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -10,14 +12,19 @@ from lindtherm import (
     IdentityViolation,
     LindbladTerm,
     NotEquilibrium,
+    NotStationary,
     ResolventSingular,
     apply_heisenberg,
+    apply_schrodinger,
     average_power_fast,
     average_power_resolvent,
+    dag,
     davies_terms,
+    detailed_balance_report,
     equilibrium_power_bound,
     gibbs_state,
     heisenberg_super,
+    hermitize,
     modulated_family,
     power_report,
     stationary_derivative,
@@ -289,7 +296,14 @@ def test_power_report_agrees_with_five_point_route(model):
     assert rep.p_bar_resolvent == pytest.approx(resolvent, rel=1e-6, abs=0)
 
 
-def test_power_report_assembles_once_and_factors_twice(monkeypatch):
+def _dense_twin(fam):
+    """The family of ``fam``'s generators rebuilt from their terms: the dense route."""
+    h0, m = fam.base.hamiltonian, fam.drive_observable
+    return GeneratorFamily(lambda xi: GklsGenerator(h0 + xi * m, fam.generator_of(xi).terms),
+                           m, fam.amplitude, fam.frequency)
+
+
+def _count_assembly(monkeypatch, fam):
     counts = {"schrodinger": 0, "heisenberg": 0, "zgetrf": 0}
 
     def spy(key, fn):
@@ -298,15 +312,29 @@ def test_power_report_assembles_once_and_factors_twice(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    fam = triangle_engine()
     schrodinger = spy("schrodinger", gkls.schrodinger_super)
     heisenberg = spy("heisenberg", gkls.heisenberg_super)
     for module in (gkls, engine):
-        monkeypatch.setattr(module, "schrodinger_super", schrodinger)
+        monkeypatch.setattr(module, "schrodinger_super", schrodinger, raising=False)
         monkeypatch.setattr(module, "heisenberg_super", heisenberg, raising=False)
     monkeypatch.setattr(lapack, "zgetrf", spy("zgetrf", lapack.zgetrf))
     power_report(fam)
-    assert counts == {"schrodinger": 1, "heisenberg": 0, "zgetrf": 2}
+    return counts
+
+
+def test_power_report_assembles_once_and_factors_twice(monkeypatch):
+    # a generator of terms is one dense block: one assembly, one LU for
+    # rho_bar and rho', one for the resolvent
+    fam = _dense_twin(triangle_engine())
+    assert _count_assembly(monkeypatch, fam) == {"schrodinger": 1, "heisenberg": 0, "zgetrf": 2}
+
+
+def test_davies_power_report_factors_only_the_population_block(monkeypatch):
+    # distinct gaps: the populations are the one block with an LU, once
+    # bordered and once in the resolvent; no superoperator and no lab table
+    fam = triangle_engine()
+    assert _count_assembly(monkeypatch, fam) == {"schrodinger": 0, "heisenberg": 0, "zgetrf": 2}
+    assert "_channels" not in vars(fam.base)
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -316,3 +344,139 @@ def test_non_finite_or_zero_delta_is_rejected(delta):
         stationary_derivative(fam, delta=delta)
     with pytest.raises(ValueError, match="delta must be finite and positive"):
         power_report(fam, delta=delta)
+
+
+# --- Davies generators by invariant blocks ----------------------------------------
+
+def _rotated_davies(rng, kind, d, drive=True):
+    """Two Davies baths on levels of ``kind`` in a random basis, with a drive M.
+
+    "distinct" levels have distinct gaps, so every coherence is a 1 x 1
+    block; an equally spaced "ladder" repeats its gaps, so the coherences of
+    one gap form one block; "degenerate" repeats one level, so the
+    population block holds a coherence too.  M is hermitian and does not
+    commute with H0, or is 0 when ``drive`` is off.
+    """
+    levels = {"distinct": np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, d - 1))]),
+              "ladder": np.arange(d, dtype=float),
+              "degenerate": np.concatenate([[0.0, 1.0, 1.0],
+                                            1.0 + np.cumsum(rng.uniform(0.3, 1.0, d - 3))])}[kind]
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+    def hermitian():
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (x + dag(x)) / 2.0
+
+    h0 = hermitize(q @ np.diag(levels) @ dag(q))
+    m = 0.3 * hermitian() if drive else np.zeros((d, d))
+    return h0, m, [(hermitian(), 1.0, 0.5, "cold"), (hermitian(), 0.2, 0.4, "hot")]
+
+
+@pytest.mark.parametrize("kind, d", [("distinct", 24), ("ladder", 12), ("degenerate", 12)])
+def test_davies_blocks_match_the_dense_route(kind, d):
+    h0, m, couplings = _rotated_davies(np.random.default_rng(0), kind, d)
+    with pytest.warns(UserWarning, match="does not commute"):
+        fam = thermal_family(h0, m, couplings, 0.3, 600.0)
+        ref = _dense_twin(fam)
+    index = gkls._blocks(fam.base).split[0]
+    assert index[0].size == d + 2 * (kind == "degenerate")
+    assert max(map(len, index[1:]), default=1) > 1 or kind == "distinct"
+    rho, rho_ref = stationary_state(fam.base).matrix, stationary_state(ref.base).matrix
+    assert np.linalg.norm(rho - rho_ref) <= 1e-12 * np.linalg.norm(rho_ref)
+    rep, rep_ref = power_report(fam), power_report(ref)
+    assert rep.p_bar_fast == pytest.approx(rep_ref.p_bar_fast, rel=1e-12, abs=0)
+    assert rep.p_bar_resolvent == pytest.approx(rep_ref.p_bar_resolvent, rel=1e-12, abs=0)
+    # both routes report their solves' health; rcond is a one-norm estimate of
+    # differently split matrices, so the two agree only roughly
+    for r in (rep, rep_ref):
+        assert 1e-4 < r.stationary_rcond <= 1 and 1e-4 < r.resolvent_rcond <= 1
+        assert r.stationarity_residual < 1e-13
+    assert 0.1 < rep.stationary_rcond / rep_ref.stationary_rcond < 10
+
+
+@pytest.mark.parametrize("kind, d", [("degenerate", 6), ("ladder", 8)])
+def test_davies_detailed_balance_matches_the_dense_route(kind, d):
+    h0, m, couplings = _rotated_davies(np.random.default_rng(1), kind, d, drive=False)
+    # one bath at its Gibbs state passes; two baths at their stationary state do not
+    for baths, passed in ((couplings[:1], True), (couplings, False)):
+        fam = thermal_family(h0, m, baths, 0.3, 600.0)
+        ref = _dense_twin(fam)
+        rho = gibbs_state(h0, baths[0][1]) if passed else stationary_state(ref.base)
+        got, want = detailed_balance_report(fam.base, rho), detailed_balance_report(ref.base, rho)
+        assert got.passed == want.passed == passed
+        for field in ("dissipative_hermiticity_defect", "hamiltonian_antihermiticity_defect",
+                      "commutator_norm"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+        if passed:
+            bounds = [equilibrium_power_bound(f.base, h0 @ h0, baths[0][1], 0.3) for f in (fam, ref)]
+            assert bounds[0] == pytest.approx(bounds[1], rel=1e-10) and bounds[0] < 0
+
+
+@pytest.mark.parametrize("kind, d", [("distinct", 12), ("ladder", 8), ("degenerate", 8)])
+def test_davies_eigenbasis_action_matches_the_dense_twin(kind, d):
+    # the block solves and the engine act in each generator's eigenbasis
+    # (gkls._action) and build no table; the public direct actions read the
+    # lab-frame table; each route is fixed by the generator, not by what was
+    # read before
+    rng = np.random.default_rng(2)
+    h0, m, couplings = _rotated_davies(rng, kind, d)
+    with pytest.warns(UserWarning, match="does not commute"):
+        fam = thermal_family(h0, m, couplings, 0.3, 600.0)
+        ref = _dense_twin(fam)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for xi in (0.0, 0.37):
+        gen, twin = fam.generator_of(xi), ref.generator_of(xi)
+        eigen = [gkls._action(gen, x, adjoint) for adjoint in (False, True)]
+        assert "_channels" not in vars(gen)
+        for got, want in zip(eigen, (apply_schrodinger(twin, x), apply_heisenberg(twin, x))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        lab = apply_schrodinger(gen, x)
+        assert np.array_equal(lab, apply_schrodinger(twin, x))
+        assert all(np.array_equal(gkls._action(gen, x, adjoint), e)
+                   for adjoint, e in zip((False, True), eigen))
+        other = fam.generator_of(xi)
+        other._baths  # as the heat currents read it: the table is built first
+        assert np.array_equal(apply_schrodinger(other, x), lab)
+
+
+def test_davies_detailed_balance_rejects_coherences_outside_the_stationary_block():
+    # a slow coherence between levels 1e-3 apart: rho_bar + eps (|0><1| + h.c.)
+    # has a generator image below tol.stationarity at eps = 1e-6, but the
+    # Davies route weighs by the stationary block only, so it raises rather
+    # than report on another state; within the tolerance both routes agree
+    h0 = np.diag([0.0, 1e-3, 1.0]).astype(complex)
+    coupling = np.ones((3, 3)) - np.eye(3)
+    fam = thermal_family(h0, np.zeros((3, 3)), [(coupling, 1.0, 1e-3, "b")], 0.3, 600.0)
+    ref = _dense_twin(fam)
+    for eps in (1e-6, 1e-9):
+        rho = gibbs_state(h0, 1.0).matrix.copy()
+        rho[0, 1] += eps
+        rho[1, 0] += eps
+        want = detailed_balance_report(ref.base, rho)
+        assert want.passed
+        if eps > 1e-8:
+            with pytest.raises(NotStationary, match="outside the stationary block"):
+                detailed_balance_report(fam.base, rho)
+        else:
+            got = detailed_balance_report(fam.base, rho)
+            assert got.passed
+            assert abs(got.dissipative_hermiticity_defect
+                       - want.dissipative_hermiticity_defect) < 1e-10
+
+
+def test_davies_power_report_needs_no_superoperator_memory():
+    # d = 100 with two baths: one dense d^2 x d^2 matrix alone would be 1.6 GB
+    rng = np.random.default_rng(3)
+    d = 100
+    h0, _, couplings = _rotated_davies(rng, "distinct", d)
+    h0 = np.diag(np.linalg.eigvalsh(h0)).astype(complex)
+    m = np.diag(rng.uniform(-1.0, 1.0, d))
+    tracemalloc.start()
+    try:
+        rep = power_report(thermal_family(h0, m, couplings, 0.3, 600.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.accepted
+    assert abs(rep.p_bar_resolvent - rep.p_bar_fast) < 0.01 * abs(rep.p_bar_fast)
+    assert peak < 64 << 20
