@@ -357,10 +357,6 @@ def _chem_spec(node, path: str) -> ChemSpec:
 
 # --- output helpers ----------------------------------------------------------
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _write_csv(path: Path, header, rows):
     values = np.array(rows, dtype=float)
     if not np.isfinite(values).all():
@@ -368,9 +364,8 @@ def _write_csv(path: Path, header, rows):
         raise NumericalDrift(
             f"{path.name}: column {header[j]} has non-finite value {values[i, j]} in row {i}"
         )
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    fmt = ",".join(["%.17g"] * len(header))  # each value as a float64, round-trip exact
+    lines = [",".join(header)] + [fmt % tuple(row) for row in values.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -98,7 +98,7 @@ def stationary_derivative(
         raise ValueError(f"delta must be finite and positive, got {delta}")
 
     blocks = _blocks(family.base)
-    state, solve, rcond, stationarity = blocks.stationary(tol)
+    (state,), solve, (rcond,), (stationarity,) = blocks.stationary(tol)
     rho_0 = state.matrix
 
     def l_prime(h: float) -> np.ndarray:

@@ -118,3 +118,9 @@ class ZeroOccupation(LindthermError):
 
 class ConfigError(LindthermError):
     """A run configuration failed validation; the message carries the field path."""
+
+
+def _at(sample: int, exc: Exception) -> Exception:
+    """``exc``, marked as raised by sample ``sample`` of a stack (see ``thermo.law_residuals``)."""
+    exc.sample = sample
+    return exc

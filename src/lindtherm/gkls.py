@@ -57,6 +57,7 @@ from .errors import (
     ShapeError,
     SingularWeight,
     StepTooLarge,
+    _at,
 )
 from .operators import (
     DensityMatrix,
@@ -385,6 +386,7 @@ def _superops(gens, d: int):
                 s[np.flatnonzero(ids == rec)[1:]] = s[first]
         g = np.array([gen._g for gen in chunk])
         yield _two_sided(g, dag(g), s)
+        s = s4 = None  # a chunk the consumer has released is freed before the next is built
 
 
 def schrodinger_super(gen: GklsGenerator) -> np.ndarray:
@@ -666,12 +668,6 @@ def _factor(blocks: list, limit: float, error, what: str, lam: np.ndarray, index
     return solve, rcond
 
 
-def _at(sample: int, exc: Exception) -> Exception:
-    """``exc``, marked as raised by sample ``sample`` of a stack (see ``law_residuals``)."""
-    exc.sample = sample
-    return exc
-
-
 def _raise_first(bad: np.ndarray, error):
     """Raise error(j), marked with j, at the first sample j whose ``bad`` flag is set."""
     if np.any(bad):
@@ -688,31 +684,35 @@ def _check_stationary(what: str, images: np.ndarray, tol: Tolerances) -> np.ndar
 
 
 def _bordered_solve(blocks: list, trace: np.ndarray, tol: Tolerances, *split) -> tuple:
-    """(x, solve, rcond, residual): the kernel vector x of blocks[0] with trace . x = 1.
+    """(x, solve, rcond, residual): x[j] the kernel vector of blocks[0][j] with trace . x[j] = 1.
 
-    Row 0 of blocks[0], redundant when it preserves the trace functional
-    ``trace``, is replaced by that functional scaled by the largest block
-    one-norm (by 1 when every block is 0, whose kernel is unique only in
-    dimension one), and the blocks are factored once by ``_factor``
-    (``split``: its lam, index and single; by default blocks[0] is the
-    whole matrix).  solve(b) is y with the other rows of the system and
-    scale * trace . y = b[0], for one right-hand side or a column stack.  A
-    reciprocal condition estimate below tol.kernel_cut raises
-    NonUniqueStationary, and ||blocks[0] x|| > tol.stationarity raises
-    NotStationary; rcond and that residual are returned.
+    Each block is a (k, n, n) stack, one matrix per system.  Row 0 of a copy
+    of blocks[0][j], redundant when it preserves the trace functional
+    ``trace``, is replaced by that functional scaled by the largest one-norm
+    of system j's blocks (by 1 when all are 0, whose kernel is unique only
+    in dimension one), and the copies are factored by ``_factor`` (``split``:
+    its lam, index and single; by default blocks[0] is the whole matrix).
+    solve(b), of the last system, is y with its other rows and scale *
+    trace . y = b[0], for one right-hand side or a column stack.  rcond
+    below tol.kernel_cut raises NonUniqueStationary, ||blocks[0][j] x[j]||
+    > tol.stationarity NotStationary, marked (``_at``) with the first such j.
     """
     lam, index, single = split or (_NONE, (slice(None),), _NONE)
-    norms = [np.linalg.norm(s, 1) for s in blocks] + ([np.abs(lam).max()] if lam.size else [])
-    scale = float(max(norms)) or 1.0
-    a = [np.array(s, dtype=complex, order="F") for s in blocks]
-    a[0][0] = scale * trace
-    solve, rcond = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
-                           "bordered stationary system", lam, index, single)
-    b = np.zeros(sum(map(len, blocks)) + lam.size, dtype=complex)
-    b[0] = scale
-    x = solve(b)
-    residual = _check_stationary("stationary candidate", (blocks[0] @ x[index[0]])[None], tol)[0]
-    return x, solve, rcond, float(residual)
+    b = np.zeros(sum(s.shape[1] for s in blocks) + lam.size, dtype=complex)
+    x, rcond = np.empty((len(blocks[0]), b.size), dtype=complex), np.empty(len(blocks[0]))
+    for j in range(len(x)):
+        norms = [np.linalg.norm(s[j], 1) for s in blocks] + ([np.abs(lam).max()] if lam.size else [])
+        b[0] = scale = float(max(norms)) or 1.0
+        a = [np.array(s[j], dtype=complex, order="F") for s in blocks]
+        a[0][0] = scale * trace
+        try:
+            solve, rcond[j] = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
+                                      "bordered stationary system", lam, index, single)
+        except NonUniqueStationary as exc:
+            raise _at(j, exc)
+        x[j] = solve(b)
+    residual = _check_stationary("stationary candidate", blocks[0] @ x[:, index[0], None], tol)
+    return x, solve, rcond, residual
 
 
 @lru_cache(maxsize=16)
@@ -736,13 +736,14 @@ class _Blocks:
 
     ``split`` is (index, mats, single, lam): mats[k] acts on the stacked
     entries index[k], block 0 on entry 0 and the diagonal (the trace), and
-    lam on the 1 x 1 blocks ``single``.  Here ``matrix`` is one block.
+    lam on the 1 x 1 blocks ``single``.  Here ``matrix`` is one block, or a
+    (k, d^2, d^2) stack of generator matrices, solved as one by ``stationary``.
     """
 
     u = None
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix, self.dim = matrix, round(matrix.shape[0] ** 0.5)
+        self.matrix, self.dim = matrix, round(matrix.shape[-1] ** 0.5)
         self.split = [slice(None)], [matrix], _NONE, _NONE
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -758,12 +759,15 @@ class _Blocks:
         return x if self.u is None else self.u @ x @ dag(self.u)
 
     def stationary(self, tol: Tolerances) -> tuple:
-        """(state, solve, rcond, residual): ``stationary_state`` and its bordered solver."""
+        """(states, solve, rcond, residual) of ``stationary_state`` by ``_bordered_solve``;
+        states, rcond and residual are lists, one entry per generator of a stack."""
         index, mats, single, lam = self.split
-        x, solve, rcond, residual = _bordered_solve(mats, np.eye(self.dim).ravel()[index[0]], tol,
-                                                    lam, index, single)
-        state = DensityMatrix(hermitize(self.lab(unvec(x))), _state_tol(tol))
-        return state, solve, rcond, residual
+        x, solve, rcond, residual = _bordered_solve(
+            [m.reshape(-1, *m.shape[-2:]) for m in mats], np.eye(self.dim).ravel()[index[0]],
+            tol, lam, index, single)
+        x = np.swapaxes(x.reshape(-1, self.dim, self.dim), 1, 2)  # unvec of each x[j]
+        return (DensityMatrix._stack(hermitize(self.lab(x)), _state_tol(tol)), solve,
+                rcond.tolist(), residual.tolist())
 
     def resolvent(self, omega: float, tol: Tolerances) -> tuple:
         """(solve, rcond) of L* + i omega; rcond^-2 above tol.resolvent_condition raises."""
@@ -788,10 +792,11 @@ def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMa
     kernel of dimension other than one (condition estimate below
     tol.kernel_cut) raises NonUniqueStationary, ||L rho||_F above
     tol.stationarity NotStationary; rho is hermitized and validated with
-    positivity 1e-8.  A Davies generator solves by its blocks (``_Blocks``):
-    the bordered system is its population block.
+    positivity 1e-8.  It is the batch of one of the stacked solve that
+    ``law_residuals`` runs per chunk (``_Blocks.stationary``).  A Davies
+    generator solves by its blocks: the bordered system is its population block.
     """
-    return _blocks(gen).stationary(tol)[0]
+    return _blocks(gen).stationary(tol)[0][0]
 
 
 def _row_pairs(rows: np.ndarray) -> tuple:
@@ -931,27 +936,33 @@ def _time_grid(times, points: int = 1) -> np.ndarray:
 
 
 def _propagate(v0: np.ndarray, t: np.ndarray, keys, matrices_of, accept) -> list:
-    """[accept(v_i, i) for i = 1 .. len(t) - 1] along a piecewise-constant linear flow.
+    """What accept(vs, i) keeps of v_i, v_(i+1), ... (stacked as vs), chunk by chunk, i >= 1.
 
     Step i maps v_{i-1} to v_i = expm(S(keys[i-1]) dt_i) v_{i-1}, one
     exponential per distinct (key, dt) pair.  ``matrices_of(ks)`` yields
     the S of the pairs' keys ks, in order of first use, as new stacked
-    chunks, each exponentiated by one stacked ``expm``; a propagator is kept
-    while a later step uses it.  ``accept`` checks the vector (raising to
-    stop the flow) and returns what the caller keeps.
+    chunks, each exponentiated in place (``expm`` of _ACTION_BYTES at a
+    time) and released before the next is built; a propagator is kept while
+    a later step uses it.  ``accept`` checks the vectors of the steps a
+    chunk completes (raising to stop the flow).
     """
     dt = np.diff(t)
     ids, firsts = _first_uses([(round(float(k), 15), round(float(h), 15)) for k, h in zip(keys, dt)])
     last = dict(zip(ids, range(len(ids))))  # the last step of each pair
     props, out, v, i, lo = {}, [], v0, 0, 0
     for chunk in matrices_of([keys[j] for j in firsts]):
-        hi = lo + len(chunk)
+        hi, sub = lo + len(chunk), max(1, _ACTION_BYTES // (chunk.itemsize * chunk.shape[-1] ** 2))
         chunk *= dt[firsts[lo:hi], None, None]
-        props.update(zip(range(lo, hi), expm(chunk)))
+        for a in range(0, len(chunk), sub):  # in place, a cache-sized stack at a time
+            chunk[a:a + sub] = expm(chunk[a:a + sub])
+        props.update(zip(range(lo, hi), chunk))
+        del chunk
+        vs = []
         while i < len(ids) and ids[i] < hi:
             v = props[ids[i]] @ v
             i += 1
-            out.append(accept(v, i))
+            vs.append(v)
+        out.extend(accept(np.array(vs), i + 1 - len(vs)))
         # copied out, a kept propagator frees the rest of its chunk
         props = {p: e if p < lo else e.copy() for p, e in props.items() if last[p] >= i}
         lo = hi
@@ -959,15 +970,15 @@ def _propagate(v0: np.ndarray, t: np.ndarray, keys, matrices_of, accept) -> list
 
 
 def _state_flow(rho0: DensityMatrix, dim: int, t, keys, superops_of, tol: Tolerances) -> tuple:
-    """States of a piecewise-constant GKLS flow, each validated against ``tol``."""
+    """States of a piecewise-constant GKLS flow, each chunk's as one ``DensityMatrix._stack``."""
     if rho0.dim != dim:
         raise ShapeError(f"initial state has dimension {rho0.dim}, the generator {dim}")
 
-    def accept(v, i):
+    def accept(vs, i):
         try:
-            return DensityMatrix(unvec(v), tol)
+            return DensityMatrix._stack(np.swapaxes(vs.reshape(-1, dim, dim), 1, 2), tol)
         except NotAState as exc:
-            raise NumericalDrift(f"state invariant violated at step {i}: {exc}") from exc
+            raise NumericalDrift(f"state invariant violated at step {i + exc.sample}: {exc}") from exc
 
     return (rho0, *_propagate(vec(rho0.matrix), t, keys, superops_of, accept))
 
@@ -978,8 +989,8 @@ def evolve(
     """Propagate a state by exponentials of the static generator.
 
     One exponential is computed per distinct step size (grids from linspace
-    reuse a single propagator); every state is re-validated against ``tol``,
-    and a violation raises NumericalDrift carrying the step index.
+    reuse a single propagator); the states of each chunk are validated
+    against ``tol`` as one stack, and NumericalDrift names the first failing step.
     """
     t = _time_grid(times)
     return Trajectory(t, _state_flow(rho0, gen.dim, t, np.zeros(t.size - 1),

@@ -715,7 +715,8 @@ def birth_death_evolve(
         return BirthDeathState(p, float(t[i]), slack)
 
     return [first, *_propagate(p0.probs, t, np.zeros(t.size - 1),
-                               lambda ks: [np.repeat(mat[None], len(ks), 0)], accept)]
+                               lambda ks: [np.repeat(mat[None], len(ks), 0)],
+                               lambda ps, i: [accept(p, i + k) for k, p in enumerate(ps)])]
 
 
 @dataclass(frozen=True)

@@ -455,7 +455,7 @@ def sector_stationary_state(
     w = _pauli_rates(spec)[np.ix_(idx, idx)]
     q = w - np.diag(w.sum(axis=0))
     p = np.zeros(spec.dim)
-    p[idx] = _bordered_solve([q], np.ones(idx.size), tol)[0].real
+    p[idx] = _bordered_solve([q[None]], np.ones(idx.size), tol)[0][0].real
     return DensityMatrix(np.diag(p).astype(complex))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InvalidDimension, NotAState, ShapeError
+from .errors import InvalidDimension, NotAState, ShapeError, _at
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -204,12 +204,54 @@ def fermion_modes(n_modes: int) -> list[np.ndarray]:
 
 # --- states ----------------------------------------------------------------
 
+def _states(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The hermitized stack of a (n, d, d) stack of density matrices, complex and read-only.
+
+    ``DensityMatrix``'s checks, each on the whole stack; NotAState names the
+    first failing sample's first failing check, marked (``errors._at``) with
+    that sample.  A stack with no imaginary part is checked in float64.
+    """
+    fin = np.isfinite(m).all(axis=(1, 2))
+    e = int(np.argmin(fin)) if not fin.all() else len(m)
+    failure = "density matrix has non-finite entries" if e < len(m) else None
+    dev = np.abs(np.trace(m[:e], axis1=1, axis2=2) - 1.0)
+    real = not m[:e].imag.any()
+    part = m[:e].real if real else m[:e]
+    # contiguous, so both passes below read it row by row
+    adj = np.swapaxes(part, 1, 2).copy() if real else np.conjugate(np.swapaxes(part, 1, 2), order="C")
+    defect = np.abs(part - adj).max(axis=(1, 2), initial=0.0)
+    bad = (dev > tol.trace) | (defect > tol.hermiticity)
+    if bad.any():
+        e = int(np.argmax(bad))
+        failure = (f"trace deviates from 1 by {dev[e]:.3e}" if dev[e] > tol.trace else
+                   f"hermiticity defect {defect[e]:.3e} exceeds {tol.hermiticity:.1e}")
+    h = 0.5 * (part[:e] + adj[:e])
+    # h is exactly hermitian, so the transposed view of each shifted copy
+    # (Fortran order, factored in place) has the same spectrum
+    shifted = h.copy()
+    np.einsum("nii->ni", shifted)[...] += tol.positivity
+    potrf = lapack.dpotrf if real else lapack.zpotrf
+    for j, x in enumerate(shifted):
+        if potrf(x.T, overwrite_a=True, clean=False)[1] != 0:
+            lo = float(np.linalg.eigvalsh(h[j])[0])
+            if lo < -tol.positivity:
+                e, failure = j, f"minimum eigenvalue {lo:.3e} below -{tol.positivity:.1e}"
+                break
+    if failure is not None:
+        raise _at(e, NotAState(failure))
+    if real:
+        h = h.astype(complex)
+    h.setflags(write=False)
+    return h
+
+
 class DensityMatrix:
     """Validated immutable density matrix.
 
     Checks finiteness, trace, hermiticity and numerical positivity at
     construction against the given tolerances, stores the hermitized matrix,
-    and freezes the buffer. The raw array is available as ``.matrix``.
+    and freezes the buffer. The raw array is available as ``.matrix``.  It
+    is the batch of one of ``_stack``, which checks a stack (``_states``).
 
     Positivity is certified by a Cholesky factorization of
     rho + positivity * I; only when that factorization fails does the
@@ -223,33 +265,15 @@ class DensityMatrix:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT):
-        m = as_operator(matrix, "density matrix")
-        if not np.isfinite(m).all():
-            raise NotAState("density matrix has non-finite entries")
-        tr = complex(m.trace())
-        if abs(tr - 1.0) > tol.trace:
-            raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        real = not m.imag.any()
-        part = m.real if real else m
-        # contiguous, so both passes below read it row by row
-        adj = part.T.copy() if real else np.conjugate(part.T, order="C")
-        defect = float(np.abs(part - adj).max())
-        if defect > tol.hermiticity:
-            raise NotAState(f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}")
-        h = 0.5 * (part + adj)
-        # h is exactly hermitian, so the transposed view of the shifted copy
-        # (Fortran order, factored in place) has the same spectrum.
-        shifted = h.copy()
-        shifted.reshape(-1)[:: h.shape[0] + 1] += tol.positivity
-        potrf = lapack.dpotrf if real else lapack.zpotrf
-        if potrf(shifted.T, overwrite_a=True, clean=False)[1] != 0:
-            lo = float(np.linalg.eigvalsh(h)[0])
-            if lo < -tol.positivity:
-                raise NotAState(f"minimum eigenvalue {lo:.3e} below -{tol.positivity:.1e}")
-        if real:
-            h = h.astype(complex)
-        h.setflags(write=False)
-        self._matrix = h
+        self._matrix = _states(as_operator(matrix, "density matrix")[None], tol)[0]
+
+    @classmethod
+    def _stack(cls, matrices: np.ndarray, tol: Tolerances) -> list:
+        """The states of a (n, d, d) stack, validated as one stack by ``_states``."""
+        states = [cls.__new__(cls) for _ in matrices]
+        for rho, h in zip(states, _states(matrices, tol)):
+            rho._matrix = h
+        return states
 
     @property
     def matrix(self) -> np.ndarray:

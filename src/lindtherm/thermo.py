@@ -25,13 +25,13 @@ from .errors import (
     ShapeError,
     SingularLogarithm,
     SupportError,
+    _at,
 )
 from .gkls import (
     GeneratorFamily,
     GklsGenerator,
     Trajectory,
     _Blocks,
-    _at,
     _check_stationary,
     _first_uses,
     _gkls_action,
@@ -251,12 +251,14 @@ def law_residuals(
 
     The grid is evaluated as stacked arrays: U and P as einsums, each
     bath's flow as one stacked kernel per channel record, S and both
-    logarithms from one batched ``eigh``, rho_bar from one bordered solve
-    per distinct round(xi, 14) on generator matrices built in chunks below
-    ``gkls._CHUNK_BYTES``, and sigma from L(rho) = -i[H, rho] plus the bath
-    flows.  Every per-sample check runs on every sample; a failure raises
-    at the first failing sample and, within it, the first failing check in
-    the order energy, power, currents, stationary state, sigma.
+    logarithms from one batched ``eigh``, the rho_bar of the distinct
+    round(xi, 14) by one stacked bordered solve and state check per chunk
+    of their generator matrices (below ``gkls._CHUNK_BYTES``, each released
+    before the next is built; one LU per matrix), and sigma from L(rho) =
+    -i[H, rho] plus the bath flows; ``generator_of`` runs per sample.  Each
+    per-sample check runs on every sample; a failure raises at the first
+    failing sample and, within it, the first failing check in the order
+    energy, power, currents, stationary state, sigma.
     """
     t, states = trajectory.times, trajectory.states
     om, xi = family.frequency, family.xi(t)
@@ -286,11 +288,11 @@ def law_residuals(
         kidx, starts = _first_uses([round(float(x), 14) for x in xi[:e]])
         rbar = []
         for chunk in _superops([gens[j] for j in starts], r.shape[-1]):
-            for sup in chunk:
-                try:
-                    rbar.append(_Blocks(sup).stationary(tol)[0].matrix)
-                except LindthermError as exc:
-                    raise _at(starts[len(rbar)], exc)
+            try:
+                rbar += [rho.matrix for rho in _Blocks(chunk).stationary(tol)[0]]
+            except LindthermError as exc:
+                raise _at(starts[len(rbar) + exc.sample], exc)
+            del chunk  # released before the next one is built
         return np.array(rbar), kidx
 
     gens = upto(generators)

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindtherm.cli import _complex_entry, _complex_matrix, _real_matrix, main, run_scenario
+from lindtherm.cli import (
+    _complex_entry, _complex_matrix, _real_matrix, _write_csv, main, run_scenario,
+)
 from lindtherm.errors import ConfigError
 
 
@@ -614,6 +616,50 @@ def test_non_finite_csv_value_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "NumericalDrift" in err and "column firstLawResidual" in err
     assert not (tmp_path / "o" / "thermo_trace.csv").exists()
+
+
+def test_csv_rows_are_the_per_value_format(tmp_path):
+    # each row is one "%.17g,..." format over the float64 values: the bytes
+    # of "%.17g" % float(x) per value, signed zero, subnormals, the top of
+    # the range and integers (Python and numpy) included
+    header = ["a", "b", "c"]
+    rows = [[-0.0, 5e-324, 1e308], [1, 2 ** 53 + 1, -3], [0.1, np.float64(1 / 3), np.int64(7)],
+            [np.float32(0.1), -1e-300, 0.0]]
+    _write_csv(tmp_path / "t.csv", header, rows)
+    want = ["a,b,c"] + [",".join("%.17g" % float(x) for x in row) for row in rows]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def _cli_under_runtime_warning_errors(tmp_path, config):
+    """(exit code, stderr) of ``python -W error::RuntimeWarning -m lindtherm run`` on config."""
+    cfg = _write(tmp_path, "cfg.json", config)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lindtherm", "run", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("drive", [None, {"observable": [[0.0, 0.0], [0.0, 0.3]],
+                                          "amplitude": 0.4, "frequency": 2.0}])
+def test_evolve_runs_without_runtime_warnings(tmp_path, drive):
+    config = _evolve_config(**({"drive": drive} if drive else {}))
+    assert _cli_under_runtime_warning_errors(tmp_path, config) == (0, "")
+
+
+def test_overflowing_propagation_exits_three_without_runtime_warnings(tmp_path):
+    # a rate of 1e50 overflows the first step's exponential: the propagated
+    # state check names step 1, with no warning on the way
+    config = _evolve_config()
+    config["model"]["terms"][0]["rate"] = 1e50
+    assert _cli_under_runtime_warning_errors(tmp_path, config) == (3, (
+        "numerical error: NumericalDrift: state invariant violated at step 1: "
+        "density matrix has non-finite entries\n"))
 
 
 def test_engine_power_out_of_equilibrium_exits_three(tmp_path, capsys):

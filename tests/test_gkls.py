@@ -49,6 +49,7 @@ from lindtherm import (
     vec,
     weighted_inner_product,
 )
+from lindtherm.gkls import _CHUNK_BYTES
 
 from conftest import random_state, random_thermal_model, triangle_generator, unit
 
@@ -654,6 +655,31 @@ def test_driven_temporaries_stay_below_one_superoperator_stack():
         tracemalloc.stop()
     assert evolve_peak < 64 << 20
     assert law_peak < 64 << 20
+
+
+def test_driven_peaks_hold_one_chunk_of_generator_matrices():
+    # the same run as above: a consumer releases each chunk of generator
+    # matrices before the next is built, and the propagators are exponentiated
+    # in place, so neither peak holds two chunks (50 generators, 16.6 MB, at
+    # d = 12); holding the previous chunk gave 36.7 and 40.0 MiB
+    rng = np.random.default_rng(5)
+    gen, beta = random_thermal_model(rng, 12)
+    fam = modulated_family(gen, np.diag(rng.uniform(-0.5, 0.5, 12)), 0.3, 1.0)
+    rho0 = DensityMatrix(random_state(rng, 12))
+    times = np.linspace(0.0, 10.0, 401)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        traj = evolve_driven(fam, rho0, times)
+        evolve_peak = tracemalloc.get_traced_memory()[1] - entry
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        law_residuals(traj, fam, [BathAssignment("bath", beta)])
+        law_peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert evolve_peak < 1.75 * _CHUNK_BYTES
+    assert law_peak < 1.75 * _CHUNK_BYTES
 
 
 def test_driven_convergence_under_refinement():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from lindtherm import (
     DensityMatrix,
@@ -244,6 +247,90 @@ def test_pure_state_passes_through_the_spectral_fallback(monkeypatch):
     rho = DensityMatrix(m, Tolerances().with_(positivity=0.0))
     assert calls == [(600, 600)]
     assert np.array_equal(rho.matrix, m)
+
+
+_KINDS = ["state", "nan", "inf", "trace", "hermiticity", "singular", "negative"]
+
+
+def _drawn_sample(rng, d, real, kind):
+    """A d x d matrix: a state, or one with the named defect (see _KINDS)."""
+    x = rng.standard_normal((d, d)) + (0.0 if real else 1j * rng.standard_normal((d, d)))
+    basis = np.linalg.qr(x)[0]
+    vals = rng.uniform(0.1, 1.0, d)
+    if kind in ("singular", "negative") and d > 1:  # one level at 0, or at -1e-6
+        vals[rng.integers(d)] = 0.0 if kind == "singular" else -1e-6
+    vals /= vals.sum()
+    # a singular state stays diagonal, so its zero eigenvalue is exact
+    m = np.diag(vals).astype(complex) if kind == "singular" else (basis * vals) @ dag(basis)
+    i, j = rng.integers(d, size=2)
+    if kind in ("nan", "inf"):
+        m[i, j] = np.nan if kind == "nan" else np.inf
+    elif kind == "trace":
+        m *= 1.01
+    elif kind == "hermiticity":
+        m[i, j] += 1e-3 if real else 1e-3j
+    return m
+
+
+def _sample_check(m, tol):
+    """The first failing check of one matrix, in DensityMatrix's order, by direct formulas.
+
+    The message, or None; a negative eigenvalue gives the message's prefix.
+    """
+    if not np.isfinite(m).all():
+        return "density matrix has non-finite entries"
+    dev = abs(complex(np.trace(m)) - 1.0)
+    if dev > tol.trace:
+        return f"trace deviates from 1 by {dev:.3e}"
+    defect = float(np.abs(m - dag(m)).max())
+    if defect > tol.hermiticity:
+        return f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}"
+    return "minimum eigenvalue" if np.linalg.eigvalsh(hermitize(m))[0] < -tol.positivity else None
+
+
+def _first_rejection(check):
+    """(sample, class, message) of the NotAState that check() raises, or None."""
+    try:
+        check()
+    except NotAState as exc:
+        return getattr(exc, "sample", 0), type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4), n=st.integers(1, 6),
+       real=st.booleans(), positivity=st.sampled_from([0.0, 1e-9]),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=6, max_size=6))
+def test_state_stack_checks_match_the_batch_of_one(seed, d, n, real, positivity, kinds):
+    # the stack validator accepts or rejects as DensityMatrix does sample by
+    # sample: same first failing sample, class and message; and that batch of
+    # one names the check a direct evaluation fails first.  A singular state
+    # at positivity 0 fails the Cholesky step and is accepted by eigvalsh
+    rng = np.random.default_rng(seed)
+    tol = Tolerances().with_(positivity=positivity)
+    stack = np.array([_drawn_sample(rng, d, real, kind) for kind in kinds[:n]])
+    loop = None
+    for j, m in enumerate(stack):
+        loop = _first_rejection(lambda: DensityMatrix(m, tol))
+        want = _sample_check(m, tol)
+        assert (loop is None) == (want is None) and (want is None or loop[2].startswith(want))
+        if loop is not None:
+            loop = (j,) + loop[1:]
+            break
+    with pytest.MonkeyPatch.context() as mp:
+        if real:  # a real stack never reaches the complex routines
+            def complex_route(a, *args, **kwargs):
+                raise AssertionError("complex route taken by a real stack")
+            eigvalsh = np.linalg.eigvalsh
+            mp.setattr(lapack, "zpotrf", complex_route)
+            mp.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) if np.isrealobj(a)
+                       else complex_route(a))
+        states = []
+        stacked = _first_rejection(lambda: states.extend(DensityMatrix._stack(stack, tol)))
+    assert stacked == loop
+    for rho, m in zip(states, stack):
+        assert np.array_equal(rho.matrix, DensityMatrix(m, tol).matrix)
+        assert rho.matrix.dtype == complex and not rho.matrix.flags.writeable
 
 
 def test_density_matrix_is_defensive_copy():
