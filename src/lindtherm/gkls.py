@@ -40,6 +40,7 @@ public direct actions, the propagators and the heat currents.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -48,6 +49,7 @@ import numpy as np
 from scipy.linalg import blas, expm, lapack
 
 from .errors import (
+    LindthermError,
     NonUniqueStationary,
     NotAnEigenoperator,
     NotAState,
@@ -63,7 +65,6 @@ from .operators import (
     DensityMatrix,
     as_operator,
     dag,
-    hermiticity_defect,
     hermitize,
     unvec,
     vec,
@@ -114,18 +115,32 @@ class LindbladTerm:
         return np.sqrt(self.rate) * self.jump
 
 
-def _checked_hermitian(x, name: str) -> np.ndarray:
-    """``x`` as a complex matrix, finite and hermitian within tolerance."""
-    h = as_operator(x, name)
-    if not np.isfinite(h).all():
-        raise ShapeError(f"{name} has non-finite entries")
-    defect = hermiticity_defect(h)
-    if defect > DEFAULT.hamiltonian_hermiticity:
-        raise ShapeError(
-            f"{name} hermiticity defect {defect:.3e} exceeds "
-            f"{DEFAULT.hamiltonian_hermiticity:.1e}"
-        )
+def _hermitian_stack(h: np.ndarray, name: str) -> np.ndarray:
+    """A complex (k, d, d) stack of finite matrices, hermitian within tolerance; ShapeError
+    names the first failing one's first failing check, marked (``_at``) with it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(h).all(axis=(1, 2))
+        defect = np.abs(h - dag(h)).max(axis=(1, 2), initial=0.0)
+    _raise_first(~finite | (defect > DEFAULT.hamiltonian_hermiticity), lambda j: ShapeError(
+        f"{name} has non-finite entries" if not finite[j] else
+        f"{name} hermiticity defect {defect[j]:.3e} exceeds {DEFAULT.hamiltonian_hermiticity:.1e}"))
     return h
+
+
+def _checked_hermitian(x, name: str) -> np.ndarray:
+    """``x`` as a complex matrix, finite and hermitian within tolerance: a stack of one."""
+    return _hermitian_stack(as_operator(x, name)[None], name)[0]
+
+
+def _marked(make, items) -> list:
+    """[make(x) for x in items], a LindthermError marked (``_at``) with the index that raised it."""
+    out = []
+    for j, x in enumerate(items):
+        try:
+            out.append(make(x))
+        except LindthermError as exc:
+            raise _at(j, exc)
+    return out
 
 
 class _Channels:
@@ -220,12 +235,15 @@ class GklsGenerator:
         )
 
     @classmethod
-    def _of(cls, hamiltonian: np.ndarray, channels: _Channels = None, davies=None) -> GklsGenerator:
-        """Generator of ``channels`` or ``davies`` under ``hamiltonian``, already checked hermitian."""
+    def _of(cls, hamiltonian: np.ndarray, channels: _Channels = None, davies=None,
+            g: np.ndarray = None) -> GklsGenerator:
+        """Generator of ``channels`` or ``davies`` under a checked ``hamiltonian`` (and G = g)."""
         gen = cls.__new__(cls)
         gen.hamiltonian, gen._davies = hamiltonian, davies
         if channels is not None:
             gen._channels = channels
+        if g is not None:
+            gen._g = g
         return gen
 
     @cached_property
@@ -260,8 +278,12 @@ class GeneratorFamily:
     ``base`` holds its value at xi = 0, evaluated once at construction.  The
     drive observable M is the operator conjugate to xi; the perturbative
     power formulas assume [H0, M] = 0, which is checked with a warning
-    rather than enforced.
+    rather than enforced.  ``_generators(xis)`` builds a drive grid's
+    generators: by ``_batch`` (xis -> (H, generators), whose batch of one is
+    ``generator_of``) for the built-in families, else by ``generator_of`` per xi.
     """
+
+    _batch = None  # set by ``_stacked_family``
 
     generator_of: object
     drive_observable: np.ndarray
@@ -294,6 +316,15 @@ class GeneratorFamily:
     def xi(self, t: float) -> float:
         """Drive coordinate at time t."""
         return self.amplitude * np.sin(self.frequency * t)
+
+    def _generators(self, xis) -> tuple:
+        """(H, gens): the generators of ``xis`` and their Hamiltonians as one (k, d, d)
+        stack; a LindthermError is marked (``_at``) with the first xi that fails."""
+        xis = np.asarray(xis, dtype=float)
+        if self._batch is not None:
+            return self._batch(xis)
+        gens = _marked(self.generator_of, xis)
+        return np.array([gen.hamiltonian for gen in gens]), gens
 
 
 @dataclass(frozen=True)
@@ -577,10 +608,18 @@ def davies_terms(
     return [LindbladTerm(v, r, bath_label) for v, r in zip(davies.table(), davies.rates)]
 
 
-def _shifted(h0: np.ndarray, xi: float, m: np.ndarray) -> np.ndarray:
-    """H(xi) = H0 + xi M, checked hermitian; an overflowing sum is named as non-finite."""
+def _stacked_family(batch, m: np.ndarray, amplitude: float, frequency: float) -> GeneratorFamily:
+    """The family of ``batch`` (its ``_batch``), whose batch of one is ``generator_of``."""
+    family = GeneratorFamily(lambda xi: batch(np.array([xi], dtype=float))[1][0], m,
+                             amplitude, frequency)
+    object.__setattr__(family, "_batch", batch)
+    return family
+
+
+def _hamiltonians(h0: np.ndarray, xis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The stack of H(xi) = H0 + xi M; ``_hermitian_stack`` names an overflow as non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _checked_hermitian(h0 + xi * m, "hamiltonian")
+        return h0 + xis[:, None, None] * m
 
 
 def thermal_family(
@@ -598,7 +637,7 @@ def thermal_family(
     set at that xi: one eigendecomposition of H(xi) serves every bath, and
     the generator holds the channels as its Davies record, in that
     eigenbasis.  A generator's ``terms``, when read, are ``davies_terms`` of
-    each coupling in turn.
+    each coupling in turn.  A drive grid's H(xi) are one checked stack.
     """
     h0 = as_operator(h0, "h0")
     m = as_operator(m, "drive observable")
@@ -607,12 +646,20 @@ def thermal_family(
         for (c, b, r, lbl) in couplings
     ]
 
-    def generator_of(xi: float) -> GklsGenerator:
-        h = _shifted(h0, xi, m)
+    def davies_of(h: np.ndarray) -> GklsGenerator:
         return GklsGenerator._of(h, davies=_Davies(h, spec, lambda: tuple(
             t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl))))
 
-    return GeneratorFamily(generator_of, m, amplitude, frequency)
+    def batch(xis: np.ndarray) -> tuple:
+        h = _hamiltonians(h0, xis, m)
+        try:
+            _hermitian_stack(h, "hamiltonian")
+        except ShapeError as exc:  # an earlier value's own failure comes first
+            _marked(davies_of, h[:exc.sample])
+            raise
+        return h, _marked(davies_of, h)
+
+    return _stacked_family(batch, m, amplitude, frequency)
 
 
 def modulated_family(
@@ -624,14 +671,17 @@ def modulated_family(
     """Family where xi shifts the Hamiltonian only: H0 + xi M, frozen terms.
 
     Every generator shares ``gen``'s channel record, so its jump table and
-    K_b; only G is rebuilt.
+    K_b.  A drive grid's H(xi) are one checked stack, and its G = -iH - K/2
+    one array expression, each generator holding its row.
     """
     m = as_operator(m, "drive observable")
 
-    def generator_of(xi: float) -> GklsGenerator:
-        return GklsGenerator._of(_shifted(gen.hamiltonian, xi, m), gen._channels)
+    def batch(xis: np.ndarray) -> tuple:
+        h = _hermitian_stack(_hamiltonians(gen.hamiltonian, xis, m), "hamiltonian")
+        g = -1j * h - 0.5 * sum(k for k, _ in gen._baths.values())
+        return h, [GklsGenerator._of(hj, gen._channels, g=gj) for hj, gj in zip(h, g)]
 
-    return GeneratorFamily(generator_of, m, amplitude, frequency)
+    return _stacked_family(batch, m, amplitude, frequency)
 
 
 # --- stationary states -------------------------------------------------------
@@ -639,33 +689,35 @@ def modulated_family(
 _NONE = np.zeros(0, dtype=int)  # no entries: no 1 x 1 blocks
 
 
-def _factor(blocks: list, limit: float, error, what: str, lam: np.ndarray, index: list,
-            single: np.ndarray) -> tuple:
-    """(solve, rcond): an LU per block and 1 x 1 blocks ``lam`` of a block-diagonal matrix.
+def _factor(blocks: list, norms: list, limit: float, error, what: str, lam: np.ndarray) -> tuple:
+    """(lus, rcond): an LU per block of a block-diagonal matrix whose 1 x 1 blocks are ``lam``.
 
-    Block k (overwritten if Fortran-ordered) acts on the entries index[k],
-    lam on ``single``; solve(b) takes a vector or a column stack.  rcond, the
-    one-norm estimate min_k 1/||A_k^-1|| / max_k ||A_k|| from LAPACK ?gecon,
-    raises ``error`` below 1/limit, or on NaN; an exactly singular block
-    counts as 0.
+    The blocks (overwritten if Fortran-ordered) have one-norms ``norms``.
+    rcond, the one-norm estimate min_k 1/||A_k^-1|| / max_k ||A_k|| from
+    LAPACK ?gecon, raises ``error`` below 1/limit, or on NaN; an exactly
+    singular block counts as 0.
     """
-    norms = [np.linalg.norm(a, 1) for a in blocks]
     lus = [lapack.zgetrf(a, overwrite_a=True) for a in blocks]
-    inverse = [lapack.zgecon(lu[0], n)[0] * n if lu[2] == 0 else 0.0 for lu, n in zip(lus, norms)]
+    inverse = [lapack.zgecon(lu, n)[0] * n if info == 0 else 0.0
+               for (lu, _, info), n in zip(lus, norms)]
     if lam.size:
-        norms, inverse = norms + [np.abs(lam).max()], inverse + [np.abs(lam).min()]
-    rcond = float(min(inverse) / max(norms) if np.isfinite(norms + inverse).all() else np.nan)
+        norms, inverse = [*norms, np.abs(lam).max()], inverse + [np.abs(lam).min()]
+    finite = all(map(math.isfinite, [*norms, *inverse]))
+    rcond = float(min(inverse) / max(norms)) if finite else math.nan
     if not rcond * limit >= 1:
         raise error(f"{what}: reciprocal condition estimate {rcond:.3e} below {1 / limit:.1e}")
+    return lus, rcond
 
-    def solve(b):
-        x = np.empty_like(b)
-        for idx, (lu, piv, _) in zip(index, lus):
-            x[idx] = lapack.zgetrs(lu, piv, b[idx])[0]
-        if lam.size:
-            x[single] = (b[single].T / lam).T
-        return x
-    return solve, rcond
+
+def _solve(lus: list, b: np.ndarray, lam: np.ndarray, index: list, single: np.ndarray):
+    """x with block k's LU (of ``_factor``) solved on the entries index[k] and b / lam on
+    ``single``, for a vector b or a column stack."""
+    x = np.empty_like(b)
+    for idx, (lu, piv, _) in zip(index, lus):
+        x[idx] = lapack.zgetrs(lu, piv, b[idx])[0]
+    if lam.size:
+        x[single] = (b[single].T / lam).T
+    return x
 
 
 def _raise_first(bad: np.ndarray, error):
@@ -690,8 +742,11 @@ def _bordered_solve(blocks: list, trace: np.ndarray, tol: Tolerances, *split) ->
     of blocks[0][j], redundant when it preserves the trace functional
     ``trace``, is replaced by that functional scaled by the largest one-norm
     of system j's blocks (by 1 when all are 0, whose kernel is unique only
-    in dimension one), and the copies are factored by ``_factor`` (``split``:
-    its lam, index and single; by default blocks[0] is the whole matrix).
+    in dimension one), and the copies are factored by ``_factor`` and solved
+    by ``_solve`` (``split``: lam, index and single; by default blocks[0] is
+    the whole matrix).  The copies, Fortran-ordered, are made a sub-stack of
+    at most _ACTION_BYTES at a time; the one-norms, raw and bordered, are its
+    column sums, as ``np.linalg.norm(., 1)`` sums each matrix.
     solve(b), of the last system, is y with its other rows and scale *
     trace . y = b[0], for one right-hand side or a column stack.  rcond
     below tol.kernel_cut raises NonUniqueStationary, ||blocks[0][j] x[j]||
@@ -700,19 +755,26 @@ def _bordered_solve(blocks: list, trace: np.ndarray, tol: Tolerances, *split) ->
     lam, index, single = split or (_NONE, (slice(None),), _NONE)
     b = np.zeros(sum(s.shape[1] for s in blocks) + lam.size, dtype=complex)
     x, rcond = np.empty((len(blocks[0]), b.size), dtype=complex), np.empty(len(blocks[0]))
-    for j in range(len(x)):
-        norms = [np.linalg.norm(s[j], 1) for s in blocks] + ([np.abs(lam).max()] if lam.size else [])
-        b[0] = scale = float(max(norms)) or 1.0
-        a = [np.array(s[j], dtype=complex, order="F") for s in blocks]
-        a[0][0] = scale * trace
-        try:
-            solve, rcond[j] = _factor(a, 1.0 / tol.kernel_cut, NonUniqueStationary,
-                                      "bordered stationary system", lam, index, single)
-        except NonUniqueStationary as exc:
-            raise _at(j, exc)
-        x[j] = solve(b)
+    step = max(1, _ACTION_BYTES // (16 * blocks[0].shape[1] ** 2))
+    for lo in range(0, len(x), step):
+        subs = [s[lo:lo + step] for s in blocks]
+        scale = np.max([np.abs(s).sum(axis=1).max(-1) for s in subs], axis=0,
+                       initial=np.abs(lam).max(initial=0.0))
+        scale[scale == 0] = 1.0
+        # the copies, each matrix Fortran-ordered for LAPACK to overwrite, and their one-norms
+        a = [np.array(s.swapaxes(1, 2), dtype=complex, order="C").swapaxes(1, 2) for s in subs]
+        a[0][:, 0] = scale[:, None] * trace
+        norms = [np.abs(f).sum(axis=1).max(-1).tolist() for f in a]
+        for j, (scale_j, *nrm) in enumerate(zip(scale.tolist(), *norms)):
+            b[0] = scale_j
+            try:
+                lus, rcond[lo + j] = _factor([f[j] for f in a], nrm, 1.0 / tol.kernel_cut,
+                                             NonUniqueStationary, "bordered stationary system", lam)
+            except NonUniqueStationary as exc:
+                raise _at(lo + j, exc)
+            x[lo + j] = _solve(lus, b, lam, index, single)
     residual = _check_stationary("stationary candidate", blocks[0] @ x[:, index[0], None], tol)
-    return x, solve, rcond, residual
+    return x, lambda y: _solve(lus, y, lam, index, single), rcond, residual
 
 
 @lru_cache(maxsize=16)
@@ -775,8 +837,11 @@ class _Blocks:
         shifted = [dag(m) for m in mats]
         for a in shifted:
             a[np.diag_indices_from(a)] += 1j * omega
-        return _factor(shifted, np.sqrt(tol.resolvent_condition), ResolventSingular,
-                       "resolvent system L* + i Omega", lam.conj() + 1j * omega, index, single)
+        lam = lam.conj() + 1j * omega
+        lus, rcond = _factor(shifted, [np.linalg.norm(a, 1) for a in shifted],
+                             np.sqrt(tol.resolvent_condition), ResolventSingular,
+                             "resolvent system L* + i Omega", lam)
+        return (lambda b: _solve(lus, b, lam, index, single)), rcond
 
 
 def _blocks(gen: GklsGenerator) -> _Blocks:
@@ -1004,9 +1069,10 @@ def evolve_driven(
 
     On each step the generator is frozen at the midpoint drive value
     xi(t_mid); the generators of the distinct (xi, dt) midpoints are built
-    in chunks, each exponentiated by one stacked ``expm``.  The step size
-    must satisfy dt <= min(0.05/Omega, 0.1/max rate) for the freeze to be a
-    faithful quasi-static approximation.  States are validated as in ``evolve``.
+    by one ``family._generators`` call and their matrices in chunks, each
+    exponentiated by one stacked ``expm``.  The step size must satisfy dt <=
+    min(0.05/Omega, 0.1/max rate) for the freeze to be a faithful
+    quasi-static approximation.  States are validated as in ``evolve``.
     """
     t = _time_grid(times, points=2)
     bound = 0.05 / family.frequency
@@ -1021,7 +1087,7 @@ def evolve_driven(
         )
     mids = family.xi(0.5 * (t[1:] + t[:-1]))
     states = _state_flow(rho0, family.base.dim, t, mids, lambda xis: _superops(
-        [family.generator_of(xi) for xi in xis], family.base.dim), tol)
+        family._generators(xis)[1], family.base.dim), tol)
     return Trajectory(t, states, xi_midpoints=mids)
 
 

@@ -255,7 +255,9 @@ def law_residuals(
     round(xi, 14) by one stacked bordered solve and state check per chunk
     of their generator matrices (below ``gkls._CHUNK_BYTES``, each released
     before the next is built; one LU per matrix), and sigma from L(rho) =
-    -i[H, rho] plus the bath flows; ``generator_of`` runs per sample.  Each
+    -i[H, rho] plus the bath flows.  The generators and their H come from one
+    ``family._generators`` call on the samples' xi (as one stack for the
+    built-in families, per sample for a plain ``generator_of``).  Each
     per-sample check runs on every sample; a failure raises at the first
     failing sample and, within it, the first failing check in the order
     energy, power, currents, stationary state, sigma.
@@ -275,15 +277,6 @@ def law_residuals(
                 if end == 0:
                     raise
 
-    def generators(e):
-        out = []
-        for j in range(e):
-            try:
-                out.append(family.generator_of(xi[j]))
-            except LindthermError as exc:
-                raise _at(j, exc)
-        return out
-
     def stationary(e):
         kidx, starts = _first_uses([round(float(x), 14) for x in xi[:e]])
         rbar = []
@@ -295,9 +288,8 @@ def law_residuals(
             del chunk  # released before the next one is built
         return np.array(rbar), kidx
 
-    gens = upto(generators)
+    h, gens = upto(lambda e: family._generators(xi[:e]))
     r = np.array([rho.matrix for rho in states[:end]])
-    h = np.array([gen.hamiltonian for gen in gens[:end]])
     dh = (family.amplitude * om * np.cos(om * t))[:, None, None] * family.drive_observable
     u = upto(lambda e: _energies(r[:e], h[:e]))
     p = -upto(lambda e: _traces(r[:e], dh[:e], "dH/dt")).real

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, lapack
 
 from lindtherm import (
     BathAssignment,
@@ -20,6 +22,7 @@ from lindtherm import (
     ShapeError,
     SingularWeight,
     StepTooLarge,
+    Trajectory,
     apply_heisenberg,
     apply_schrodinger,
     basis_state,
@@ -49,6 +52,7 @@ from lindtherm import (
     vec,
     weighted_inner_product,
 )
+from lindtherm import gkls
 from lindtherm.gkls import _CHUNK_BYTES
 
 from conftest import random_state, random_thermal_model, triangle_generator, unit
@@ -692,6 +696,162 @@ def test_driven_convergence_under_refinement():
     gap2 = trace_distance(fine.states[-1], finer.states[-1])
     assert gap2 < gap  # midpoint freezing converges
 
+
+
+# --- driven families as stacks ----------------------------------------------------
+
+def _same(a, b):
+    """Bitwise equality of two arrays: dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _stacked_case(kind, rng, d):
+    """A modulated or a two-bath thermal family of dimension d >= 3, with its baths."""
+    if kind == "modulated":
+        gen, beta = random_thermal_model(rng, d)
+        fam = modulated_family(gen, np.diag(rng.uniform(-0.5, 0.5, d)), 0.3, 2.0)
+        return fam, [BathAssignment("bath", beta)]
+    h0, m, couplings = _rotated_family(rng, d)
+    fam = thermal_family(h0, m, couplings, amplitude=0.3, frequency=2.0)
+    return fam, [BathAssignment("cold", 1.3), BathAssignment("hot", 0.5)]
+
+
+def _loop_of(fam):
+    """The same family as a plain ``generator_of``: built one value at a time."""
+    return GeneratorFamily(fam.generator_of, fam.drive_observable, fam.amplitude, fam.frequency)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([3, 4]),
+       kind=st.sampled_from(["modulated", "thermal"]),
+       xis=st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.6, 1.3]) | st.floats(-2.0, 2.0),
+                    min_size=1, max_size=7))
+def test_stacked_generators_are_the_batch_of_one(seed, d, kind, xis):
+    rng = np.random.default_rng(seed)
+    fam, baths = _stacked_case(kind, rng, d)
+    h, gens = fam._generators(xis)
+    assert len(gens) == len(xis)
+    for j, (gen, one) in enumerate(zip(gens, [fam.generator_of(x) for x in xis])):
+        assert _same(h[j], one.hamiltonian) and _same(gen.hamiltonian, one.hamiltonian)
+        assert _same(gen._g, one._g)
+        assert _same(schrodinger_super(gen), schrodinger_super(one))
+        if kind == "thermal":
+            for name in ("vals", "u", "rates", "row", "a", "b", "v"):
+                assert _same(getattr(gen._davies, name), getattr(one._davies, name)), name
+    # trajectories and their bookkeeping equal those of the per-value loop, bit for bit
+    loop, rho0 = _loop_of(fam), DensityMatrix(random_state(rng, d))
+    times = np.linspace(0.0, 0.1, 11)
+    traj = evolve_driven(fam, rho0, times)
+    for a, b in zip(traj.states, evolve_driven(loop, rho0, times).states):
+        assert _same(a.matrix, b.matrix)
+    assert repr(law_residuals(traj, fam, baths, grid_check=False)) == repr(
+        law_residuals(traj, loop, baths, grid_check=False))
+
+
+def _raised(call):
+    """(class, message, sample) of what call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value), getattr(info.value, "sample", None)
+
+
+_OVERFLOW = (np.diag([10.0, 0.0, -10.0]), 1e308, 0.01)  # (M, amplitude, Omega)
+_ANTIHERMITIAN = (np.diag([0.0, 0.3, -0.2]) + 0.45e-12j * (np.eye(3, k=1) + np.eye(3, k=-1)),
+                  2.0, 2.0)
+
+
+@pytest.mark.parametrize("kind", ["modulated", "thermal"])
+@pytest.mark.parametrize("drive", ["overflow", "antihermitian"])
+def test_stacked_families_fail_as_the_loop(kind, drive):
+    # overflow: xi M overflows once |sin(Omega t)| > 0.18; Omega is small enough that
+    # dH/dt = g Omega cos(Omega t) M stays finite.  antihermitian: M's defect 9e-13
+    # is accepted, xi M's passes 1e-12 once |xi| > 1.11, halfway through the grid
+    rng = np.random.default_rng(71)
+    gen, beta = random_thermal_model(rng, 3)
+    m, amplitude, omega = _OVERFLOW if drive == "overflow" else _ANTIHERMITIAN
+    if kind == "modulated":
+        slow = [LindbladTerm(t.jump, 1e-2 * t.rate, t.bath_label) for t in gen.terms]
+        fam = modulated_family(GklsGenerator(gen.hamiltonian, slow), m, amplitude, omega)
+    else:
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        fam = thermal_family(gen.hamiltonian, m, [(x + dag(x), beta, 1e-2, "bath")],
+                             amplitude, omega)
+    loop, baths = _loop_of(fam), [BathAssignment("bath", beta)]
+    rho0 = DensityMatrix(random_state(rng, 3))
+    # a step of at most 0.05 / Omega: the midpoints climb to the failing xi one by one
+    times = np.linspace(0.0, 25.0 if drive == "overflow" else 1.0, 101)
+    batch = _raised(lambda: evolve_driven(fam, rho0, times))
+    assert batch[:2] == _raised(lambda: evolve_driven(loop, rho0, times))[:2]
+    # the samples before the failing one have moderate xi (sin x = x for tiny x)
+    times = np.array([0.0, 1e-307, 2e-307, 3e-307, 20.0, 30.0]) if drive == "overflow" \
+        else np.linspace(0.0, 1.0, 101)
+    traj = Trajectory(times, [rho0] * times.size)
+    batch = _raised(lambda: law_residuals(traj, fam, baths))
+    assert batch == _raised(lambda: law_residuals(traj, loop, baths))
+    assert batch[0] is ShapeError
+    if drive == "overflow":
+        assert batch[1:] == ("hamiltonian has non-finite entries", 4)
+    else:
+        assert batch[1].startswith("hamiltonian hermiticity defect")
+        assert abs(fam.xi(times[batch[2] - 1])) <= 1.11 < abs(fam.xi(times[batch[2]]))
+    for f in (fam, loop):  # the builder names the first failing value as law_residuals does
+        assert _raised(lambda: f._generators(fam.xi(times))) == batch
+
+
+def _bordered_reference(mats, trace, tol):
+    """Per system: (x, rcond) from np.linalg.norm and LAPACK on its own bordered copy, or
+    the NonUniqueStationary message it raises."""
+    out = []
+    for s in mats:
+        b = np.zeros(len(s), dtype=complex)
+        b[0] = scale = float(np.linalg.norm(s, 1)) or 1.0
+        a = np.array(s, dtype=complex, order="F")
+        a[0] = scale * trace
+        norm = np.linalg.norm(a, 1)
+        lu, piv, info = lapack.zgetrf(a)
+        inverse = lapack.zgecon(lu, norm)[0] * norm if info == 0 else 0.0
+        rcond = float(inverse / norm) if np.isfinite([norm, inverse]).all() else np.nan
+        if not rcond * (1.0 / tol.kernel_cut) >= 1:
+            out.append(f"bordered stationary system: reciprocal condition estimate {rcond:.3e} "
+                       f"below {1 / (1.0 / tol.kernel_cut):.1e}")
+        else:
+            out.append((lapack.zgetrs(lu, piv, b)[0], rcond))
+    return out
+
+
+@pytest.mark.parametrize("d, bad", [(1, None), (2, 3), (3, 5), (3, 0), (4, 6)])
+def test_bordered_solve_matches_a_per_system_reference(monkeypatch, d, bad):
+    # sub-stacks of 3 systems, so a failure's mark crosses their boundaries; an all-zero
+    # system has scale 1 (unique only at d = 1), a NaN entry makes rcond NaN
+    monkeypatch.setattr(gkls, "_ACTION_BYTES", 3 * 16 * d ** 4)
+    rng = np.random.default_rng(80 + d)
+    mats = [schrodinger_super(_two_bath_model(rng, d)) for _ in range(7)]
+    mats[1] = np.zeros((d * d, d * d), dtype=complex)
+    if bad is not None:
+        mats[bad] = mats[bad].copy()
+        mats[bad][-1, 1 % (d * d)] = np.nan
+    stack, trace = np.array(mats), np.eye(d).ravel()
+    ref = _bordered_reference(mats, trace, DEFAULT)
+    first = next((j for j, r in enumerate(ref) if isinstance(r, str)), None)
+    if first is None:
+        x, _, rcond, _ = gkls._bordered_solve([stack], trace, DEFAULT)
+        for j, (want_x, want_rcond) in enumerate(ref):
+            assert _same(x[j], want_x) and rcond[j] == want_rcond
+        return
+    assert first == (min(1, bad) if d > 1 else bad)
+    with pytest.raises(NonUniqueStationary) as info:
+        gkls._bordered_solve([stack], trace, DEFAULT)
+    assert (str(info.value), info.value.sample) == (ref[first], first)
+    if bad is not None and d > 1:  # without the zero system, the NaN one raises, at its index
+        keep = [j for j in range(7) if j != 1]
+        with pytest.raises(NonUniqueStationary, match="estimate nan below") as info:
+            gkls._bordered_solve([stack[keep]], trace, DEFAULT)
+        assert (str(info.value), info.value.sample) == (ref[bad], keep.index(bad))
+        good = [j for j in keep if j != bad]
+        x, _, rcond, _ = gkls._bordered_solve([stack[good]], trace, DEFAULT)
+        for j, i in enumerate(good):
+            assert _same(x[j], ref[i][0]) and rcond[j] == ref[i][1]
 
 # --- detailed balance ---------------------------------------------------------------
 
