@@ -80,7 +80,10 @@ def _check_keys(node: dict, path: str, allowed, required):
 def _number(node, path: str, minimum=None, strict_min=None) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
-    x = float(node)
+    try:
+        x = float(node)
+    except OverflowError:  # an integer beyond the float range
+        x = np.inf if node > 0 else -np.inf
     if not np.isfinite(x):
         _fail(path, f"must be finite, got {x}")
     if minimum is not None and x < minimum:
@@ -93,6 +96,8 @@ def _number(node, path: str, minimum=None, strict_min=None) -> float:
 def _integer(node, path: str, minimum=None) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         _fail(path, f"expected an integer, got {node!r}")
+    if not -2 ** 63 <= node < 2 ** 63:
+        _fail(path, "must fit in a 64-bit integer")
     if minimum is not None and node < minimum:
         _fail(path, f"must be >= {minimum}, got {node}")
     return node
@@ -127,15 +132,18 @@ def _is_rectangular(node, width: int) -> bool:
 
 def _real_matrix(node, path: str) -> np.ndarray:
     width = _matrix_width(node, path)
-    if not (_is_rectangular(node, width) and _entry_types(node) <= _NUMBERS):
-        # the row-by-row walk names the first bad row or entry
-        for i, row in enumerate(node):
-            if len(row) != width:
-                _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
-            for j, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    _fail(f"{path}[{i}][{j}]", f"expected a number, got {x!r}")
-    return _finite_matrix(np.array(node, dtype=float), path)
+    if _is_rectangular(node, width) and _entry_types(node) <= _NUMBERS:
+        try:
+            return _finite_matrix(np.array(node, dtype=float), path)
+        except OverflowError:  # an integer beyond the float range: the walk names it
+            pass
+    # the row-by-row walk names the first bad row or entry
+    out = np.zeros((len(node), width))
+    for i, row in enumerate(node):
+        if len(row) != width:
+            _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
+        out[i] = [_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
+    return out
 
 
 def _finite_matrix(out: np.ndarray, path: str) -> np.ndarray:
@@ -147,13 +155,13 @@ def _finite_matrix(out: np.ndarray, path: str) -> np.ndarray:
 
 def _complex_entry(node, path: str) -> complex:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
+        return complex(_number(node, path))
     if (
         isinstance(node, list)
         and len(node) == 2
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
     ):
-        return complex(node[0], node[1])
+        return complex(_number(node[0], path), _number(node[1], path))
     _fail(path, f"expected a number or [re, im] pair, got {node!r}")
 
 
@@ -164,24 +172,27 @@ def _complex_matrix(node, path: str) -> np.ndarray:
     accepts the same forms and names the first bad row or entry.
     """
     width = _matrix_width(node, path)
-    if _is_rectangular(node, width):
-        kinds = _entry_types(node)
-        if kinds <= _NUMBERS:
-            return _finite_matrix(np.array(node, dtype=complex), path)
-        if (
-            kinds == {list}
-            and set(map(len, chain.from_iterable(node))) == {2}
-            and _entry_types(chain.from_iterable(node)) <= _NUMBERS
-        ):
-            pairs = np.array(node, dtype=float)  # (rows, width, 2), C order
-            return _finite_matrix(pairs.view(complex)[..., 0], path)
+    try:
+        if _is_rectangular(node, width):
+            kinds = _entry_types(node)
+            if kinds <= _NUMBERS:
+                return _finite_matrix(np.array(node, dtype=complex), path)
+            if (
+                kinds == {list}
+                and set(map(len, chain.from_iterable(node))) == {2}
+                and _entry_types(chain.from_iterable(node)) <= _NUMBERS
+            ):
+                pairs = np.array(node, dtype=float)  # (rows, width, 2), C order
+                return _finite_matrix(pairs.view(complex)[..., 0], path)
+    except OverflowError:  # an integer beyond the float range: the walk names it
+        pass
     out = np.zeros((len(node), width), dtype=complex)
     for i, row in enumerate(node):
         if len(row) != width:
             _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
         for j, x in enumerate(row):
             out[i, j] = _complex_entry(x, f"{path}[{i}][{j}]")
-    return _finite_matrix(out, path)
+    return out
 
 
 def _stacked_matrices(nodes: list, shape: tuple) -> np.ndarray:
@@ -193,7 +204,7 @@ def _stacked_matrices(nodes: list, shape: tuple) -> np.ndarray:
     """
     try:
         out = np.array(nodes, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     entries = chain.from_iterable(chain.from_iterable(nodes))
     if out.shape == (len(nodes), *shape, 2):
@@ -341,16 +352,16 @@ def _chem_spec(node, path: str) -> ChemSpec:
             mu_b=_number(node["chemistry"]["mu_b"], f"{cp}.mu_b"),
             mu_c=_number(node["chemistry"]["mu_c"], f"{cp}.mu_c"),
         )
+    kwargs = dict(
+        omega=_number(node["omega"], f"{path}.omega"),
+        gamma_up=_number(node["gamma_up"], f"{path}.gamma_up", minimum=0.0),
+        gamma_down=_number(node["gamma_down"], f"{path}.gamma_down", minimum=0.0),
+        decoherence=_number(node.get("decoherence", 0.0), f"{path}.decoherence", minimum=0.0),
+        dim=_integer(node.get("dim", 60), f"{path}.dim", minimum=2),
+        chemistry=chemistry,
+    )
     try:
-        return ChemSpec(
-            omega=_number(node["omega"], f"{path}.omega"),
-            gamma_up=_number(node["gamma_up"], f"{path}.gamma_up", minimum=0.0),
-            gamma_down=_number(node["gamma_down"], f"{path}.gamma_down", minimum=0.0),
-            decoherence=_number(node.get("decoherence", 0.0), f"{path}.decoherence",
-                                minimum=0.0),
-            dim=_integer(node.get("dim", 60), f"{path}.dim", minimum=2),
-            chemistry=chemistry,
-        )
+        return ChemSpec(**kwargs)
     except LindthermError as exc:
         _fail(path, str(exc))
 
@@ -451,8 +462,6 @@ def _run_pv_sweep(config: dict, out_dir: Path, seed: int, tol: Tolerances):
 def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     spec = _chem_spec(config["chem"], "chem")
     alpha0 = _complex_entry(config["initial_alpha"], "initial_alpha")
-    if not np.isfinite(alpha0):
-        _fail("initial_alpha", f"must be finite, got {alpha0}")
     times = _grid(config["grid"], "grid")
     overflow = _string(config.get("overflow", "truncate"), "overflow",
                        {"raise", "truncate"})

@@ -13,8 +13,8 @@ On column-stacked operators (see operators.py for the convention) the
 matrix of L is I (x) G + conj(G) (x) I + sum_j rate_j conj(V_j) (x) V_j, and
 the matrix of L* is its conjugate transpose.
 
-A generator of terms is its Hamiltonian plus one channel record, whose jump
-table holds the scaled jumps sqrt(rate_j) V_j stacked as a C-contiguous
+A generator is its Hamiltonian plus one channel record, whose jump table
+holds the scaled jumps sqrt(rate_j) V_j stacked as a C-contiguous
 (n, d, d) array, grouped by bath label so that each bath is one slice,
 with the rate vector beside it.  Flattened to (n, d^2) it is the matrix W
 whose Gram matrix W^T conj(W) is the jump part of the superoperator, up to
@@ -26,16 +26,16 @@ its terms into a record at construction; ``modulated_family`` generators
 share their base generator's record, table and K_b included.  Their
 stationary states and engine solves take one dense d^2 x d^2 LU.
 
-A ``thermal_family`` generator instead holds a Davies record: the
+A ``thermal_family`` generator's record is a Davies record instead: the
 eigendecomposition of H(xi), from which every bath's Bohr entries are read
 in that eigenbasis, with one rate per table row.  Such a generator commutes
 with [H, .], so its matrix splits into blocks of the operator entries (i, j)
 of one Bohr gap E_i - E_j (distinct gaps: the populations, and a 1 x 1
 block per coherence).  Its stationary state, the engine's solves and
 detailed balance go block by block (``_Blocks``), acting in the eigenbasis
-(``_action``), with no d^2 x d^2 matrix.  Its channel record and ``terms``
-are built only when ``terms``, ``_jumps`` or ``_baths`` is read: by the
-public direct actions, the propagators and the heat currents.
+(``_action``), with no d^2 x d^2 matrix.  Its lab-frame table and ``terms``
+are built only when first read: by the public direct actions, the
+propagators and the heat currents.
 """
 
 from __future__ import annotations
@@ -132,29 +132,44 @@ def _checked_hermitian(x, name: str) -> np.ndarray:
     return _hermitian_stack(as_operator(x, name)[None], name)[0]
 
 
-def _marked(make, items) -> list:
-    """[make(x) for x in items], a LindthermError marked (``_at``) with the index that raised it."""
-    out = []
-    for j, x in enumerate(items):
-        try:
-            out.append(make(x))
-        except LindthermError as exc:
-            raise _at(j, exc)
-    return out
-
-
-class _Channels:
+class _Record:
     """Jump table, rates and bath slices, shared by the generators that hold it.
 
-    Made from the unscaled rows ``jumps`` (n, d, d), finite, their finite
-    ``rates`` >= 0 and bath ``labels``: the rows are grouped by label, in
-    order of first appearance and stably (``slices``, {label: slice of the
-    table}), then row j is scaled by sqrt(rate_j) in place.  Should d^2
-    sum_(j <= k) rate_j ||V_j||_F^2, a bound on L's one-norm, overflow
-    first at row k, NumericalDrift names terms[k]'s rate or jump, whichever
-    factor is larger.  ``terms_of()`` returns the LindbladTerm tuple when
-    ``terms`` is first read; K_b per bath is built on first use, so it
+    ``jumps`` is the (n, d, d) table of rows sqrt(rate_j) V_j, grouped by
+    bath label in order of first appearance (``slices``, {label: slice of
+    the table}), with the ``rates`` beside it.  ``terms`` is built by
+    ``_terms_of()`` when first read, and K_b per bath on first use, so each
     exists once per record.
+    """
+
+    @cached_property
+    def terms(self) -> tuple:
+        return self._terms_of()
+
+    @cached_property
+    def baths(self) -> dict:
+        """{bath label: (K_b, the bath's slice of the jump table)}.
+
+        K_b = sum of rate V+ V over the bath is one GEMM U^H U with U the
+        slice flattened to (n_b d, d); BLAS is handed U^T, F-contiguous, so
+        nothing is copied.
+        """
+        d = self.jumps.shape[-1]
+        baths = {}
+        for label, sl in self.slices.items():
+            u = self.jumps[sl].reshape(-1, d).T
+            baths[label] = (blas.zgemm(1.0, u, u, trans_b=2).T, self.jumps[sl])
+        return baths
+
+
+class _Channels(_Record):
+    """The record of unscaled rows ``jumps`` (n, d, d), finite, with finite ``rates`` >= 0.
+
+    The rows are grouped by their bath ``labels`` stably, then row j is
+    scaled by sqrt(rate_j) in place.  Should d^2 sum_(j <= k) rate_j
+    ||V_j||_F^2, a bound on L's one-norm, overflow first at row k,
+    NumericalDrift names terms[k]'s rate or jump, whichever factor is
+    larger.  ``terms_of()`` returns the LindbladTerm tuple.
     """
 
     def __init__(self, jumps: np.ndarray, rates: np.ndarray, labels, terms_of):
@@ -179,43 +194,19 @@ class _Channels:
         jumps *= np.sqrt(rates)[:, None, None]
         self.jumps, self.rates, self._terms_of = jumps, rates, terms_of
 
-    @cached_property
-    def terms(self) -> tuple:
-        return self._terms_of()
-
-    @cached_property
-    def baths(self) -> dict:
-        """{bath label: (K_b, the bath's slice of the jump table)}.
-
-        K_b = sum of rate V+ V over the bath is one GEMM U^H U with U the
-        slice flattened to (n_b d, d); BLAS is handed U^T, F-contiguous, so
-        nothing is copied.
-        """
-        d = self.jumps.shape[-1]
-        baths = {}
-        for label, sl in self.slices.items():
-            u = self.jumps[sl].reshape(-1, d).T
-            baths[label] = (blas.zgemm(1.0, u, u, trans_b=2).T, self.jumps[sl])
-        return baths
-
 
 class GklsGenerator:
-    """Hamiltonian plus jump channels, held as one shared channel record.
+    """Hamiltonian plus jump channels, held as one shared channel record, ``_record``.
 
-    The record (``_Channels``) holds sqrt(rate_j) V_j for every channel as
-    one C-contiguous (n, d, d) jump table, the channels grouped by bath
-    label (in order of first appearance), with the rate vector; the table
-    costs n d^2 16 bytes.  ``GklsGenerator(hamiltonian, terms)`` stacks its
-    LindbladTerm channels into a new record at construction;
-    ``modulated_family`` generators share their base generator's record.
-    A ``thermal_family`` generator holds a Davies record (``_Davies``) in
-    the eigenbasis of its Hamiltonian, and builds its channel record, and
-    ``terms``, only when they are first read.  The d x d matrices K_b (per
-    bath) live on the record and G on the generator; both are built on
-    first use and kept.
+    ``GklsGenerator(hamiltonian, terms)`` stacks its LindbladTerm channels
+    into a new record (``_Channels``) at construction, whose jump table
+    costs n d^2 16 bytes; ``modulated_family`` generators share their base
+    generator's record.  A ``thermal_family`` generator's record is a
+    Davies record (``_Davies``) in the eigenbasis of its Hamiltonian, which
+    builds its jump table, and ``terms``, only when they are first read.
+    K_b (per bath) lives on the record and G on the generator; both are
+    built on first use and kept.
     """
-
-    _davies = None
 
     def __init__(self, hamiltonian, terms):
         h = _checked_hermitian(hamiltonian, "hamiltonian")
@@ -228,41 +219,32 @@ class GklsGenerator:
                     f"terms[{k}] jump shape {term.jump.shape} does not match "
                     f"hamiltonian shape {h.shape}"
                 )
-        self.hamiltonian, self._channels = h, _Channels(
+        self.hamiltonian, self._record = h, _Channels(
             np.array([t.jump for t in terms], dtype=complex).reshape(-1, *h.shape),
             np.array([t.rate for t in terms], dtype=float), [t.bath_label for t in terms],
             lambda: terms,
         )
 
     @classmethod
-    def _of(cls, hamiltonian: np.ndarray, channels: _Channels = None, davies=None,
-            g: np.ndarray = None) -> GklsGenerator:
-        """Generator of ``channels`` or ``davies`` under a checked ``hamiltonian`` (and G = g)."""
+    def _of(cls, hamiltonian: np.ndarray, record: _Record, g: np.ndarray = None) -> GklsGenerator:
+        """Generator of ``record`` under a checked ``hamiltonian`` (and G = g)."""
         gen = cls.__new__(cls)
-        gen.hamiltonian, gen._davies = hamiltonian, davies
-        if channels is not None:
-            gen._channels = channels
+        gen.hamiltonian, gen._record = hamiltonian, record
         if g is not None:
             gen._g = g
         return gen
 
-    @cached_property
-    def _channels(self) -> _Channels:
-        davies = self._davies
-        return _Channels(davies.table(), davies.rates, davies.labels, davies.terms_of)
-
-    terms = property(lambda self: self._channels.terms,
+    terms = property(lambda self: self._record.terms,
                      doc="The LindbladTerm channels, in the order they were given.")
-    _jumps = property(lambda self: self._channels.jumps)
-    _rates = property(lambda self: (self._davies or self._channels).rates)
-    _baths = property(lambda self: self._channels.baths)
+    _jumps = property(lambda self: self._record.jumps)
+    _baths = property(lambda self: self._record.baths)
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
     def bath_labels(self) -> tuple:
-        return tuple((self._davies or self._channels).slices)
+        return tuple(self._record.slices)
 
     @cached_property
     def _g(self) -> np.ndarray:
@@ -280,10 +262,10 @@ class GeneratorFamily:
     power formulas assume [H0, M] = 0, which is checked with a warning
     rather than enforced.  ``_generators(xis)`` builds a drive grid's
     generators: by ``_batch`` (xis -> (H, generators), whose batch of one is
-    ``generator_of``) for the built-in families, else by ``generator_of`` per xi.
+    ``generator_of``) for ``modulated_family``, else by ``generator_of`` per xi.
     """
 
-    _batch = None  # set by ``_stacked_family``
+    _batch = None  # set by ``modulated_family``
 
     generator_of: object
     drive_observable: np.ndarray
@@ -323,7 +305,12 @@ class GeneratorFamily:
         xis = np.asarray(xis, dtype=float)
         if self._batch is not None:
             return self._batch(xis)
-        gens = _marked(self.generator_of, xis)
+        gens = []
+        for j, xi in enumerate(xis):
+            try:
+                gens.append(self.generator_of(xi))
+            except LindthermError as exc:
+                raise _at(j, exc)
         return np.array([gen.hamiltonian for gen in gens]), gens
 
 
@@ -401,7 +388,7 @@ def _superops(gens, d: int):
     for lo in range(0, len(gens), step):
         chunk = gens[lo:lo + step]
         s = np.zeros((len(chunk), d * d, d * d), dtype=complex)
-        ids, firsts = _first_uses([id(gen._channels) for gen in chunk])
+        ids, firsts = _first_uses([id(gen._record) for gen in chunk])
         for rec, first in enumerate(firsts):  # the jump part once per channel record
             jumps = chunk[first]._jumps
             if len(jumps):
@@ -475,10 +462,10 @@ def _action(gen: GklsGenerator, x: np.ndarray, adjoint: bool = False) -> np.ndar
     eigenbasis U, whether or not its table exists, and builds none; a
     generator of terms as ``apply_schrodinger``/``apply_heisenberg``.
     """
-    davies, x = gen._davies, as_operator(x)
-    if davies is None:
-        return _gkls_action(dag(gen._g) if adjoint else gen._g, x, gen._jumps, adjoint)
-    return davies.lab(davies.apply(davies.basis(x), adjoint))
+    record, x = gen._record, as_operator(x)
+    if isinstance(record, _Davies):
+        return record.lab(record.apply(record.basis(x), adjoint))
+    return _gkls_action(dag(gen._g) if adjoint else gen._g, x, gen._jumps, adjoint)
 
 
 # --- thermal building blocks -------------------------------------------------
@@ -608,14 +595,6 @@ def davies_terms(
     return [LindbladTerm(v, r, bath_label) for v, r in zip(davies.table(), davies.rates)]
 
 
-def _stacked_family(batch, m: np.ndarray, amplitude: float, frequency: float) -> GeneratorFamily:
-    """The family of ``batch`` (its ``_batch``), whose batch of one is ``generator_of``."""
-    family = GeneratorFamily(lambda xi: batch(np.array([xi], dtype=float))[1][0], m,
-                             amplitude, frequency)
-    object.__setattr__(family, "_batch", batch)
-    return family
-
-
 def _hamiltonians(h0: np.ndarray, xis: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The stack of H(xi) = H0 + xi M; ``_hermitian_stack`` names an overflow as non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -637,7 +616,7 @@ def thermal_family(
     set at that xi: one eigendecomposition of H(xi) serves every bath, and
     the generator holds the channels as its Davies record, in that
     eigenbasis.  A generator's ``terms``, when read, are ``davies_terms`` of
-    each coupling in turn.  A drive grid's H(xi) are one checked stack.
+    each coupling in turn.  H(xi) is checked as a stack of one, per xi.
     """
     h0 = as_operator(h0, "h0")
     m = as_operator(m, "drive observable")
@@ -646,20 +625,12 @@ def thermal_family(
         for (c, b, r, lbl) in couplings
     ]
 
-    def davies_of(h: np.ndarray) -> GklsGenerator:
-        return GklsGenerator._of(h, davies=_Davies(h, spec, lambda: tuple(
+    def generator_of(xi: float) -> GklsGenerator:
+        h = _hermitian_stack(_hamiltonians(h0, np.array([xi], dtype=float), m), "hamiltonian")[0]
+        return GklsGenerator._of(h, _Davies(h, spec, lambda: tuple(
             t for c, b, r, lbl in spec for t in davies_terms(h, c, b, r, lbl))))
 
-    def batch(xis: np.ndarray) -> tuple:
-        h = _hamiltonians(h0, xis, m)
-        try:
-            _hermitian_stack(h, "hamiltonian")
-        except ShapeError as exc:  # an earlier value's own failure comes first
-            _marked(davies_of, h[:exc.sample])
-            raise
-        return h, _marked(davies_of, h)
-
-    return _stacked_family(batch, m, amplitude, frequency)
+    return GeneratorFamily(generator_of, m, amplitude, frequency)
 
 
 def modulated_family(
@@ -679,9 +650,12 @@ def modulated_family(
     def batch(xis: np.ndarray) -> tuple:
         h = _hermitian_stack(_hamiltonians(gen.hamiltonian, xis, m), "hamiltonian")
         g = -1j * h - 0.5 * sum(k for k, _ in gen._baths.values())
-        return h, [GklsGenerator._of(hj, gen._channels, g=gj) for hj, gj in zip(h, g)]
+        return h, [GklsGenerator._of(hj, gen._record, g=gj) for hj, gj in zip(h, g)]
 
-    return _stacked_family(batch, m, amplitude, frequency)
+    family = GeneratorFamily(lambda xi: batch(np.array([xi], dtype=float))[1][0], m,
+                             amplitude, frequency)
+    object.__setattr__(family, "_batch", batch)
+    return family
 
 
 # --- stationary states -------------------------------------------------------
@@ -846,7 +820,7 @@ class _Blocks:
 
 def _blocks(gen: GklsGenerator) -> _Blocks:
     """gen's matrix as blocks: its Davies record's, else one dense block."""
-    return gen._davies or _Blocks(schrodinger_super(gen))
+    return gen._record if isinstance(gen._record, _Davies) else _Blocks(schrodinger_super(gen))
 
 
 def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMatrix:
@@ -873,18 +847,22 @@ def _row_pairs(rows: np.ndarray) -> tuple:
     return e, np.arange(e.size) - np.repeat(np.cumsum(size) - size - np.repeat(starts, sizes), size)
 
 
-class _Davies(_Blocks):
+class _Davies(_Blocks, _Record):
     """The Davies channels of baths (coupling, beta, base_rate, label) of H, in its eigenbasis.
 
     Each coupling gives its zero-frequency jump, then per positive gap w,
     ascending, A_w and A_w+ (rows ``up``) at base_rate and base_rate
-    e^{-beta w}: table rows, kept as row-sorted entries (row, a, b, v).  L's
-    blocks are the entries i + d j whose gaps vals[i] - vals[j] chain within
-    _FREQ_TOL (all one should L couple two).  Should d^2 sum_j rate_j
-    ||A_j||^2 overflow, NumericalDrift names the bath where it first does.
+    e^{-beta w}: table rows, grouped by bath, kept as row-sorted entries
+    (row, a, b, v).  L's blocks are the entries i + d j whose gaps vals[i] -
+    vals[j] chain within _FREQ_TOL (all one should L couple two).  Should
+    the gap bound 2d max|H_kl| or d^2 sum_j rate_j ||A_j||^2 overflow,
+    NumericalDrift names the Hamiltonian, or the bath where the sum first does.
     """
 
     def __init__(self, h: np.ndarray, couplings, terms_of=None):
+        with np.errstate(over="ignore"):  # |E_i - E_j| <= 2d max|H_kl|
+            if not np.isfinite(2 * h.shape[0] * np.abs(h).max()):
+                raise NumericalDrift("hamiltonian: the Bohr-gap bound 2d max|H_kl| overflows")
         self.vals, self.u = np.linalg.eigh(hermitize(h))
         self.dim, vd, baths = h.shape[0], dag(self.u), {}
         for c, beta, base_rate, label in couplings:
@@ -894,7 +872,7 @@ class _Davies(_Blocks):
                 raise ValueError("jump operator has non-finite entries")
             split = _bohr_split(self.vals, self.u, vd, c)
             baths.setdefault(label, []).append((split, beta, base_rate))
-        rates, ups, self.slices, self.terms_of = [np.zeros(0)], [np.zeros(0, int)], {}, terms_of
+        rates, ups, self.slices, self._terms_of = [np.zeros(0)], [np.zeros(0, int)], {}, terms_of
         pieces, j = [(np.zeros(0, int),) * 3 + (np.zeros(0, complex),)], 0
         for label, parts in baths.items():
             first = j
@@ -913,7 +891,6 @@ class _Davies(_Blocks):
                 j += 2 * w.size
             if j > first:  # as for terms, a bath without channels has no label
                 self.slices[label] = slice(first, j)
-        self.labels = [label for label, sl in self.slices.items() for _ in range(sl.start, sl.stop)]
         self.rates, self.up = np.concatenate(rates), np.concatenate(ups)
         bad = ~np.isfinite(self.rates) | (self.rates < 0)
         if bad.any():
@@ -925,7 +902,8 @@ class _Davies(_Blocks):
             norms = np.bincount(self.row, np.abs(self.v) ** 2, self.rates.size)
             bad = ~np.isfinite(np.cumsum(self.rates * norms) * self.dim ** 2)
         if bad.any():
-            raise NumericalDrift(f"bath {self.labels[bad.argmax()]!r}: the generator's scale "
+            label = next(label for label, sl in self.slices.items() if bad.argmax() < sl.stop)
+            raise NumericalDrift(f"bath {label!r}: the generator's scale "
                                  "d^2 sum_j rate_j ||V_j||^2 overflows")
 
     def table(self) -> np.ndarray:
@@ -942,6 +920,13 @@ class _Davies(_Blocks):
             np.matmul(self.u @ blocks, ud, out=jumps[lo:hi])
             up = self.up[(self.up >= lo) & (self.up < hi)]
             jumps[up] = dag(jumps[up - 1])
+        return jumps
+
+    @cached_property
+    def jumps(self) -> np.ndarray:
+        """The lab-frame jump table: ``table()``, row j scaled by sqrt(rate_j) in place."""
+        jumps = self.table()
+        jumps *= np.sqrt(self.rates)[:, None, None]
         return jumps
 
     @cached_property
@@ -1076,7 +1061,7 @@ def evolve_driven(
     """
     t = _time_grid(times, points=2)
     bound = 0.05 / family.frequency
-    mr = float(family.base._rates.max(initial=0.0))
+    mr = float(family.base._record.rates.max(initial=0.0))
     if mr > 0:
         bound = min(bound, 0.1 / mr)
     dt_max = float(np.max(np.diff(t)))

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from math import lgamma
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lapack
 
 from .. import thermo
@@ -189,12 +188,15 @@ def _dense(bands: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     ``bands`` holds the rows ``rows`` (ascending, from 0) of LAPACK lower
     band storage: the row of band k holds rho[n + k, n] for n < d - k, then
-    k zeros; unlisted bands are zero.  That is scipy's DIA layout with
-    offsets -k.  The upper triangle mirrors it conjugated; the diagonal is
-    band 0 as it is.
+    k zeros; unlisted bands are zero.  Its nonzero entries are scattered
+    into the lower triangle as they are (scipy's DIA layout with offsets -k,
+    converted to dense).  The upper triangle mirrors it conjugated; the
+    diagonal is band 0 as it is.
     """
     d = bands.shape[1]
-    low = sparse.dia_array((bands, -rows), shape=(d, d)).toarray()
+    b, n = np.nonzero((np.arange(d) < d - rows[:, None]) & (bands != 0))
+    low = np.zeros((d, d), dtype=bands.dtype)
+    low[n + rows[b], n] = bands[b, n]
     rho = low + low.conj().T
     np.fill_diagonal(rho, bands[0])
     return rho

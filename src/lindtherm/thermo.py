@@ -89,11 +89,14 @@ class ThermoSample:
 
 
 def _traces(r: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
-    """tr(rho_i X_i) over stacks of one shape, each X_i (called ``name``) checked hermitian."""
+    """tr(rho_i X_i) over stacks of one shape, each X_i (called ``name``) checked finite and
+    hermitian; ShapeError names the first failing X_i's first failing check."""
     if r.shape != x.shape:
         raise _at(0, ShapeError(f"state shape {r.shape[1:]} does not match {name} {x.shape[1:]}"))
-    _raise_first(np.abs(x - dag(x)).max(axis=(1, 2)) > DEFAULT.hermiticity,
-                 lambda j: ShapeError(f"{name} is not hermitian"))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X_i's defect is too
+        defect = np.abs(x - dag(x)).max(axis=(1, 2))
+    _raise_first(~(defect <= DEFAULT.hermiticity), lambda j: ShapeError(
+        f"{name} is not hermitian" if np.isfinite(x[j]).all() else f"{name} has non-finite entries"))
     return np.einsum("nij,nji->n", r, x)
 
 
@@ -123,7 +126,7 @@ def _bath_flows(gens: list, baths, r: np.ndarray) -> np.ndarray:
         dup = sorted({l for l in labels if labels.count(l) > 1})
         raise _at(0, IncompleteAssignment(f"bath labels claimed more than once: {dup}"))
     flows = np.zeros((len(r), len(labels)) + r.shape[1:], dtype=complex)
-    ids, firsts = _first_uses([id(gen._channels) for gen in gens])
+    ids, firsts = _first_uses([id(gen._record) for gen in gens])
     for rec, first in enumerate(firsts):
         idx, own = ids == rec, gens[first]._baths
         missing = sorted(set(own) - set(labels))
@@ -256,8 +259,8 @@ def law_residuals(
     of their generator matrices (below ``gkls._CHUNK_BYTES``, each released
     before the next is built; one LU per matrix), and sigma from L(rho) =
     -i[H, rho] plus the bath flows.  The generators and their H come from one
-    ``family._generators`` call on the samples' xi (as one stack for the
-    built-in families, per sample for a plain ``generator_of``).  Each
+    ``family._generators`` call on the samples' xi (as one stack for a
+    ``modulated_family``, else per sample by ``generator_of``).  Each
     per-sample check runs on every sample; a failure raises at the first
     failing sample and, within it, the first failing check in the order
     energy, power, currents, stationary state, sigma.
@@ -290,7 +293,8 @@ def law_residuals(
 
     h, gens = upto(lambda e: family._generators(xi[:e]))
     r = np.array([rho.matrix for rho in states[:end]])
-    dh = (family.amplitude * om * np.cos(om * t))[:, None, None] * family.drive_observable
+    with np.errstate(over="ignore", invalid="ignore"):  # _traces names a non-finite dH/dt
+        dh = (family.amplitude * om * np.cos(om * t))[:, None, None] * family.drive_observable
     u = upto(lambda e: _energies(r[:e], h[:e]))
     p = -upto(lambda e: _traces(r[:e], dh[:e], "dH/dt")).real
     flows = upto(lambda e: _bath_flows(gens[:e], baths, r[:e]))

@@ -192,6 +192,27 @@ def test_dense_matches_per_band_loop(dim):
     assert np.array_equal(got.view(float), np.where(in_kept, ref, 0.0).view(float))
 
 
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_dense_is_bitwise_the_dia_array_reference(is_complex):
+    # bands with gaps, exact zeros of either sign and stored values past each
+    # band's end, which the DIA layout ignores
+    rng = np.random.default_rng(17)
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)] if is_complex else [0.0, -0.0]
+    for dim in (1, 2, 5, 9):
+        for _ in range(10):
+            rows = np.union1d([0], rng.choice(dim, rng.integers(1, dim + 1), replace=False))
+            bands = rng.standard_normal((rows.size, dim))
+            if is_complex:
+                bands = bands + 1j * rng.standard_normal((rows.size, dim))
+            hit = rng.random(bands.shape) < 0.3
+            bands[hit] = rng.choice(zeros, hit.sum())
+            low = sp.dia_array((bands, -rows), shape=(dim, dim)).toarray()
+            ref = low + low.conj().T
+            np.fill_diagonal(ref, bands[0])
+            got = chem._dense(bands, rows)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_two_level_diagonal_start_matches_dense_evolution():
     # one kept band of two entries: the tridiagonal size scipy's dgttrf
     # wrapper rejects

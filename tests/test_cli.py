@@ -465,6 +465,51 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert "seed: must be >= 0" in capsys.readouterr().err
 
 
+def _pv_config():
+    return {"scenario": "pv-sweep",
+            "pv": {"conduction_energies": [1.0], "valence_energies": [0.0], "beta": 2.0,
+                   "beta1": 0.7, "inter_rates": [[4.0]]},
+            "sweep": {"v_min": 0.1, "v_max": 0.9, "points": 5}}
+
+
+# 400 digits: beyond float64 and int64.  Only such values are tried, never a
+# size that fits in int64, which numpy could try to allocate.
+_HUGE = "1" + "0" * 400
+
+
+_HUGE_CASES = [  # (key, config, path to the value, sign)
+    ("model.hamiltonian[1][1]", _evolve_config, ("model", "hamiltonian", 1, 1), ""),
+    ("model.terms[0].rate", _evolve_config, ("model", "terms", 0, "rate"), ""),
+    ("model.terms[1].jump[1][0]", _evolve_config, ("model", "terms", 1, "jump", 1, 0), ""),
+    ("model.baths[0].beta", _evolve_config, ("model", "baths", 0, "beta"), "-"),
+    ("grid.t_max", _evolve_config, ("grid", "t_max"), ""),
+    ("grid.steps", _evolve_config, ("grid", "steps"), ""),
+    ("initial[0][1]", lambda: _evolve_config(initial=[[0.5, [0.0, 0.0]], [[0.0, 0.0], 0.5]]),
+     ("initial", 0, 1, 1), ""),
+    ("initial_alpha", lambda: _chem_phase_config(1.0), ("initial_alpha",), ""),
+    ("chem.omega", lambda: _chem_phase_config(1.0), ("chem", "omega"), "-"),
+    ("chem.dim", lambda: _chem_phase_config(1.0), ("chem", "dim"), ""),
+    ("pv.inter_rates[0][0]", _pv_config, ("pv", "inter_rates", 0, 0), ""),
+    ("trajectories", _replicator_config, ("trajectories",), ""),
+    ("n_max", _replicator_config, ("n_max",), ""),
+    ("seed", _replicator_config, ("seed",), ""),
+]
+
+
+@pytest.mark.parametrize("key, make, path, sign", _HUGE_CASES, ids=[c[0] for c in _HUGE_CASES])
+def test_integers_beyond_float_or_int64_are_config_errors(tmp_path, capsys, key, make, path,
+                                                          sign):
+    config = node = make()
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = "HUGE"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config).replace('"HUGE"', sign + _HUGE))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "scenario": "chem-engine",

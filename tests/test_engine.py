@@ -334,7 +334,7 @@ def test_davies_power_report_factors_only_the_population_block(monkeypatch):
     # bordered and once in the resolvent; no superoperator and no lab table
     fam = triangle_engine()
     assert _count_assembly(monkeypatch, fam) == {"schrodinger": 0, "heisenberg": 0, "zgetrf": 2}
-    assert "_channels" not in vars(fam.base)
+    assert "jumps" not in vars(fam.base._record)
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf"), 0.0])
@@ -427,7 +427,7 @@ def test_davies_eigenbasis_action_matches_the_dense_twin(kind, d):
     for xi in (0.0, 0.37):
         gen, twin = fam.generator_of(xi), ref.generator_of(xi)
         eigen = [gkls._action(gen, x, adjoint) for adjoint in (False, True)]
-        assert "_channels" not in vars(gen)
+        assert "jumps" not in vars(gen._record)
         for got, want in zip(eigen, (apply_schrodinger(twin, x), apply_heisenberg(twin, x))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         lab = apply_schrodinger(gen, x)

@@ -425,7 +425,7 @@ def test_davies_families_build_tables_without_terms(monkeypatch):
     # a modulated family shares its base generator's channel record, table and K_b
     base = fam.generator_of(0.0)
     mod = modulated_family(base, m, amplitude=0.3, frequency=2.0).generator_of(0.2)
-    assert mod._channels is base._channels
+    assert mod._record is base._record
     assert mod._jumps is base._jumps
     assert all(mod._baths[k][0] is base._baths[k][0] for k in base.bath_labels())
     assert made == []
@@ -638,34 +638,12 @@ def test_evolve_driven_matches_a_propagator_per_step(kind):
         assert np.max(np.abs(traj.states[i].matrix - unvec(v))) <= 1e-13
 
 
-def test_driven_temporaries_stay_below_one_superoperator_stack():
-    # 400 distinct midpoints at d = 12: all their generator matrices at once
-    # would be 400 * 144^2 * 16 B = 133 MB; chunks keep the peak well below
-    rng = np.random.default_rng(5)
-    gen, beta = random_thermal_model(rng, 12)
-    fam = modulated_family(gen, np.diag(rng.uniform(-0.5, 0.5, 12)), 0.3, 1.0)
-    rho0 = DensityMatrix(random_state(rng, 12))
-    times = np.linspace(0.0, 10.0, 401)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        traj = evolve_driven(fam, rho0, times)
-        evolve_peak = tracemalloc.get_traced_memory()[1] - entry
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        law_residuals(traj, fam, [BathAssignment("bath", beta)])
-        law_peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert evolve_peak < 64 << 20
-    assert law_peak < 64 << 20
-
-
 def test_driven_peaks_hold_one_chunk_of_generator_matrices():
-    # the same run as above: a consumer releases each chunk of generator
-    # matrices before the next is built, and the propagators are exponentiated
-    # in place, so neither peak holds two chunks (50 generators, 16.6 MB, at
-    # d = 12); holding the previous chunk gave 36.7 and 40.0 MiB
+    # 400 distinct midpoints at d = 12: all their generator matrices at once
+    # would be 400 * 144^2 * 16 B = 133 MB.  A consumer releases each chunk of
+    # generator matrices before the next is built, and the propagators are
+    # exponentiated in place, so neither peak holds two chunks (50 generators,
+    # 16.6 MB, at d = 12); holding the previous chunk gave 36.7 and 40.0 MiB
     rng = np.random.default_rng(5)
     gen, beta = random_thermal_model(rng, 12)
     fam = modulated_family(gen, np.diag(rng.uniform(-0.5, 0.5, 12)), 0.3, 1.0)
@@ -738,7 +716,7 @@ def test_stacked_generators_are_the_batch_of_one(seed, d, kind, xis):
         assert _same(schrodinger_super(gen), schrodinger_super(one))
         if kind == "thermal":
             for name in ("vals", "u", "rates", "row", "a", "b", "v"):
-                assert _same(getattr(gen._davies, name), getattr(one._davies, name)), name
+                assert _same(getattr(gen._record, name), getattr(one._record, name)), name
     # trajectories and their bookkeeping equal those of the per-value loop, bit for bit
     loop, rho0 = _loop_of(fam), DensityMatrix(random_state(rng, d))
     times = np.linspace(0.0, 0.1, 11)
@@ -759,6 +737,22 @@ def _raised(call):
 _OVERFLOW = (np.diag([10.0, 0.0, -10.0]), 1e308, 0.01)  # (M, amplitude, Omega)
 _ANTIHERMITIAN = (np.diag([0.0, 0.3, -0.2]) + 0.45e-12j * (np.eye(3, k=1) + np.eye(3, k=-1)),
                   2.0, 2.0)
+
+
+def test_thermal_family_names_a_hamiltonian_whose_gaps_overflow():
+    # H(1e307) = diag(1e308, 0.5, -1e308) is finite but its gap 2e308 is not:
+    # the Davies record raises before hermitize or eigh could overflow (a bare
+    # RuntimeWarning fails under the suite's warning filter)
+    x = np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 1.0], [0.3, 1.0, 0.0]])
+    fam = thermal_family(np.diag([0.0, 0.5, 1.0]), np.diag([10.0, 0.0, -10.0]),
+                         [(x, 1.0, 1e-2, "bath")], 1e308, 0.01)
+    message = "^hamiltonian: the Bohr-gap bound 2d max\\|H_kl\\| overflows$"
+    with pytest.raises(NumericalDrift, match=message):
+        fam.generator_of(1e307)
+    # the midpoint xi = 2e306 passes the bound (1.2e308), the next, 6e306, does not
+    with pytest.raises(NumericalDrift, match=message) as info:
+        evolve_driven(fam, DensityMatrix(np.eye(3) / 3), [0.0, 4.0, 8.0])
+    assert info.value.sample == 1
 
 
 @pytest.mark.parametrize("kind", ["modulated", "thermal"])

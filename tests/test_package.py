@@ -50,3 +50,11 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(lindtherm.__file__).parents[1])
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the chem band evolver scatters its bands with numpy index arrays
+    code = "import sys, lindtherm.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(lindtherm.__file__).parents[1])
+    assert out.stdout.strip() == "False"

@@ -325,6 +325,20 @@ def test_law_residuals_reports_the_first_failing_sample(pure, error):
     assert isinstance(_raises_as_the_loop(traj, fam, [BathAssignment("bath", beta)]), error)
 
 
+def test_law_residuals_names_an_overflowing_drive_derivative():
+    # dH/dt = g Omega cos(Omega t) M overflows (g Omega = 2e308) while xi M
+    # stays finite at every sample (|xi| <= 0.02): a named error, not a bare
+    # RuntimeWarning, which the suite's warning filter would fail on
+    rng = np.random.default_rng(54)
+    gen, beta = random_thermal_model(rng, 3)
+    fam = modulated_family(gen, np.diag([10.0, 0.0, -10.0]), 1e308, 2.0)
+    rho = DensityMatrix(random_state(rng, 3))
+    traj = Trajectory(np.array([0.0, 1e-310, 2e-310]), [rho] * 3)
+    with pytest.raises(ShapeError, match="^dH/dt has non-finite entries$") as info:
+        law_residuals(traj, fam, [BathAssignment("bath", beta)])
+    assert info.value.sample == 0
+
+
 # --- passivity and ergotropy ------------------------------------------------------
 
 def test_passive_state_and_ergotropy_hand_case():
