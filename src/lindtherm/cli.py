@@ -50,7 +50,6 @@ from .models.pv import (
     PvSpec,
     open_circuit_voltage,
     pv_analytic_power,
-    pv_grand_canonical,
     pv_power_current,
 )
 from .operators import DensityMatrix, hermiticity_defect, hermitize
@@ -115,44 +114,6 @@ def _string(node, path: str, choices=None) -> str:
 _NUMBERS = frozenset((int, float))
 
 
-def _matrix_width(node, path: str) -> int:
-    if not isinstance(node, list) or not node or not all(isinstance(r, list) for r in node):
-        _fail(path, "expected a matrix as a list of rows")
-    return len(node[0])
-
-
-def _entry_types(rows) -> set:
-    """The exact types of all entries of a list of lists, gathered in C."""
-    return set(map(type, chain.from_iterable(rows)))
-
-
-def _is_rectangular(node, width: int) -> bool:
-    return set(map(len, node)) == {width}
-
-
-def _real_matrix(node, path: str) -> np.ndarray:
-    width = _matrix_width(node, path)
-    if _is_rectangular(node, width) and _entry_types(node) <= _NUMBERS:
-        try:
-            return _finite_matrix(np.array(node, dtype=float), path)
-        except OverflowError:  # an integer beyond the float range: the walk names it
-            pass
-    # the row-by-row walk names the first bad row or entry
-    out = np.zeros((len(node), width))
-    for i, row in enumerate(node):
-        if len(row) != width:
-            _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
-        out[i] = [_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
-    return out
-
-
-def _finite_matrix(out: np.ndarray, path: str) -> np.ndarray:
-    if not np.isfinite(out).all():
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        _fail(f"{path}[{i}][{j}]", f"must be finite, got {out[i, j]}")
-    return out
-
-
 def _complex_entry(node, path: str) -> complex:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return complex(_number(node, path))
@@ -165,53 +126,42 @@ def _complex_entry(node, path: str) -> complex:
     _fail(path, f"expected a number or [re, im] pair, got {node!r}")
 
 
-def _complex_matrix(node, path: str) -> np.ndarray:
-    """A matrix of numbers or of [re, im] pairs, converted by one np.array.
+def _matrices(nodes: list, paths, real: bool = False, dim: int = None) -> np.ndarray:
+    """The matrices ``nodes`` as one (n, rows, cols) array, float if ``real`` else complex.
 
-    Any other mix of entries goes through the entry-by-entry walk, which
-    accepts the same forms and names the first bad row or entry.
-    """
-    width = _matrix_width(node, path)
-    try:
-        if _is_rectangular(node, width):
-            kinds = _entry_types(node)
-            if kinds <= _NUMBERS:
-                return _finite_matrix(np.array(node, dtype=complex), path)
-            if (
-                kinds == {list}
-                and set(map(len, chain.from_iterable(node))) == {2}
-                and _entry_types(chain.from_iterable(node)) <= _NUMBERS
-            ):
-                pairs = np.array(node, dtype=float)  # (rows, width, 2), C order
-                return _finite_matrix(pairs.view(complex)[..., 0], path)
-    except OverflowError:  # an integer beyond the float range: the walk names it
-        pass
-    out = np.zeros((len(node), width), dtype=complex)
-    for i, row in enumerate(node):
-        if len(row) != width:
-            _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
-        for j, x in enumerate(row):
-            out[i, j] = _complex_entry(x, f"{path}[{i}][{j}]")
-    return out
-
-
-def _stacked_matrices(nodes: list, shape: tuple) -> np.ndarray:
-    """The matrices ``nodes`` as one complex (n, *shape) array by one np.array, or None.
-
-    None unless each node is a matrix of ``shape``, all entries numbers or
-    all [re, im] pairs of numbers (one type scan), and finite; the
-    matrix-by-matrix walk then names the first bad row or entry.
+    Each node must be a nonempty list of equal-length rows of finite numbers
+    (or, unless ``real``, numbers and [re, im] pairs), (dim, dim) if ``dim``
+    is given.  When every node is such a matrix of one shape, all entries
+    numbers or all pairs, one np.array and one entry-type scan convert the
+    stack; otherwise the walk converts node by node and names the first bad
+    matrix, row, entry or shape by its key path, paths[k].
     """
     try:
         out = np.array(nodes, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    entries = chain.from_iterable(chain.from_iterable(nodes))
-    if out.shape == (len(nodes), *shape, 2):
-        out, entries = out.view(complex)[..., 0], chain.from_iterable(entries)
-    if out.shape != (len(nodes), *shape) or not _entry_types([entries]) <= _NUMBERS:
-        return None
-    return out if np.isfinite(out).all() else None
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers: the walk names it
+        out = np.empty(0)
+    rows = chain.from_iterable(nodes)
+    pairs = out.ndim == 4 and out.shape[-1] == 2 and not real
+    if pairs:
+        out, rows = out.view(complex)[..., 0], chain.from_iterable(rows)
+    if (out.ndim == 3 and (dim is None or out.shape[1:] == (dim, dim))
+            and np.isfinite(out).all() and set(map(type, chain.from_iterable(rows))) <= _NUMBERS):
+        return out if real or pairs else out.astype(complex)
+    convert = _number if real else _complex_entry
+    walked = []
+    for node, path in zip(nodes, paths):
+        if not isinstance(node, list) or not node or not all(isinstance(r, list) for r in node):
+            _fail(path, "expected a matrix as a list of rows")
+        width = len(node[0])
+        for i, row in enumerate(node):
+            if len(row) != width:
+                _fail(f"{path}[{i}]", f"row length {len(row)} != {width}")
+        walked.append([[convert(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
+                       for i, row in enumerate(node)])
+        if dim is not None and (len(node), width) != (dim, dim):
+            _fail(path, f"shape {(len(node), width)} does not match model dim {dim}")
+    out = np.array(walked, dtype=float if real else complex)
+    return out if dim is None else out.reshape(-1, dim, dim)
 
 
 def _number_list(node, path: str) -> list:
@@ -252,24 +202,22 @@ def _hermitian_part(x: np.ndarray, path: str, tol: Tolerances) -> np.ndarray:
 
 def _model(node, path: str, tol: Tolerances):
     _check_keys(node, path, {"hamiltonian", "terms", "baths"}, {"hamiltonian", "terms"})
-    h = _complex_matrix(node["hamiltonian"], f"{path}.hamiltonian")
-    if h.shape[0] == h.shape[1]:
-        h = _hermitian_part(h, f"{path}.hamiltonian", tol)
+    h = _matrices([node["hamiltonian"]], [f"{path}.hamiltonian"])[0]
+    if h.shape[0] != h.shape[1]:
+        _fail(f"{path}.hamiltonian", f"must be a square matrix, got shape {h.shape}")
+    h = _hermitian_part(h, f"{path}.hamiltonian", tol)
     items = node["terms"]
     if not isinstance(items, list):
         _fail(f"{path}.terms", "expected a list")
-    # all jumps in one np.array; if that fails, the term-by-term walk names the bad entry
-    jumps = _stacked_matrices([item.get("jump") if isinstance(item, dict) else None
-                               for item in items], h.shape)
-    terms, rates, labels = [], [], []
+    rates, labels = [], []
     for i, item in enumerate(items):
         tp = f"{path}.terms[{i}]"
         _check_keys(item, tp, {"jump", "rate", "bath"}, {"jump", "rate"})
         rates.append(_number(item["rate"], f"{tp}.rate", minimum=0.0))
         labels.append(_string(item["bath"], f"{tp}.bath") if "bath" in item else "")
-        if jumps is None:
-            jump = _complex_matrix(item["jump"], f"{tp}.jump")
-            terms.append(LindbladTerm(jump, rates[i], labels[i]))
+    nodes = [item["jump"] for item in items]
+    paths = [f"{path}.terms[{i}].jump" for i in range(len(items))]
+    jumps = _matrices(nodes, paths, dim=len(h))
     baths = []
     for i, item in enumerate(node.get("baths", [])):
         bp = f"{path}.baths[{i}]"
@@ -278,14 +226,10 @@ def _model(node, path: str, tol: Tolerances):
             BathAssignment(_string(item["label"], f"{bp}.label"),
                            _number(item["beta"], f"{bp}.beta"))
         )
-    try:
-        if jumps is None:
-            gen = GklsGenerator(h, tuple(terms))
-        else:  # the terms are made from the config when first read
-            gen = GklsGenerator._of(_checked_hermitian(h, "hamiltonian"), _Channels(
-                jumps, np.array(rates), labels, lambda: tuple(map(
-                    LindbladTerm, _stacked_matrices([item["jump"] for item in items], h.shape),
-                    rates, labels))))
+    try:  # the terms are read from the config again when first asked for
+        gen = GklsGenerator._of(_checked_hermitian(h, "hamiltonian"), _Channels(
+            jumps, np.array(rates), labels, lambda: tuple(map(
+                LindbladTerm, _matrices(nodes, paths, dim=len(h)), rates, labels))))
     except NumericalDrift as exc:
         raise NumericalDrift(f"{path}.{exc}") from None
     except LindthermError as exc:
@@ -298,9 +242,7 @@ def _drive(node, path: str, dim: int, tol: Tolerances):
         node, path, {"observable", "amplitude", "frequency"},
         {"observable", "amplitude", "frequency"},
     )
-    m = _complex_matrix(node["observable"], f"{path}.observable")
-    if m.shape != (dim, dim):
-        _fail(f"{path}.observable", f"shape {m.shape} does not match model dim {dim}")
+    m = _matrices([node["observable"]], [f"{path}.observable"], dim=dim)[0]
     m = _hermitian_part(m, f"{path}.observable", tol)
     return (
         m,
@@ -324,14 +266,14 @@ def _pv_spec(node, path: str) -> PvSpec:
                                             f"{path}.valence_energies")),
         beta=_number(node["beta"], f"{path}.beta", strict_min=0.0),
         beta1=_number(node["beta1"], f"{path}.beta1", minimum=0.0),
-        inter_rates=_real_matrix(node["inter_rates"], f"{path}.inter_rates"),
+        inter_rates=_matrices([node["inter_rates"]], [f"{path}.inter_rates"], real=True)[0],
         mu_v=_number(node.get("mu_v", 0.0), f"{path}.mu_v"),
         amplitude=_number(node.get("amplitude", 0.0), f"{path}.amplitude"),
         frequency=_number(node.get("frequency", 1.0), f"{path}.frequency", strict_min=0.0),
     )
     for key in ("intra_rates_c", "intra_rates_v"):
         if key in node:
-            kwargs[key] = _real_matrix(node[key], f"{path}.{key}")
+            kwargs[key] = _matrices([node[key]], [f"{path}.{key}"], real=True)[0]
     try:
         return PvSpec(**kwargs)
     except (LindthermError, ValueError) as exc:
@@ -399,9 +341,7 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     gen, baths = _model(config["model"], "model", tol)
     if not baths:
         _fail("model.baths", "evolve needs at least one bath assignment")
-    initial = _complex_matrix(config["initial"], "initial")
-    if initial.shape != (gen.dim, gen.dim):
-        _fail("initial", f"shape {initial.shape} does not match model dim {gen.dim}")
+    initial = _matrices([config["initial"]], ["initial"], dim=gen.dim)[0]
     try:
         rho0 = DensityMatrix(initial, tol)
     except LindthermError as exc:
@@ -444,12 +384,8 @@ def _run_pv_sweep(config: dict, out_dir: Path, seed: int, tol: Tolerances):
         numeric = pv_power_current(spec, voltages)
     except NumericalDrift as exc:
         # the sweep varies only the voltage: name v_min if the sweep already
-        # fails there, else the v_max end that it ran into
-        key = "sweep.v_max"
-        try:
-            pv_grand_canonical(spec, 0.0, v_min)
-        except NumericalDrift:
-            key = "sweep.v_min"
+        # fails at its first sample, else the v_max end that it ran into
+        key = "sweep.v_min" if exc.sample == 0 else "sweep.v_max"
         raise NumericalDrift(f"{key}: {exc}") from exc
     rows = [
         [v, pv_analytic_power(spec, v), p]

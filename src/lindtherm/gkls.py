@@ -753,8 +753,8 @@ def _bordered_solve(blocks: list, trace: np.ndarray, tol: Tolerances, *split) ->
 
 @lru_cache(maxsize=16)
 def _state_tol(tol: Tolerances) -> Tolerances:
-    """A stationary state's tolerances: ``tol`` with positivity 1e-8, formed once per ``tol``."""
-    return tol.with_(positivity=1e-8)
+    """A computed state's tolerances: ``tol``, positivity at least 1e-8; formed once per ``tol``."""
+    return tol.with_(positivity=max(tol.positivity, 1e-8))
 
 
 def _accumulate(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -831,7 +831,7 @@ def stationary_state(gen: GklsGenerator, tol: Tolerances = DEFAULT) -> DensityMa
     kernel of dimension other than one (condition estimate below
     tol.kernel_cut) raises NonUniqueStationary, ||L rho||_F above
     tol.stationarity NotStationary; rho is hermitized and validated with
-    positivity 1e-8.  It is the batch of one of the stacked solve that
+    positivity at least 1e-8.  It is the batch of one of the stacked solve that
     ``law_residuals`` runs per chunk (``_Blocks.stationary``).  A Davies
     generator solves by its blocks: the bordered system is its population block.
     """

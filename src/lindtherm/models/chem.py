@@ -43,7 +43,7 @@ from ..errors import (
     ShapeError,
     TruncationOverflow,
 )
-from ..gkls import GklsGenerator, LindbladTerm, _propagate, _time_grid
+from ..gkls import GklsGenerator, LindbladTerm, _propagate, _state_tol, _time_grid
 from ..operators import DensityMatrix, _square, fock_annihilation, hermiticity_defect
 from ..tolerances import DEFAULT, Tolerances
 
@@ -567,7 +567,7 @@ def evolve_oscillator(
         lab = bands[:last, 1, : d - 1] * np.exp(-1j * spec.omega * rel_t[:last])[:, np.newaxis]
         amps = lab @ np.sqrt(np.arange(1.0, d))
 
-    state_tol = tol.with_(positivity=max(tol.positivity, 1e-8))
+    state_tol = _state_tol(tol)
     for i in range(last):
         if _band_certified(bands[i], rows, state_tol):
             continue

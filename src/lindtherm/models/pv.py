@@ -43,12 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidDimension, NumericalDrift, ShapeError, ZeroOccupation
+from ..errors import InvalidDimension, NumericalDrift, ShapeError, ZeroOccupation, _at
 from ..gkls import (
     GeneratorFamily,
     GklsGenerator,
     LindbladTerm,
     _bordered_solve,
+    _state_tol,
     modulated_family,
 )
 from ..operators import DensityMatrix
@@ -359,7 +360,13 @@ def _over_voltages(spec: PvSpec, voltage, power_at):
     n = _filled(np.arange(spec.dim), spec.n_conduction)
     w = _pauli_rates(spec)
     lm = w.T @ n - w.sum(axis=0) * n
-    out = np.array([power_at(n, lm, _gc_diagonal(spec, 0.0, v)) for v in voltages], dtype=float)
+    out = np.empty(len(voltages))
+    for k, v in enumerate(voltages):
+        try:
+            p = _gc_diagonal(spec, 0.0, v)
+        except NumericalDrift as exc:
+            raise _at(k, exc)  # the sample tells a caller which end of a sweep failed
+        out[k] = power_at(n, lm, p)
     return float(out[0]) if scalar else out
 
 
@@ -449,14 +456,14 @@ def sector_stationary_state(
     populations p obey the Pauli master equation Q p = 0 with
     Q = W - diag(1^T W), W[b', b] = sum_j rate_j |V_j[b', b]|^2 over the
     sector.  Q is solved by the bordered solve of ``stationary_state`` with
-    the all-ones trace row.
+    the all-ones trace row, and the state checked with its positivity floor.
     """
     idx = sector_indices(spec, n_electrons)
     w = _pauli_rates(spec)[np.ix_(idx, idx)]
     q = w - np.diag(w.sum(axis=0))
     p = np.zeros(spec.dim)
     p[idx] = _bordered_solve([q[None]], np.ones(idx.size), tol)[0][0].real
-    return DensityMatrix(np.diag(p).astype(complex))
+    return DensityMatrix(np.diag(p).astype(complex), _state_tol(tol))
 
 
 def _conditioned_weights(spec: PvSpec, n_electrons: int, xi: float, voltage) -> np.ndarray:

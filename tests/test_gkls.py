@@ -491,6 +491,31 @@ def test_stationary_state_kernel_cut_sweep(scale):
                 stationary_state(gen)
 
 
+@pytest.mark.parametrize("positivity, floor", [(1e-12, 1e-8), (1e-6, 1e-6)])
+def test_computed_states_share_one_positivity_floor(monkeypatch, positivity, floor):
+    # a tolerance tighter than 1e-8 is raised to it; a looser one reaches the check as given
+    from lindtherm.models import chem, pv
+
+    tol = DEFAULT.with_(positivity=positivity)
+    assert gkls._state_tol(tol) == DEFAULT.with_(positivity=floor)
+    spec = chem.ChemSpec(omega=1.0, gamma_up=0.5, gamma_down=0.25, dim=40)
+    traj = chem.evolve_oscillator(spec, chem.coherent_state(1.0, 40).matrix,
+                                  np.linspace(0.0, 1.0, 3), tol=tol)
+    assert traj._tol.positivity == floor
+    seen = []
+
+    class Spy(DensityMatrix):
+        def __init__(self, matrix, tol=DEFAULT):
+            seen.append(tol.positivity)
+            super().__init__(matrix, tol)
+
+    monkeypatch.setattr(pv, "DensityMatrix", Spy)
+    cell = pv.PvSpec(conduction_energies=(1.0,), valence_energies=(0.0,), beta=2.0, beta1=0.7,
+                     inter_rates=np.array([[4.0]]))
+    pv.sector_stationary_state(cell, 1, tol)
+    assert seen == [floor]
+
+
 def _eig_kernel_state(gen):
     """Reference: eigenvector of the least-modulus eigenvalue, trace-normalized."""
     vals, vecs = np.linalg.eig(schrodinger_super(gen))
