@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, LindthermError, NumericalDrift
+from .errors import ConfigError, LindthermError, NumericalDrift, TruncationOverflow
 from .gkls import (
     GeneratorFamily,
     GklsGenerator,
@@ -341,6 +341,15 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     gen, baths = _model(config["model"], "model", tol)
     if not baths:
         _fail("model.baths", "evolve needs at least one bath assignment")
+    labels = [b.bath_label for b in baths]
+    for i, label in enumerate(labels):
+        if labels.index(label) < i:
+            _fail(f"model.baths[{i}].label", f"bath {label!r} is already listed")
+    for k, item in enumerate(config["model"]["terms"]):
+        label = item.get("bath", "")
+        if label not in labels:
+            _fail(f"model.terms[{k}]" + (".bath" if "bath" in item else ""),
+                  f"bath {label!r} is not listed in model.baths")
     initial = _matrices([config["initial"]], ["initial"], dim=gen.dim)[0]
     try:
         rho0 = DensityMatrix(initial, tol)
@@ -356,7 +365,6 @@ def _run_evolve(config: dict, out_dir: Path, seed: int, tol: Tolerances):
         family = GeneratorFamily(lambda xi: gen, m, 0.0, 1.0)
         traj = evolve(gen, rho0, times, tol=tol)
     samples = law_residuals(traj, family, baths, tol)
-    labels = [b.bath_label for b in baths]
     header = ["t", "U", "P"] + [f"J_{l}" for l in labels] + [
         "S", "sigma", "firstLawResidual", "secondLawResidual"]
     rows = [
@@ -407,7 +415,13 @@ def _run_chem_engine(config: dict, out_dir: Path, seed: int, tol: Tolerances):
     # as a plain matrix, not a DensityMatrix.
     psi = _coherent_amplitudes(abs(alpha0), spec.dim).real
     initial = np.outer(psi, psi)
-    traj = evolve_oscillator(spec, initial, times, on_overflow=overflow, tol=tol)
+    try:
+        traj = evolve_oscillator(spec, initial, times, on_overflow=overflow, tol=tol)
+    except TruncationOverflow as exc:
+        if getattr(exc, "sample", None) != 0:
+            raise
+        raise TruncationOverflow(
+            f"initial_alpha: {exc}; raise chem.dim to hold this start") from exc
     e0 = float(traj.energies[0])
     e_analytic = analytic_energy(spec, e0, traj.times)
     a_analytic = np.abs(analytic_amplitude(spec, alpha0, traj.times))

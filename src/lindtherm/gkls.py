@@ -33,9 +33,9 @@ with [H, .], so its matrix splits into blocks of the operator entries (i, j)
 of one Bohr gap E_i - E_j (distinct gaps: the populations, and a 1 x 1
 block per coherence).  Its stationary state, the engine's solves and
 detailed balance go block by block (``_Blocks``), acting in the eigenbasis
-(``_action``), with no d^2 x d^2 matrix.  Its lab-frame table and ``terms``
-are built only when first read: by the public direct actions, the
-propagators and the heat currents.
+(``_action``, the public direct actions), with no d^2 x d^2 matrix.  Its
+lab-frame table and ``terms`` are built only when first read: by the
+propagators and the bath flows of the heat currents.
 """
 
 from __future__ import annotations
@@ -444,28 +444,27 @@ def _gkls_action(a: np.ndarray, x: np.ndarray, jumps: np.ndarray, adjoint: bool 
     return out
 
 
-def apply_schrodinger(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
-    """L(X) by direct matrix products with the lab-frame jump table (no superoperator
-    assembly); a ``thermal_family`` generator builds its table on the first call."""
-    return _gkls_action(gen._g, as_operator(x), gen._jumps)
-
-
-def apply_heisenberg(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
-    """L*(X) by direct matrix products, as ``apply_schrodinger``."""
-    return _gkls_action(dag(gen._g), as_operator(x), gen._jumps, adjoint=True)
-
-
 def _action(gen: GklsGenerator, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """L(X), or L*(X), of a lab-frame operator X, as the block solves see the generator.
+    """L(X), or L*(X), of a lab-frame operator X, with no superoperator assembly.
 
     A Davies generator acts as U D(U+ X U) U+ in its Hamiltonian's
     eigenbasis U, whether or not its table exists, and builds none; a
-    generator of terms as ``apply_schrodinger``/``apply_heisenberg``.
+    generator of terms by direct matrix products with its jump table.
     """
     record, x = gen._record, as_operator(x)
     if isinstance(record, _Davies):
         return record.lab(record.apply(record.basis(x), adjoint))
     return _gkls_action(dag(gen._g) if adjoint else gen._g, x, gen._jumps, adjoint)
+
+
+def apply_schrodinger(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
+    """L(X) by ``_action``: direct products, or a Davies generator's eigenbasis (no table)."""
+    return _action(gen, x)
+
+
+def apply_heisenberg(gen: GklsGenerator, x: np.ndarray) -> np.ndarray:
+    """L*(X) by ``_action``, as ``apply_schrodinger``."""
+    return _action(gen, x, adjoint=True)
 
 
 # --- thermal building blocks -------------------------------------------------

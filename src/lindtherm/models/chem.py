@@ -42,6 +42,7 @@ from ..errors import (
     NumericalDrift,
     ShapeError,
     TruncationOverflow,
+    _at,
 )
 from ..gkls import GklsGenerator, LindbladTerm, _propagate, _state_tol, _time_grid
 from ..operators import DensityMatrix, _square, fock_annihilation, hermiticity_defect
@@ -500,8 +501,10 @@ def evolve_oscillator(
 
     The simulation is trusted only while the top Fock level holds less
     than ``guard`` population; beyond that the truncation is biasing the
-    dynamics.  on_overflow = "raise" raises TruncationOverflow at the first
-    bad sample, "truncate" returns the valid prefix of the grid instead.
+    dynamics.  A start above it raises TruncationOverflow, marked
+    (``errors._at``) as sample 0, before anything is propagated; later,
+    on_overflow = "raise" raises it at the first bad sample, "truncate"
+    returns the valid prefix of the grid instead.
     """
     if on_overflow not in ("raise", "truncate"):
         raise ValueError(f"on_overflow must be 'raise' or 'truncate', got {on_overflow!r}")
@@ -513,6 +516,10 @@ def evolve_oscillator(
     defect = 0.0 if isinstance(initial, DensityMatrix) else hermiticity_defect(rho0)
     if defect > tol.hermiticity:
         raise NotAState(f"hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.1e}")
+    if rho0[d - 1, d - 1].real > guard:
+        raise _at(0, TruncationOverflow(
+            f"initial state already has top-level population {rho0[d - 1, d - 1].real:.3e} "
+            f"above guard {guard:.1e}"))
     gu, gd = spec.gamma_up, spec.gamma_down
     span = float(t[-1] - t[0])
     weight = np.sqrt([np.vdot(b, b).real for b in (np.diagonal(rho0, -k) for k in range(d))])
@@ -554,11 +561,6 @@ def evolve_oscillator(
         raise TruncationOverflow(
             f"top-level population {top[last]:.3e} exceeds guard {guard:.1e} "
             f"at t = {t[last]:.6g}"
-        )
-    if last == 0:
-        raise TruncationOverflow(
-            f"initial state already has top-level population {top[0]:.3e} "
-            f"above guard {guard:.1e}"
         )
 
     energies = spec.omega * (pops[:last] @ np.arange(d))

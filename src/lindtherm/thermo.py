@@ -37,6 +37,7 @@ from .gkls import (
     _gkls_action,
     _raise_first,
     _superops,
+    apply_schrodinger,
 )
 from .operators import DensityMatrix, _square, as_operator, dag, hermitize
 from .tolerances import DEFAULT, Tolerances
@@ -156,9 +157,9 @@ def heat_currents(
     return HeatCurrentReport(per_bath=per_bath, total=float(sum(per_bath.values())))
 
 
-def _sigmas(ref_images, flow, spectra, ref_spectra, tol: Tolerances) -> np.ndarray:
-    """-tr[L_i(rho_i) (ln rho_i - ln rho_bar_i)] from L_i(rho_bar_i), L_i(rho_i), both spectra."""
-    _check_stationary("reference state", ref_images, tol)
+def _sigmas(flow, spectra, ref_spectra, tol: Tolerances) -> np.ndarray:
+    """-tr[L_i(rho_i) (ln rho_i - ln rho_bar_i)] from L_i(rho_i) and both spectra; each
+    rho_bar_i is certified stationary already, by its solve or ``entropy_production``."""
     logs = []
     for (vals, vecs), what in ((spectra, "state"), (ref_spectra, "stationary state")):
         _raise_first(vals[:, 0] <= tol.log_floor, lambda j: SingularLogarithm(
@@ -180,16 +181,16 @@ def entropy_production(
 ) -> float:
     """Irreversibility rate sigma = -tr[ L(rho) (ln rho - ln rho_bar) ].
 
-    rho_bar must be stationary for the generator; both states must be
-    strictly positive so the logarithms exist.  The value is nonnegative
-    for any GKLS generator; a violation beyond -1e-10 means the inputs
-    broke a precondition and raises.
+    rho_bar must be stationary for the generator (L by ``apply_schrodinger``);
+    both states must be strictly positive so the logarithms exist.  The value
+    is nonnegative for any GKLS generator; a violation beyond -1e-10 means
+    the inputs broke a precondition and raises.
     """
     pair = np.array([as_operator(rho_bar, "state"), as_operator(rho, "state")])
-    images = _gkls_action(gen._g, pair, gen._jumps)
+    ref, flow = (apply_schrodinger(gen, x)[None] for x in pair)
+    _check_stationary("reference state", ref, tol)
     vals, vecs = np.linalg.eigh(hermitize(pair))
-    return float(_sigmas(images[:1], images[1:], (vals[1:], vecs[1:]), (vals[:1], vecs[:1]),
-                         tol)[0])
+    return float(_sigmas(flow, (vals[1:], vecs[1:]), (vals[:1], vecs[:1]), tol)[0])
 
 
 def _entropies(vals: np.ndarray) -> np.ndarray:
@@ -299,11 +300,10 @@ def law_residuals(
     p = -upto(lambda e: _traces(r[:e], dh[:e], "dH/dt")).real
     flows = upto(lambda e: _bath_flows(gens[:e], baths, r[:e]))
     rbar, kidx = upto(stationary)
-    n, rb = end, rbar[kidx]
-    images = -1j * (h[:n] @ rb - rb @ h[:n]) + _bath_flows(gens[:n], baths, rb).sum(axis=1)
+    n = end
     flow = -1j * (h[:n] @ r[:n] - r[:n] @ h[:n]) + flows[:n].sum(axis=1)
     vals, vecs = np.linalg.eigh(hermitize(np.concatenate([r[:n], rbar])))
-    sig = upto(lambda e: _sigmas(images[:e], flow[:e], (vals[:e], vecs[:e]),
+    sig = upto(lambda e: _sigmas(flow[:e], (vals[:e], vecs[:e]),
                                  (vals[n + kidx[:e]], vecs[n + kidx[:e]]), tol))
     if failure is not None:
         raise failure

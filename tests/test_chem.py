@@ -623,6 +623,19 @@ def test_initial_state_above_guard_rejected():
         evolve_oscillator(spec, coherent_state(2.0, 6), np.array([0.0, 0.1]))
 
 
+def test_start_above_the_guard_is_rejected_before_propagation(monkeypatch):
+    def never(*args):
+        raise AssertionError("expm_multiply called")
+
+    monkeypatch.setattr(chem, "expm_multiply", never)
+    spec = ChemSpec(1.0, 0.5, 0.25, dim=6)
+    for overflow in ("raise", "truncate"):
+        with pytest.raises(TruncationOverflow, match="initial state already") as info:
+            evolve_oscillator(spec, coherent_state(2.0, 6), np.linspace(0.0, 1.0, 5),
+                              on_overflow=overflow)
+        assert info.value.sample == 0
+
+
 # --- classical replicator ------------------------------------------------------
 
 def test_birth_death_state_validation():

@@ -562,6 +562,30 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert "TruncationOverflow" in capsys.readouterr().err
 
 
+def test_chem_start_above_the_guard_names_initial_alpha(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", _chem_phase_config(12.0))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: TruncationOverflow: initial_alpha: initial state "
+                          "already has top-level population") and err.count("\n") == 1, err
+    assert "chem.dim" in err
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda model: model["terms"][0].update(bath="x"), "model.terms[0].bath"),
+    (lambda model: model["terms"][1].pop("bath"), "model.terms[1]"),
+    (lambda model: model["baths"].append({"label": "b", "beta": 1.0}), "model.baths[1].label"),
+])
+def test_evolve_bath_labels_are_config_errors(tmp_path, capsys, edit, key):
+    # every term's bath (default "") must be listed in model.baths, once
+    config = _evolve_config()
+    edit(config["model"])
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: bath ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("scenario", ["evolve", "engine-power"])
 @pytest.mark.parametrize("term", [0, 1])
 @pytest.mark.parametrize("key", ["rate", "jump"])

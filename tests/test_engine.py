@@ -21,6 +21,7 @@ from lindtherm import (
     dag,
     davies_terms,
     detailed_balance_report,
+    entropy_production,
     equilibrium_power_bound,
     gibbs_state,
     heisenberg_super,
@@ -36,7 +37,7 @@ from lindtherm import (
 )
 from lindtherm import engine, gkls
 
-from conftest import random_thermal_model, unit
+from conftest import random_state, random_thermal_model, unit
 
 # triangle engine: two cold links (0-1, 1-2) and one hot link (0-2) that the
 # drive modulates through the rethermalizing Davies construction
@@ -414,10 +415,10 @@ def test_davies_detailed_balance_matches_the_dense_route(kind, d):
 
 @pytest.mark.parametrize("kind, d", [("distinct", 12), ("ladder", 8), ("degenerate", 8)])
 def test_davies_eigenbasis_action_matches_the_dense_twin(kind, d):
-    # the block solves and the engine act in each generator's eigenbasis
-    # (gkls._action) and build no table; the public direct actions read the
-    # lab-frame table; each route is fixed by the generator, not by what was
-    # read before
+    # the public direct actions, the block solves and the engine act in each
+    # generator's eigenbasis (gkls._action) and build no table; the lab-frame
+    # table kernel, which serves the heat currents, matches the dense twin's;
+    # the route is fixed by the generator, not by what was read before
     rng = np.random.default_rng(2)
     h0, m, couplings = _rotated_davies(rng, kind, d)
     with pytest.warns(UserWarning, match="does not commute"):
@@ -427,16 +428,42 @@ def test_davies_eigenbasis_action_matches_the_dense_twin(kind, d):
     for xi in (0.0, 0.37):
         gen, twin = fam.generator_of(xi), ref.generator_of(xi)
         eigen = [gkls._action(gen, x, adjoint) for adjoint in (False, True)]
+        public = [apply_schrodinger(gen, x), apply_heisenberg(gen, x)]
+        assert all(np.array_equal(p, e) for p, e in zip(public, eigen))
         assert "jumps" not in vars(gen._record)
         for got, want in zip(eigen, (apply_schrodinger(twin, x), apply_heisenberg(twin, x))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        lab = apply_schrodinger(gen, x)
+        lab = gkls._gkls_action(gen._g, x, gen._record.jumps)
         assert np.array_equal(lab, apply_schrodinger(twin, x))
         assert all(np.array_equal(gkls._action(gen, x, adjoint), e)
                    for adjoint, e in zip((False, True), eigen))
         other = fam.generator_of(xi)
         other._baths  # as the heat currents read it: the table is built first
-        assert np.array_equal(apply_schrodinger(other, x), lab)
+        assert np.array_equal(apply_schrodinger(other, x), eigen[0])
+
+
+@pytest.mark.parametrize("kind, d", [("distinct", 6), ("degenerate", 6)])
+def test_davies_entropy_production_and_actions_build_no_table(kind, d):
+    # entropy_production and both public actions take the eigenbasis route
+    # and match the dense twin; a non-stationary reference is still named
+    rng = np.random.default_rng(5)
+    h0, m, couplings = _rotated_davies(rng, kind, d)
+    with pytest.warns(UserWarning, match="does not commute"):
+        fam = thermal_family(h0, m, couplings, 0.3, 600.0)
+        ref = _dense_twin(fam)
+    gen, twin = fam.generator_of(0.37), ref.generator_of(0.37)
+    rho_bar, rho = stationary_state(gen), random_state(rng, d)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    got = [np.array(entropy_production(gen, rho, rho_bar)),
+           apply_schrodinger(gen, x), apply_heisenberg(gen, x)]
+    with pytest.raises(NotStationary, match="reference state has generator-image norm"):
+        entropy_production(gen, rho_bar, rho)
+    assert "jumps" not in vars(gen._record)
+    want = [entropy_production(twin, rho, rho_bar), apply_schrodinger(twin, x),
+            apply_heisenberg(twin, x)]
+    assert got[0] > 0
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_davies_detailed_balance_rejects_coherences_outside_the_stationary_block():

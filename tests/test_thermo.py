@@ -44,6 +44,7 @@ from lindtherm import (
     vec,
     von_neumann_entropy,
 )
+from lindtherm import thermo
 from lindtherm.models.chem import coherent_state
 
 from conftest import random_state, random_thermal_model, triangle_generator, unit
@@ -125,7 +126,7 @@ def test_entropy_production_vanishes_at_stationarity():
 
 def test_entropy_production_rejects_wrong_reference():
     gen = _hand_qubit()
-    with pytest.raises(NotStationary):
+    with pytest.raises(NotStationary, match="reference state has generator-image norm"):
         entropy_production(gen, np.diag([0.5, 0.5]), basis_state(2, 0))
 
 
@@ -204,6 +205,24 @@ def test_law_residuals_grid_too_coarse():
     sub = Trajectory(traj.times[::80], traj.states[::80])
     with pytest.raises(GridTooCoarse):
         law_residuals(sub, fam, [BathAssignment("b", 1.0)])
+
+
+def test_law_residuals_runs_the_bath_flows_once_per_record_and_bath(monkeypatch):
+    # each rho_bar is certified by the bordered solve that computes it, so the
+    # bath-flow kernel runs on the states only: once per channel record (one,
+    # shared by a modulated family) and bath
+    h0 = np.diag([0.0, 1.0]).astype(complex)
+    gen0 = GklsGenerator(h0, thermal_pair(unit(0, 1, 2), 0.8, 1.0, 2.0, "cold")
+                         + thermal_pair(unit(0, 1, 2), 0.6, 1.0, 0.5, "hot"))
+    fam = modulated_family(gen0, np.diag([0.0, 0.3]), amplitude=0.4, frequency=2.0)
+    traj = evolve_driven(fam, gibbs_state(h0, 2.0), np.linspace(0.0, 0.1, 11))
+    baths = [BathAssignment("cold", 2.0), BathAssignment("hot", 0.5)]
+    calls, kernel = [], thermo._gkls_action
+    monkeypatch.setattr(thermo, "_gkls_action",
+                        lambda a, x, *rest: calls.append(len(x)) or kernel(a, x, *rest))
+    samples = law_residuals(traj, fam, baths, grid_check=False)
+    assert calls == [11, 11]
+    assert all(s.sigma >= 0.0 for s in samples)
 
 
 def test_thermo_sample_fields():
